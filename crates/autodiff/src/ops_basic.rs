@@ -99,12 +99,7 @@ impl Tape {
             assert_eq!(xc, rv.cols(), "{name}: column mismatch {} vs {}", xc, rv.cols());
         }
         let mut out = self.alloc(xr, xc);
-        let xv = self.value(x);
-        let rrow = self.value(row).row(0);
-        kernels::count_dispatch(xr);
-        for r in 0..xr {
-            k(xv.row(r), rrow, out.row_mut(r));
-        }
+        self.value(x).broadcast_row_into(self.value(row).row(0), k, &mut out);
         let rg = self.any_requires_grad(&[x, row]);
         self.push(out, op, rg)
     }

@@ -241,25 +241,43 @@ impl Tape {
         assert_eq!(coords.rows(), n, "smoothness: coords/colors row mismatch");
         assert_eq!(neighbors.len(), n * k, "smoothness: neighbor list must be N*k");
         assert!(neighbors.iter().all(|&i| i < n), "smoothness: neighbor index out of bounds");
-
-        let mut total = 0.0f32;
-        for i in 0..n {
-            for j in 0..k {
-                let nb = neighbors[i * k + j];
-                let mut d2 = 0.0f32;
-                for d in 0..coords.cols() {
-                    let dd = coords[(i, d)] - coords[(nb, d)];
-                    d2 += dd * dd;
-                }
-                for d in 0..cv.cols() {
-                    let dd = cv[(i, d)] - cv[(nb, d)];
-                    d2 += dd * dd;
-                }
-                total += d2.sqrt();
-            }
-        }
-        total
+        smoothness_total(cv, coords, neighbors, k)
     }
+}
+
+/// Squared distance of one smoothness edge `(i, nb)` in joint
+/// xyz + color space: the coordinate terms, then the color terms, each
+/// summed in ascending dimension order.
+#[inline]
+pub(crate) fn edge_dist_sq(coords: &Matrix, colors: &Matrix, i: usize, nb: usize) -> f32 {
+    let mut d2 = 0.0f32;
+    for (&a, &b) in coords.row(i).iter().zip(coords.row(nb)) {
+        let dd = a - b;
+        d2 += dd * dd;
+    }
+    for (&a, &b) in colors.row(i).iter().zip(colors.row(nb)) {
+        let dd = a - b;
+        d2 += dd * dd;
+    }
+    d2
+}
+
+/// The smoothness penalty (Eq. 6): the sum of every edge's joint
+/// distance, in ascending `(point, neighbor)` order. Shared by the
+/// recording constructor and the schedule replay.
+pub(crate) fn smoothness_total(
+    colors: &Matrix,
+    coords: &Matrix,
+    neighbors: &[usize],
+    k: usize,
+) -> f32 {
+    let mut total = 0.0f32;
+    for i in 0..colors.rows() {
+        for &nb in &neighbors[i * k..i * k + k] {
+            total += edge_dist_sq(coords, colors, i, nb).sqrt();
+        }
+    }
+    total
 }
 
 #[cfg(test)]

@@ -64,23 +64,7 @@ impl Tape {
         let mut out = self.alloc(groups, cols);
         let mut argmax = self.take_idx();
         argmax.resize(groups * cols, 0);
-        let xv = self.value(x);
-        for g in 0..groups {
-            for c in 0..cols {
-                let mut best = f32::NEG_INFINITY;
-                let mut best_row = g * k;
-                for j in 0..k {
-                    let r = g * k + j;
-                    let v = xv[(r, c)];
-                    if v > best {
-                        best = v;
-                        best_row = r;
-                    }
-                }
-                out[(g, c)] = best;
-                argmax[g * cols + c] = best_row;
-            }
-        }
+        self.value(x).group_max_into(k, &mut out, &mut argmax);
         let rg = self.node(x).requires_grad;
         self.push(out, Op::GroupMax { x, argmax }, rg)
     }
@@ -120,26 +104,8 @@ impl Tape {
         assert!(k > 0, "group_softmax: k must be positive");
         let (rows, cols) = self.value(x).shape();
         assert_eq!(rows % k, 0, "group_softmax: {rows} rows not divisible by k={k}");
-        let groups = rows / k;
         let mut out = self.alloc(rows, cols);
-        let xv = self.value(x);
-        for g in 0..groups {
-            for c in 0..cols {
-                let mut maxv = f32::NEG_INFINITY;
-                for j in 0..k {
-                    maxv = maxv.max(xv[(g * k + j, c)]);
-                }
-                let mut denom = 0.0f32;
-                for j in 0..k {
-                    let e = (xv[(g * k + j, c)] - maxv).exp();
-                    out[(g * k + j, c)] = e;
-                    denom += e;
-                }
-                for j in 0..k {
-                    out[(g * k + j, c)] /= denom;
-                }
-            }
-        }
+        self.value(x).group_softmax_into(k, &mut out);
         let rg = self.node(x).requires_grad;
         let softmax = self.alloc_copy(&out);
         self.push(out, Op::GroupSoftmax { x, k, softmax }, rg)

@@ -24,14 +24,14 @@
 //! && live`) is also frozen at compile time, so replay skips graph
 //! construction, the per-step reset walk, the mark pass, and every
 //! dispatch decision. Replay reuses the tape's own `step_backward` in
-//! compiled mode, which additionally prunes operand gradients flowing
-//! into eval-mode constants (the dynamic reference computes then
-//! discards them) and hands out dirty scratch to kernels that fully
-//! overwrite their output. Neither can change a live value: replayed
-//! values and gradients stay bit-identical to a dynamic rebuild on both
-//! SIMD legs and at any thread count — and touch no allocator in steady
-//! state.
+//! compiled mode, which hands out dirty scratch to kernels that fully
+//! overwrite their output; like the dynamic tape, it never computes
+//! operand gradients flowing into eval-mode constants. Neither can
+//! change a live value: replayed values and gradients stay
+//! bit-identical to a dynamic rebuild on both SIMD legs and at any
+//! thread count — and touch no allocator in steady state.
 
+use crate::ops_nn::smoothness_total;
 use crate::tape::{step_backward, Node, Op, Tape, Value, Var};
 use colper_tensor::{kernels, Matrix};
 use std::fmt;
@@ -650,13 +650,12 @@ impl TapeSchedule {
         self.replay_backward(tape);
     }
 
-    /// The frozen twin of `Tape::backward`: identical seed, traversal and
-    /// accumulation (it calls the same `step_backward`), minus the mark
-    /// pass — the candidate list was cached at compile time — and with
-    /// dead-gradient pruning on: gradients flowing into eval-mode
-    /// constants (frozen weights) are skipped instead of computed and
-    /// discarded. Pruning cannot change any live gradient, so replayed
-    /// gradients stay bit-identical to the dynamic rebuild.
+    /// The frozen twin of `Tape::backward`: identical seed, traversal,
+    /// dead-gradient pruning and accumulation (it calls the same
+    /// `step_backward`), minus the mark pass — the candidate list was
+    /// cached at compile time — and with dirty scratch for gradient
+    /// buffers their kernel fully overwrites. Replayed gradients stay
+    /// bit-identical to the dynamic rebuild.
     fn replay_backward(&self, tape: &mut Tape) {
         let _span = colper_obs::span!(TAPE_BACKWARD);
         let n = tape.nodes.len();
@@ -793,28 +792,11 @@ fn exec_node(nodes: &mut [Node], i: usize, hinge: Option<&HingeSpec>) {
             let x = *x;
             let xv: &Matrix = &head[x.0].value;
             let out = value.owned_mut();
-            let (rows, cols) = xv.shape();
             let groups = out.rows();
             if groups == 0 {
                 return;
             }
-            let k = rows / groups;
-            for g in 0..groups {
-                for c in 0..cols {
-                    let mut best = f32::NEG_INFINITY;
-                    let mut best_row = g * k;
-                    for j in 0..k {
-                        let r = g * k + j;
-                        let v = xv[(r, c)];
-                        if v > best {
-                            best = v;
-                            best_row = r;
-                        }
-                    }
-                    out[(g, c)] = best;
-                    argmax[g * cols + c] = best_row;
-                }
-            }
+            xv.group_max_into(xv.rows() / groups, out, argmax);
         }
         Op::GroupMean(x, k) => {
             let (x, k) = (*x, *k);
@@ -831,27 +813,8 @@ fn exec_node(nodes: &mut [Node], i: usize, hinge: Option<&HingeSpec>) {
         }
         Op::GroupSoftmax { x, k, softmax } => {
             let (x, k) = (*x, *k);
-            let xv: &Matrix = &head[x.0].value;
             let out = value.owned_mut();
-            let (rows, cols) = xv.shape();
-            let groups = rows / k;
-            for g in 0..groups {
-                for c in 0..cols {
-                    let mut maxv = f32::NEG_INFINITY;
-                    for j in 0..k {
-                        maxv = maxv.max(xv[(g * k + j, c)]);
-                    }
-                    let mut denom = 0.0f32;
-                    for j in 0..k {
-                        let e = (xv[(g * k + j, c)] - maxv).exp();
-                        out[(g * k + j, c)] = e;
-                        denom += e;
-                    }
-                    for j in 0..k {
-                        out[(g * k + j, c)] /= denom;
-                    }
-                }
-            }
+            head[x.0].value.group_softmax_into(k, out);
             softmax.as_mut_slice().copy_from_slice(out.as_slice());
         }
         Op::WeightedGather { x, idx, w, k } => {
@@ -934,25 +897,7 @@ fn exec_node(nodes: &mut [Node], i: usize, hinge: Option<&HingeSpec>) {
             value.owned_mut()[(0, 0)] = loss;
         }
         Op::Smoothness { colors, coords, neighbors, k } => {
-            let (colors, k) = (*colors, *k);
-            let cv: &Matrix = &head[colors.0].value;
-            let coords: &Matrix = coords;
-            let mut total = 0.0f32;
-            for i2 in 0..cv.rows() {
-                for j in 0..k {
-                    let nb = neighbors[i2 * k + j];
-                    let mut d2 = 0.0f32;
-                    for d in 0..coords.cols() {
-                        let dd = coords[(i2, d)] - coords[(nb, d)];
-                        d2 += dd * dd;
-                    }
-                    for d in 0..cv.cols() {
-                        let dd = cv[(i2, d)] - cv[(nb, d)];
-                        d2 += dd * dd;
-                    }
-                    total += d2.sqrt();
-                }
-            }
+            let total = smoothness_total(&head[colors.0].value, coords, neighbors, *k);
             value.owned_mut()[(0, 0)] = total;
         }
     }
@@ -967,12 +912,7 @@ fn row_broadcast(
     out: &mut Matrix,
     k: fn(&[f32], &[f32], &mut [f32]),
 ) {
-    let xv: &Matrix = &head[x.0].value;
-    let rrow = head[row.0].value.row(0);
-    kernels::count_dispatch(xv.rows());
-    for r in 0..xv.rows() {
-        k(xv.row(r), rrow, out.row_mut(r));
-    }
+    head[x.0].value.broadcast_row_into(head[row.0].value.row(0), k, out);
 }
 
 /// Fused `matmul → add_row`: the product lands directly in the bias
@@ -992,11 +932,7 @@ fn exec_fused_linear(nodes: &mut [Node], mm: usize, add: usize) {
     };
     let out = value.owned_mut();
     head[a.0].value.matmul_into(&head[b.0].value, out).expect("replay fused matmul");
-    let brow = head[bias.0].value.row(0);
-    kernels::count_dispatch(out.rows());
-    for r in 0..out.rows() {
-        kernels::add_assign(out.row_mut(r), brow);
-    }
+    out.broadcast_row_assign(head[bias.0].value.row(0), kernels::add_assign);
 }
 
 /// Fused `gather_rows → sub`: subtracts row-for-row while reading the
@@ -1012,13 +948,7 @@ fn exec_fused_gather_sub(nodes: &mut [Node], gather: usize, sub: usize) {
         Op::GatherRows(x, idx) => (*x, &**idx),
         _ => unreachable!("fused gather without a GatherRows"),
     };
-    let out = value.owned_mut();
-    let xv: &Matrix = &head[x.0].value;
-    let yv: &Matrix = &head[b.0].value;
-    kernels::count_dispatch(out.rows());
-    for (r, &src) in idx.iter().enumerate().take(out.rows()) {
-        kernels::sub(xv.row(src), yv.row(r), out.row_mut(r));
-    }
+    head[x.0].value.gather_sub_into(idx, &head[b.0].value, value.owned_mut());
 }
 
 /// One strided batched GEMM over a compile-time group of independent

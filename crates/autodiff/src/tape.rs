@@ -1,6 +1,7 @@
 //! The [`Tape`]: a linear record of primitive operations and its reverse
 //! (backward) pass.
 
+use crate::ops_nn::edge_dist_sq;
 use colper_tensor::{kernels, BufferPool, Matrix};
 use std::collections::VecDeque;
 use std::ops::Deref;
@@ -598,21 +599,18 @@ fn accumulate_copy(
 /// gradients are bit-identical. The schedule replay reuses this verbatim,
 /// which is what makes replayed gradients bit-identical by construction.
 ///
-/// `compiled` selects the schedule replay's compile-time optimizations,
-/// neither of which can change a live gradient:
+/// **Dead-gradient pruning** applies on both paths: operand gradients
+/// flowing into `!requires_grad` nodes (eval-mode weights bound as
+/// constants) are never computed. Such a gradient would only be handed
+/// to `accumulate`, which drops it, so no surviving value ever depended
+/// on it.
 ///
-/// - **Dead-gradient pruning** — operand gradients flowing into
-///   `!requires_grad` nodes (eval-mode weights bound as constants) are
-///   never computed. The dynamic reference computes then discards them
-///   (`accumulate` recycles the buffer), so a pruned gradient never fed
-///   any surviving value to begin with.
-/// - **Dirty scratch buffers** — gradient storage whose kernel fully
-///   overwrites every element (see [`grad_buf`]) skips the `zeros`
-///   memset. Buffers that are accumulated into (`GatherRows`,
-///   `Smoothness`, …) or partially written (`SliceCols`) keep `zeros`.
-///
-/// The dynamic tape passes `false` and keeps the simple eager reference
-/// semantics unchanged.
+/// `compiled` selects the schedule replay's **dirty scratch buffers**:
+/// gradient storage whose kernel fully overwrites every element (see
+/// [`grad_buf`]) skips the `zeros` memset. Buffers that are accumulated
+/// into (`Smoothness`, `WeightedGather`, …) or partially written
+/// (`SliceCols`) keep `zeros`. The dynamic tape passes `false` and keeps
+/// its zeroing allocation pattern.
 #[allow(clippy::too_many_lines)]
 pub(crate) fn step_backward(
     nodes: &[Node],
@@ -623,7 +621,7 @@ pub(crate) fn step_backward(
     compiled: bool,
 ) {
     // "Should the gradient for operand `v` be materialized at all?"
-    let wants = |v: Var| !compiled || nodes[v.0].requires_grad;
+    let wants = |v: Var| nodes[v.0].requires_grad;
     match &nodes[i].op {
         Op::Leaf | Op::Constant => {}
         Op::Add(a, b) => {
@@ -633,9 +631,17 @@ pub(crate) fn step_backward(
         Op::Sub(a, b) => {
             accumulate_copy(nodes, grads, pool, *a, gy);
             if wants(*b) {
-                let mut gb = grad_buf(pool, compiled, gy.rows(), gy.cols());
-                gy.map_into(&mut gb, |v| -v);
-                accumulate(nodes, grads, pool, *b, gb);
+                // An existing slot subtracts in place: IEEE-754 defines
+                // `acc - gy` as `acc + (-gy)`, the sum accumulating the
+                // negated copy would form, without writing the copy.
+                match &mut grads[b.0] {
+                    Some(acc) => acc.sub_assign(gy),
+                    slot @ None => {
+                        let mut gb = grad_buf(pool, compiled, gy.rows(), gy.cols());
+                        gy.map_into(&mut gb, |v| -v);
+                        *slot = Some(gb);
+                    }
+                }
             }
         }
         Op::Mul(a, b) => {
@@ -672,7 +678,7 @@ pub(crate) fn step_backward(
             let xv: &Matrix = &nodes[x.0].value;
             if wants(*x) {
                 let mut gx = grad_buf(pool, compiled, gy.rows(), gy.cols());
-                broadcast_mul_into(gy, rv, &mut gx);
+                gy.broadcast_row_into(rv.row(0), kernels::mul, &mut gx);
                 accumulate(nodes, grads, pool, *x, gx);
             }
             if wants(*r) {
@@ -691,7 +697,7 @@ pub(crate) fn step_backward(
             if wants(*x) {
                 rv.map_into(&mut inv, |v| 1.0 / v);
                 let mut gx = grad_buf(pool, compiled, gy.rows(), gy.cols());
-                broadcast_mul_into(gy, &inv, &mut gx);
+                gy.broadcast_row_into(inv.row(0), kernels::mul, &mut gx);
                 accumulate(nodes, grads, pool, *x, gx);
             }
             if wants(*r) {
@@ -700,7 +706,7 @@ pub(crate) fn step_backward(
                 let mut tmp = grad_buf(pool, compiled, gy.rows(), gy.cols());
                 gy.mul_into(xv, &mut tmp).expect("shape");
                 let mut bm = grad_buf(pool, compiled, gy.rows(), gy.cols());
-                broadcast_mul_into(&tmp, &inv, &mut bm);
+                tmp.broadcast_row_into(inv.row(0), kernels::mul, &mut bm);
                 let mut gr = grad_buf(pool, compiled, 1, gy.cols());
                 bm.sum_rows_into(&mut gr);
                 pool.recycle(tmp);
@@ -825,22 +831,14 @@ pub(crate) fn step_backward(
         }
         Op::GatherRows(x, idx) => {
             let (r, c) = nodes[x.0].value.shape();
-            let mut g = pool.zeros(r, c);
-            kernels::count_dispatch(idx.len());
-            for (dst, &src) in idx.iter().enumerate() {
-                kernels::add_assign(g.row_mut(src), gy.row(dst));
-            }
+            let mut g = grad_buf(pool, compiled, r, c);
+            gy.scatter_add_rows_into(idx, &mut g);
             accumulate(nodes, grads, pool, *x, g);
         }
         Op::GroupMax { x, argmax } => {
             let (r, c) = nodes[x.0].value.shape();
-            let mut g = pool.zeros(r, c);
-            for out_row in 0..gy.rows() {
-                for col in 0..c {
-                    let src = argmax[out_row * c + col];
-                    g[(src, col)] += gy[(out_row, col)];
-                }
-            }
+            let mut g = grad_buf(pool, compiled, r, c);
+            gy.group_max_grad_into(argmax, &mut g);
             accumulate(nodes, grads, pool, *x, g);
         }
         Op::GroupMean(x, k) => {
@@ -857,23 +855,9 @@ pub(crate) fn step_backward(
         Op::GroupSoftmax { x, k, softmax } => {
             // For each group g and column c:
             // dx = s * (dy - sum_group(dy * s)).
-            let k = *k;
             let (r, c) = softmax.shape();
-            let groups = r / k;
             let mut g = grad_buf(pool, compiled, r, c);
-            for gi in 0..groups {
-                for cc in 0..c {
-                    let mut dot = 0.0f32;
-                    for j in 0..k {
-                        let rr = gi * k + j;
-                        dot += gy[(rr, cc)] * softmax[(rr, cc)];
-                    }
-                    for j in 0..k {
-                        let rr = gi * k + j;
-                        g[(rr, cc)] = softmax[(rr, cc)] * (gy[(rr, cc)] - dot);
-                    }
-                }
-            }
+            softmax.group_softmax_grad_into(gy, *k, &mut g);
             accumulate(nodes, grads, pool, *x, g);
         }
         Op::WeightedGather { x, idx, w, k } => {
@@ -926,7 +910,7 @@ pub(crate) fn step_backward(
             tmp.sum_rows_into(&mut ggamma);
             // gxhat = gy * gamma (row broadcast)
             let mut gxhat = pool.zeros_like(gy);
-            broadcast_mul_into(gy, gammav, &mut gxhat);
+            gy.broadcast_row_into(gammav.row(0), kernels::mul, &mut gxhat);
             // gx = inv_std/N * (N*gxhat - sum_rows(gxhat) - xhat * sum_rows(gxhat*xhat))
             let mut s1 = pool.zeros(1, gy.cols());
             gxhat.sum_rows_into(&mut s1);
@@ -984,23 +968,15 @@ pub(crate) fn step_backward(
             let cdim = cv.cols();
             let s = gy[(0, 0)];
             let mut g = pool.zeros(n, cdim);
+            let (cs, gs) = (cv.as_slice(), g.as_mut_slice());
             for i_pt in 0..n {
-                for j in 0..k {
-                    let nb = neighbors[i_pt * k + j];
-                    let mut d2 = 0.0f32;
-                    for d in 0..coords.cols() {
-                        let dd = coords[(i_pt, d)] - coords[(nb, d)];
-                        d2 += dd * dd;
-                    }
+                for &nb in &neighbors[i_pt * k..i_pt * k + k] {
+                    let dist = edge_dist_sq(coords, cv, i_pt, nb).sqrt().max(1e-8);
                     for d in 0..cdim {
-                        let dd = cv[(i_pt, d)] - cv[(nb, d)];
-                        d2 += dd * dd;
-                    }
-                    let dist = d2.sqrt().max(1e-8);
-                    for d in 0..cdim {
-                        let dd = (cv[(i_pt, d)] - cv[(nb, d)]) / dist;
-                        g[(i_pt, d)] += s * dd;
-                        g[(nb, d)] -= s * dd;
+                        let (pi, pn) = (i_pt * cdim + d, nb * cdim + d);
+                        let dd = (cs[pi] - cs[pn]) / dist;
+                        gs[pi] += s * dd;
+                        gs[pn] -= s * dd;
                     }
                 }
             }
@@ -1022,9 +998,11 @@ fn grad_buf(pool: &mut BufferPool, compiled: bool, rows: usize, cols: usize) -> 
     }
 }
 
-/// `gy * map(src, deriv)` in pooled storage — the shared shape of every
-/// elementwise activation backward. Same `map` + `mul` expressions as the
-/// old allocating code, so results are bit-identical.
+/// `gy * deriv(src)` in pooled storage — the shared shape of every
+/// elementwise activation backward, in one pass: per element the same
+/// derivative expression and the same product as a `map` into a
+/// temporary followed by an elementwise `mul`, so results are
+/// bit-identical to that two-pass form.
 fn elementwise_grad(
     pool: &mut BufferPool,
     compiled: bool,
@@ -1032,24 +1010,9 @@ fn elementwise_grad(
     src: &Matrix,
     deriv: impl Fn(f32) -> f32 + Sync,
 ) -> Matrix {
-    let mut tmp = grad_buf(pool, compiled, src.rows(), src.cols());
-    src.map_into(&mut tmp, deriv);
     let mut g = grad_buf(pool, compiled, gy.rows(), gy.cols());
-    gy.mul_into(&tmp, &mut g).expect("shape");
-    pool.recycle(tmp);
+    gy.zip_map_into(src, &mut g, |d, v| d * deriv(v));
     g
-}
-
-/// Multiplies `[N,C]` by a `[1,C]` row, broadcasting over rows, into `out`.
-pub(crate) fn broadcast_mul_into(x: &Matrix, row: &Matrix, out: &mut Matrix) {
-    debug_assert_eq!(row.rows(), 1);
-    debug_assert_eq!(x.cols(), row.cols());
-    debug_assert_eq!(out.shape(), x.shape());
-    let rrow = row.row(0);
-    kernels::count_dispatch(x.rows());
-    for r in 0..x.rows() {
-        kernels::mul(x.row(r), rrow, out.row_mut(r));
-    }
 }
 
 #[cfg(test)]

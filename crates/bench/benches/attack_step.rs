@@ -21,7 +21,9 @@ use colper_attack::{AttackConfig, AttackPlan, AttackSession, TanhReparam};
 use colper_autodiff::{set_schedule_enabled, Tape};
 use colper_bench::write_json;
 use colper_geom::knn_graph;
-use colper_models::{CloudTensors, ModelInput, PointNet2, PointNet2Config, SegmentationModel};
+use colper_models::{
+    CloudTensors, ModelInput, PointNet2, PointNet2Config, ResGcn, ResGcnConfig, SegmentationModel,
+};
 use colper_nn::Forward;
 use colper_runtime::Runtime;
 use colper_scene::{normalize, IndoorSceneConfig, SceneGenerator};
@@ -389,30 +391,66 @@ fn bench_parallel(points: usize, steps: usize, samples: usize, threads: usize, m
     write_json("BENCH_parallel", &json);
 }
 
+/// Attack lengths whose allocation difference is the steady-state cost.
+const SHORT: usize = 3;
+const LONG: usize = 8;
+
+/// Heap allocations per steady-state step of a planned single-sample
+/// attack on `model`, as `(allocs, bytes)` per step. Runs the attack for
+/// `LONG` and `SHORT` steps on the sequential runtime and divides the
+/// difference by `LONG - SHORT`: startup and teardown allocations
+/// cancel, leaving exactly the per-step cost of steps `SHORT..LONG` —
+/// all of them steady-state (step >= 2).
+fn steady_allocs_per_step<M: SegmentationModel>(
+    model: &M,
+    t: &CloudTensors,
+    scheduled: bool,
+) -> (u64, f64) {
+    let seq = Runtime::sequential();
+    let attack_allocs = |steps: usize| -> (u64, u64) {
+        set_schedule_enabled(scheduled);
+        let mut config = AttackConfig::non_targeted(steps);
+        config.convergence_threshold = Some(0.0); // never stop early
+        let plan = AttackPlan::build(model, t, &config);
+        let session = AttackSession::new(config).runtime(&seq).plan(&plan);
+        let mut rng = StdRng::seed_from_u64(3);
+        let ((), allocs, bytes) = alloc_gauge::measure(|| {
+            black_box(session.run_with_rng(model, t, &mut rng).l2_sq);
+        });
+        set_schedule_enabled(true);
+        (allocs, bytes)
+    };
+    let (long_allocs, long_bytes) = attack_allocs(LONG);
+    let (short_allocs, short_bytes) = attack_allocs(SHORT);
+    let steps_diff = (LONG - SHORT) as u64;
+    (
+        long_allocs.saturating_sub(short_allocs) / steps_diff,
+        long_bytes.saturating_sub(short_bytes) as f64 / steps_diff as f64,
+    )
+}
+
 /// Counts heap allocations per steady-state attack step, plus a
 /// fresh-vs-reused session replica showing where the savings come from.
 ///
 /// Both measurements run on the sequential runtime so the thread-local
 /// gauge sees every allocation the step makes:
 ///
-/// 1. **Attack marginal** — the production path. Runs the planned
-///    single-sample attack for `LONG` and `SHORT` steps and divides the
-///    difference by `LONG - SHORT`: startup and teardown allocations
-///    cancel, leaving exactly the per-step cost of steps
-///    `SHORT..LONG` — all of them steady-state (step >= 2).
+/// 1. **Attack marginal** — the production path, per
+///    [`steady_allocs_per_step`], for the PointNet++ victim and for a
+///    tiny ResGCN (whose edge convolutions run the gather, concat and
+///    grouped-max kernels), each on the scheduled replay and on the
+///    dynamic rebuild.
 /// 2. **Session replica** — one forward+backward pass per step through
 ///    the public tape API, once with a fresh session per step (the old
 ///    regime) and once with a single session recycled via `reset` (the
 ///    new regime).
 ///
-/// Asserts [`STEADY_STATE_ALLOC_BUDGET`] on both the attack marginal and
+/// Asserts [`STEADY_STATE_ALLOC_BUDGET`] on every attack marginal and
 /// the reused-session steady state, so `cargo bench` is the CI gate.
 // The budget is a tunable constant that happens to be 0 today; the `<=`
 // comparisons are kept so raising it never silently inverts the gate.
 #[allow(clippy::absurd_extreme_comparisons)]
 fn bench_alloc(points: usize, model_scale: &str) {
-    const SHORT: usize = 3;
-    const LONG: usize = 8;
     const REPLICA_STEPS: usize = 6;
     let t = tensors(points);
     let mut rng = StdRng::seed_from_u64(0);
@@ -420,42 +458,26 @@ fn bench_alloc(points: usize, model_scale: &str) {
         "tiny" => PointNet2::new(PointNet2Config::tiny(13), &mut rng),
         _ => PointNet2::new(PointNet2Config::small(13), &mut rng),
     };
-    let seq = Runtime::sequential();
+    let resgcn = ResGcn::new(ResGcnConfig::tiny(13), &mut StdRng::seed_from_u64(1));
 
-    let attack_allocs = |steps: usize, scheduled: bool| -> (u64, u64) {
-        set_schedule_enabled(scheduled);
-        let mut config = AttackConfig::non_targeted(steps);
-        config.convergence_threshold = Some(0.0); // never stop early
-        let plan = AttackPlan::build(&model, &t, &config);
-        let session = AttackSession::new(config).runtime(&seq).plan(&plan);
-        let mut rng = StdRng::seed_from_u64(3);
-        let ((), allocs, bytes) = alloc_gauge::measure(|| {
-            black_box(session.run_with_rng(&model, &t, &mut rng).l2_sq);
-        });
-        set_schedule_enabled(true);
-        (allocs, bytes)
-    };
     // Warm up before measuring: the first attack in a process pays a
     // one-time burst of lazy initialization (counter registry, SIMD
     // dispatch, thread-local pools). Measuring LONG first would book
     // that burst against the extra steps and report phantom per-step
     // allocations.
-    let _ = attack_allocs(SHORT, true);
+    let _ = steady_allocs_per_step(&model, &t, true);
     // Both steady-state regimes are gated: the scheduled replay (the
     // default production path — steps >= 1 replay the compiled
     // schedule) and the dynamic rebuild (`COLPER_SCHEDULE=off`).
-    let marginal = |scheduled: bool| -> (u64, f64) {
-        let (long_allocs, long_bytes) = attack_allocs(LONG, scheduled);
-        let (short_allocs, short_bytes) = attack_allocs(SHORT, scheduled);
-        let steps_diff = (LONG - SHORT) as u64;
-        (
-            long_allocs.saturating_sub(short_allocs) / steps_diff,
-            long_bytes.saturating_sub(short_bytes) as f64 / steps_diff as f64,
-        )
-    };
-    let (allocs_per_step, bytes_per_step) = marginal(true);
-    let (dynamic_allocs_per_step, dynamic_bytes_per_step) = marginal(false);
-    let steps_diff = (LONG - SHORT) as u64;
+    let (allocs_per_step, bytes_per_step) = steady_allocs_per_step(&model, &t, true);
+    let (dynamic_allocs_per_step, dynamic_bytes_per_step) =
+        steady_allocs_per_step(&model, &t, false);
+    let _ = steady_allocs_per_step(&resgcn, &t, true);
+    let (resgcn_allocs_per_step, resgcn_bytes_per_step) = steady_allocs_per_step(&resgcn, &t, true);
+    let (resgcn_dynamic_allocs_per_step, resgcn_dynamic_bytes_per_step) =
+        steady_allocs_per_step(&resgcn, &t, false);
+    let steps_diff = LONG - SHORT;
+    let seq = Runtime::sequential();
 
     // Replica: the same planned forward+backward each step, comparing a
     // fresh session per step against one session recycled with `reset`.
@@ -500,6 +522,7 @@ fn bench_alloc(points: usize, model_scale: &str) {
     println!(
         "bench attack_step/alloc: attack steady state {allocs_per_step} allocs/step scheduled, \
          {dynamic_allocs_per_step} allocs/step dynamic ({bytes_per_step:.1} bytes/step); \
+         resgcn_tiny {resgcn_allocs_per_step} scheduled, {resgcn_dynamic_allocs_per_step} dynamic; \
          replica fresh {fresh_steady_allocs} allocs/pass \
          vs reused {reused_steady_allocs} allocs/pass, {points} points"
     );
@@ -512,6 +535,17 @@ fn bench_alloc(points: usize, model_scale: &str) {
         dynamic_allocs_per_step <= STEADY_STATE_ALLOC_BUDGET,
         "steady-state dynamic attack step allocates ({dynamic_allocs_per_step} allocs/step > \
          budget {STEADY_STATE_ALLOC_BUDGET}); the tape arena or scratch reuse regressed"
+    );
+    assert!(
+        resgcn_allocs_per_step <= STEADY_STATE_ALLOC_BUDGET,
+        "steady-state ResGCN scheduled replay allocates ({resgcn_allocs_per_step} allocs/step > \
+         budget {STEADY_STATE_ALLOC_BUDGET}); the schedule arena or scratch reuse regressed"
+    );
+    assert!(
+        resgcn_dynamic_allocs_per_step <= STEADY_STATE_ALLOC_BUDGET,
+        "steady-state ResGCN dynamic attack step allocates ({resgcn_dynamic_allocs_per_step} \
+         allocs/step > budget {STEADY_STATE_ALLOC_BUDGET}); the tape arena or scratch reuse \
+         regressed"
     );
     assert!(
         reused_steady_allocs <= STEADY_STATE_ALLOC_BUDGET,
@@ -528,6 +562,14 @@ fn bench_alloc(points: usize, model_scale: &str) {
          \"attack_steady_state_dynamic\": {{\n    \"steps_measured\": {steps_diff},\n    \
          \"allocs_per_step\": {dynamic_allocs_per_step},\n    \
          \"bytes_per_step\": {dynamic_bytes_per_step:.1}\n  }},\n  \
+         \"resgcn_steady_state\": {{\n    \"model\": \"resgcn_tiny\",\n    \
+         \"steps_measured\": {steps_diff},\n    \
+         \"allocs_per_step\": {resgcn_allocs_per_step},\n    \
+         \"bytes_per_step\": {resgcn_bytes_per_step:.1}\n  }},\n  \
+         \"resgcn_steady_state_dynamic\": {{\n    \"model\": \"resgcn_tiny\",\n    \
+         \"steps_measured\": {steps_diff},\n    \
+         \"allocs_per_step\": {resgcn_dynamic_allocs_per_step},\n    \
+         \"bytes_per_step\": {resgcn_dynamic_bytes_per_step:.1}\n  }},\n  \
          \"session_replica\": {{\n    \"fresh_first_allocs\": {},\n    \
          \"fresh_steady_allocs\": {fresh_steady_allocs},\n    \
          \"fresh_steady_bytes\": {fresh_steady_bytes},\n    \

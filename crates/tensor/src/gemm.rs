@@ -186,6 +186,19 @@ fn pack_b_block(b: &[f32], n: usize, pc: usize, kc: usize, nr: usize, panel: &mu
     }
 }
 
+/// Packs the transpose of the row-major `[n, k]` matrix `b` into a
+/// `[k, ldb]` panel (`panel[kk*ldb + j] = b[j*k + kk]`), zero-padding
+/// columns `n..ldb` so row kernels can load whole vectors.
+pub(crate) fn pack_transposed(b: &[f32], n: usize, k: usize, ldb: usize, panel: &mut [f32]) {
+    debug_assert!(ldb >= n && panel.len() == k * ldb && b.len() >= n * k);
+    for (kk, dst) in panel.chunks_exact_mut(ldb).enumerate() {
+        for (j, d) in dst[..n].iter_mut().enumerate() {
+            *d = b[j * k + kk];
+        }
+        dst[n..].fill(0.0);
+    }
+}
+
 /// Packs one `MC`-band of `A` rows (`row0..row0+band_rows`, `k`-block at
 /// `pc`) into row tiles of `MR`: tile `t` holds `panel[t*mr*kc + kk*mr +
 /// r] = a[(row0+t*mr+r)*k + pc + kk]`, zero-padded past the band's rows.

@@ -346,6 +346,71 @@ pub(super) unsafe fn matmul_row(a_row: &[f32], b: &[f32], n: usize, out_row: &mu
     }
 }
 
+/// AVX2 twin of [`scalar::matmul_nt_row`].
+///
+/// Each `ymm` accumulator holds one of [`scalar::dot`]'s eight lane
+/// partials for eight adjacent output columns: term `kk` goes to
+/// accumulator `kk % 8` as `fma(a[kk], bt[kk][j..j+8], acc)`, and the
+/// vertical [`scalar::combine`] tree joins the eight accumulators. Per
+/// column that is the scalar reference's operation sequence exactly.
+///
+/// # Safety
+///
+/// Requires AVX2+FMA, verified by the caller via runtime detection.
+/// `ldb` must be a multiple of 8 with `out_row.len() <= ldb` and
+/// `bt.len() >= a_row.len() * ldb` (the packed panel is zero-padded to
+/// whole vectors, so full-width loads stay in bounds).
+#[target_feature(enable = "avx2", enable = "fma")]
+pub(super) unsafe fn matmul_nt_row(a_row: &[f32], bt: &[f32], ldb: usize, out_row: &mut [f32]) {
+    let k = a_row.len();
+    let n = out_row.len();
+    assert!(ldb.is_multiple_of(W) && n <= ldb && bt.len() >= k * ldb);
+    if k == 0 {
+        out_row.fill(0.0);
+        return;
+    }
+    let ap = a_row.as_ptr();
+    let op = out_row.as_mut_ptr();
+    let k8 = k - k % W;
+    let mut j = 0;
+    while j < n {
+        let mut b = bt.as_ptr().add(j);
+        let mut a = ap;
+        let (mut c0, mut c1, mut c2, mut c3) =
+            (_mm256_setzero_ps(), _mm256_setzero_ps(), _mm256_setzero_ps(), _mm256_setzero_ps());
+        let (mut c4, mut c5, mut c6, mut c7) =
+            (_mm256_setzero_ps(), _mm256_setzero_ps(), _mm256_setzero_ps(), _mm256_setzero_ps());
+        let end = ap.add(k8);
+        while a < end {
+            c0 = _mm256_fmadd_ps(_mm256_set1_ps(*a), _mm256_loadu_ps(b), c0);
+            c1 = _mm256_fmadd_ps(_mm256_set1_ps(*a.add(1)), _mm256_loadu_ps(b.add(ldb)), c1);
+            c2 = _mm256_fmadd_ps(_mm256_set1_ps(*a.add(2)), _mm256_loadu_ps(b.add(2 * ldb)), c2);
+            c3 = _mm256_fmadd_ps(_mm256_set1_ps(*a.add(3)), _mm256_loadu_ps(b.add(3 * ldb)), c3);
+            c4 = _mm256_fmadd_ps(_mm256_set1_ps(*a.add(4)), _mm256_loadu_ps(b.add(4 * ldb)), c4);
+            c5 = _mm256_fmadd_ps(_mm256_set1_ps(*a.add(5)), _mm256_loadu_ps(b.add(5 * ldb)), c5);
+            c6 = _mm256_fmadd_ps(_mm256_set1_ps(*a.add(6)), _mm256_loadu_ps(b.add(6 * ldb)), c6);
+            c7 = _mm256_fmadd_ps(_mm256_set1_ps(*a.add(7)), _mm256_loadu_ps(b.add(7 * ldb)), c7);
+            a = a.add(W);
+            b = b.add(W * ldb);
+        }
+        // Remainder terms land in lanes 0..k%8, exactly as in `dot`.
+        let mut acc = [c0, c1, c2, c3, c4, c5, c6, c7];
+        for (l, c) in acc.iter_mut().enumerate().take(k - k8) {
+            *c = _mm256_fmadd_ps(_mm256_set1_ps(*a.add(l)), _mm256_loadu_ps(b.add(l * ldb)), *c);
+        }
+        let s = _mm256_add_ps(
+            _mm256_add_ps(_mm256_add_ps(acc[0], acc[1]), _mm256_add_ps(acc[2], acc[3])),
+            _mm256_add_ps(_mm256_add_ps(acc[4], acc[5]), _mm256_add_ps(acc[6], acc[7])),
+        );
+        if j + W <= n {
+            _mm256_storeu_ps(op.add(j), s);
+        } else {
+            _mm256_maskstore_ps(op.add(j), lane_mask(n - j), s);
+        }
+        j += W;
+    }
+}
+
 /// Builds the lane mask selecting the first `lanes` of eight `f32` lanes
 /// (for `maskload`/`maskstore` on a partially-covered tile edge).
 ///

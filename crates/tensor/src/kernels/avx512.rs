@@ -1,10 +1,11 @@
-//! AVX-512F implementation of the GEMM micro-tile.
+//! AVX-512F implementations of the GEMM micro-tile and the NT row kernel.
 //!
 //! Same contract as [`super::avx2`]: every output element continues its
 //! ascending-`k` fused-multiply-add chain exactly as the scalar reference
 //! does, so the 512-bit tile is bit-identical to both the scalar and the
 //! AVX2 legs — a chain's order depends only on `k` order, never on vector
-//! width or tile geometry. Only the micro-tile lives here; every other
+//! width or tile geometry. The NT row kernel keeps [`super::scalar::dot`]'s
+//! eight lane partials per element across sixteen columns. Every other
 //! kernel family saturates with 256-bit vectors already.
 //!
 //! Like `avx2`, this module is a sanctioned `unsafe` island: intrinsics
@@ -14,8 +15,8 @@
 #![allow(unsafe_code)]
 
 use core::arch::x86_64::{
-    __mmask16, _mm512_fmadd_ps, _mm512_loadu_ps, _mm512_mask_storeu_ps, _mm512_maskz_loadu_ps,
-    _mm512_set1_ps, _mm512_setzero_ps, _mm512_storeu_ps,
+    __mmask16, _mm512_add_ps, _mm512_fmadd_ps, _mm512_loadu_ps, _mm512_mask_storeu_ps,
+    _mm512_maskz_loadu_ps, _mm512_set1_ps, _mm512_setzero_ps, _mm512_storeu_ps,
 };
 
 const W: usize = 16;
@@ -92,5 +93,60 @@ pub(super) unsafe fn gemm_tile_12x32(
                 _mm512_mask_storeu_ps(p.add(W), m1, a[1]);
             }
         }
+    }
+}
+
+/// AVX-512 twin of [`super::scalar::matmul_nt_row`]: the layout of
+/// [`super::avx2::matmul_nt_row`] with sixteen output columns per `zmm`
+/// accumulator. Term `kk` goes to accumulator `kk % 8`, and the vertical
+/// [`super::scalar::combine`] tree joins the eight accumulators, so every
+/// column sees the scalar reference's operation sequence exactly.
+///
+/// # Safety
+///
+/// Requires AVX-512F, verified by the caller via runtime detection.
+/// `ldb` must be a multiple of 16 with `out_row.len() <= ldb` and
+/// `bt.len() >= a_row.len() * ldb`.
+#[target_feature(enable = "avx512f")]
+pub(super) unsafe fn matmul_nt_row(a_row: &[f32], bt: &[f32], ldb: usize, out_row: &mut [f32]) {
+    const L: usize = 8;
+    let k = a_row.len();
+    let n = out_row.len();
+    assert!(ldb.is_multiple_of(W) && n <= ldb && bt.len() >= k * ldb);
+    if k == 0 {
+        out_row.fill(0.0);
+        return;
+    }
+    let ap = a_row.as_ptr();
+    let op = out_row.as_mut_ptr();
+    let k8 = k - k % L;
+    let mut j = 0;
+    while j < n {
+        let mut b = bt.as_ptr().add(j);
+        let mut a = ap;
+        let mut acc = [_mm512_setzero_ps(); L];
+        let end = ap.add(k8);
+        while a < end {
+            for (l, c) in acc.iter_mut().enumerate() {
+                *c =
+                    _mm512_fmadd_ps(_mm512_set1_ps(*a.add(l)), _mm512_loadu_ps(b.add(l * ldb)), *c);
+            }
+            a = a.add(L);
+            b = b.add(L * ldb);
+        }
+        // Remainder terms land in lanes 0..k%8, exactly as in `dot`.
+        for (l, c) in acc.iter_mut().enumerate().take(k - k8) {
+            *c = _mm512_fmadd_ps(_mm512_set1_ps(*a.add(l)), _mm512_loadu_ps(b.add(l * ldb)), *c);
+        }
+        let s = _mm512_add_ps(
+            _mm512_add_ps(_mm512_add_ps(acc[0], acc[1]), _mm512_add_ps(acc[2], acc[3])),
+            _mm512_add_ps(_mm512_add_ps(acc[4], acc[5]), _mm512_add_ps(acc[6], acc[7])),
+        );
+        if j + W <= n {
+            _mm512_storeu_ps(op.add(j), s);
+        } else {
+            _mm512_mask_storeu_ps(op.add(j), lane_mask(n - j), s);
+        }
+        j += W;
     }
 }

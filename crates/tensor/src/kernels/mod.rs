@@ -9,7 +9,9 @@
 //!   reductions accumulate into eight lane-strided partial sums combined in
 //!   a fixed tree, and fused operations use [`f32::mul_add`];
 //! - an **AVX2+FMA implementation** (private `avx2` module) that performs
-//!   the *same* per-element operation sequence eight lanes at a time.
+//!   the *same* per-element operation sequence eight lanes at a time
+//!   (the GEMM micro-tile and [`matmul_nt_row`] add an AVX-512F leg,
+//!   selected by [`gemm_isa`]).
 //!
 //! Because both paths execute identical correctly-rounded operations in
 //! identical order, their results are **bit-identical** for every input
@@ -189,7 +191,8 @@ pub fn features() -> &'static str {
     }
 }
 
-/// The instruction set the GEMM micro-tile dispatches to.
+/// The instruction set the GEMM micro-tile and [`matmul_nt_row`]
+/// dispatch to.
 ///
 /// Each leg owns a fixed micro-tile geometry, but geometry never affects
 /// results: every output element accumulates its `k` terms as one
@@ -394,6 +397,30 @@ dispatched! {
     /// One output row of a matrix product: `out_row += a_row * b` where
     /// `b` is `k x n` row-major. See [`scalar::matmul_row`].
     matmul_row(a_row: &[f32], b: &[f32], n: usize, out_row: &mut [f32])
+}
+
+/// Column padding of the packed transpose [`matmul_nt_row`] reads: one
+/// AVX-512 vector, so every leg loads whole vectors in bounds.
+pub const NT_PANEL_ALIGN: usize = 16;
+
+/// One output row of `a * b^T` against the packed, zero-padded transpose
+/// `bt` (`[k, ldb]`, `ldb` a multiple of [`NT_PANEL_ALIGN`]): every
+/// element is [`dot`] of `a_row` with one row of `b`, lane for lane.
+/// Dispatches to the leg [`gemm_isa`] selects; all legs are
+/// bit-identical. See [`scalar::matmul_nt_row`].
+#[inline]
+#[allow(unsafe_code)]
+pub fn matmul_nt_row(a_row: &[f32], bt: &[f32], ldb: usize, out_row: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    match gemm_isa() {
+        // SAFETY: `gemm_isa` names a SIMD leg only after runtime feature
+        // detection confirmed its instruction set on this CPU; the
+        // kernels assert their panel bounds.
+        GemmIsa::Avx512 => return unsafe { avx512::matmul_nt_row(a_row, bt, ldb, out_row) },
+        GemmIsa::Avx2 => return unsafe { avx2::matmul_nt_row(a_row, bt, ldb, out_row) },
+        GemmIsa::Scalar => {}
+    }
+    scalar::matmul_nt_row(a_row, bt, ldb, out_row)
 }
 
 #[cfg(test)]

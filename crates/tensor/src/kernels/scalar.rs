@@ -217,6 +217,28 @@ pub fn matmul_row(a_row: &[f32], b: &[f32], n: usize, out_row: &mut [f32]) {
     }
 }
 
+/// One output row of `a * b^T` read through the packed transpose `bt`
+/// (`[k, ldb]` row-major: `bt[kk * ldb + j] = b[j][kk]`):
+/// `out_row[j] = dot(a_row, b[j])` with exactly [`dot`]'s semantics —
+/// term `kk` folds into lane `kk % 8` as a fused multiply-add, lanes run
+/// in ascending `kk`, and [`combine`] joins them.
+///
+/// Every output element is overwritten. The AVX2 twin keeps the same
+/// eight lane partials per element but holds them across eight adjacent
+/// columns in one vector, so it is bit-identical to this loop and to
+/// [`dot`] against the untransposed rows.
+pub fn matmul_nt_row(a_row: &[f32], bt: &[f32], ldb: usize, out_row: &mut [f32]) {
+    debug_assert!(out_row.len() <= ldb && bt.len() >= a_row.len() * ldb);
+    for (j, o) in out_row.iter_mut().enumerate() {
+        let mut acc = [0.0f32; LANES];
+        for (kk, &a) in a_row.iter().enumerate() {
+            let l = &mut acc[kk % LANES];
+            *l = a.mul_add(bt[kk * ldb + j], *l);
+        }
+        *o = combine(&acc);
+    }
+}
+
 /// Pinned-order reference for one GEMM micro-tile: continues (or, when
 /// `init` is set, starts at zero) the per-element ascending-`k` chain for
 /// the `rows x cols` in-bounds corner of an `mr x nr` tile, reading the
@@ -254,6 +276,98 @@ pub fn gemm_tile(
         for (j, o) in c_row.iter_mut().enumerate() {
             let seed = if init { 0.0 } else { *o };
             *o = fma_dot_chain(&ap[r..], mr, &bp[j..], nr, kc, seed);
+        }
+    }
+}
+
+/// Pinned serial reference for grouped max pooling over consecutive
+/// groups of `k` rows of the row-major `x` (row width `cols`): for every
+/// group and column, the running maximum starts at `-inf` at the group's
+/// first row and is replaced only by a strictly greater element, in
+/// ascending row order. `out` (`[groups, cols]`) receives the maximum and
+/// `argmax` the row it came from. NaN never wins, so an all-NaN (or
+/// all `-inf`) column yields `-inf` with the group's first row.
+///
+/// [`crate::Matrix::group_max_into`] computes the same elements row-wise
+/// and in parallel; this column-strided loop is what it is tested
+/// against.
+pub fn group_max(x: &[f32], cols: usize, k: usize, out: &mut [f32], argmax: &mut [usize]) {
+    let groups = out.len().checked_div(cols).unwrap_or(0);
+    for g in 0..groups {
+        for c in 0..cols {
+            let mut best = f32::NEG_INFINITY;
+            let mut best_row = g * k;
+            for j in 0..k {
+                let r = g * k + j;
+                let v = x[r * cols + c];
+                if v > best {
+                    best = v;
+                    best_row = r;
+                }
+            }
+            out[g * cols + c] = best;
+            argmax[g * cols + c] = best_row;
+        }
+    }
+}
+
+/// Pinned serial reference for the backward scatter of [`group_max`]:
+/// zeroes `out` (`[groups * k, cols]`) and adds each upstream gradient
+/// `gy[g][c]` into its source element `out[argmax[g*cols + c]][c]`, in
+/// ascending `(g, c)` order.
+pub fn group_max_grad(gy: &[f32], cols: usize, argmax: &[usize], out: &mut [f32]) {
+    out.fill(0.0);
+    let groups = gy.len().checked_div(cols).unwrap_or(0);
+    for g in 0..groups {
+        for c in 0..cols {
+            let src = argmax[g * cols + c];
+            out[src * cols + c] += gy[g * cols + c];
+        }
+    }
+}
+
+/// Pinned serial reference for the softmax over each group of `k`
+/// consecutive rows, per column: the maximum folds with [`f32::max`] in
+/// ascending row order, `exp(x - max)` is accumulated into the
+/// denominator in the same order, and every element is finally divided
+/// by its column's denominator.
+pub fn group_softmax(x: &[f32], cols: usize, k: usize, out: &mut [f32]) {
+    let groups = x.len().checked_div(cols * k).unwrap_or(0);
+    for g in 0..groups {
+        for c in 0..cols {
+            let mut maxv = f32::NEG_INFINITY;
+            for j in 0..k {
+                maxv = maxv.max(x[(g * k + j) * cols + c]);
+            }
+            let mut denom = 0.0f32;
+            for j in 0..k {
+                let e = (x[(g * k + j) * cols + c] - maxv).exp();
+                out[(g * k + j) * cols + c] = e;
+                denom += e;
+            }
+            for j in 0..k {
+                out[(g * k + j) * cols + c] /= denom;
+            }
+        }
+    }
+}
+
+/// Pinned serial reference for the backward pass of [`group_softmax`]:
+/// per group and column, `dot = sum_j gy * s` (unfused multiply, then
+/// add, in ascending row order), then `out = s * (gy - dot)`.
+pub fn group_softmax_grad(softmax: &[f32], gy: &[f32], cols: usize, k: usize, out: &mut [f32]) {
+    let groups = softmax.len().checked_div(cols * k).unwrap_or(0);
+    for g in 0..groups {
+        for c in 0..cols {
+            let mut dot = 0.0f32;
+            for j in 0..k {
+                let e = (g * k + j) * cols + c;
+                dot += gy[e] * softmax[e];
+            }
+            for j in 0..k {
+                let e = (g * k + j) * cols + c;
+                out[e] = softmax[e] * (gy[e] - dot);
+            }
         }
     }
 }

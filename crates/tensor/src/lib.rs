@@ -38,6 +38,7 @@ mod ops;
 mod par;
 mod pool;
 mod shaped;
+mod structural;
 
 pub use error::{ShapeError, TensorError};
 pub use gemm::{gemm_mode, set_gemm_mode, GemmMode};

@@ -302,7 +302,8 @@ impl Matrix {
         out
     }
 
-    /// [`Matrix::block`] writing into a caller-provided matrix.
+    /// [`Matrix::block`] writing into a caller-provided matrix. Large
+    /// copies split their rows across the ambient runtime.
     ///
     /// # Panics
     ///
@@ -312,9 +313,13 @@ impl Matrix {
         assert!(r0 <= r1 && r1 <= self.rows, "row range {r0}..{r1} invalid for {} rows", self.rows);
         assert!(c0 <= c1 && c1 <= self.cols, "col range {c0}..{c1} invalid for {} cols", self.cols);
         assert_eq!(out.shape(), (r1 - r0, c1 - c0), "block_into: output shape mismatch");
-        for r in r0..r1 {
-            out.row_mut(r - r0).copy_from_slice(&self.row(r)[c0..c1]);
-        }
+        let width = c1 - c0;
+        let work = (out.len(), crate::par::MIN_PAR_ELEMS);
+        crate::par::for_each_row_band(out.as_mut_slice(), width, 1, work, |b0, band| {
+            for (r, dst) in band.chunks_exact_mut(width).enumerate() {
+                dst.copy_from_slice(&self.row(r0 + b0 + r)[c0..c1]);
+            }
+        });
     }
 
     /// Overwrites `self` with the contents of `src`.

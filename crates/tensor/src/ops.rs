@@ -12,7 +12,7 @@
 
 use crate::gemm;
 use crate::kernels;
-use crate::par::{chunk_len, runtime_for, MIN_PAR_ELEMS, MIN_PAR_MACS};
+use crate::par::{chunk_len, for_each_row_band, runtime_for, MIN_PAR_ELEMS, MIN_PAR_MACS};
 use crate::{Matrix, ShapeError, TensorError};
 
 /// Runs `row_job(i, out_row)` for every row of `out`, splitting the rows
@@ -20,25 +20,12 @@ use crate::{Matrix, ShapeError, TensorError};
 /// it worthwhile. Each row is written by exactly one invocation, so the
 /// result is bit-identical to the sequential row loop.
 fn for_each_out_row(out: &mut Matrix, macs: usize, row_job: impl Fn(usize, &mut [f32]) + Sync) {
-    let (m, n) = out.shape();
-    if m == 0 || n == 0 {
-        return;
-    }
-    match runtime_for(macs, MIN_PAR_MACS) {
-        None => {
-            for i in 0..m {
-                row_job(i, out.row_mut(i));
-            }
+    let n = out.cols();
+    for_each_row_band(out.as_mut_slice(), n, 1, (macs, MIN_PAR_MACS), |r0, band| {
+        for (j, out_row) in band.chunks_mut(n).enumerate() {
+            row_job(r0 + j, out_row);
         }
-        Some(rt) => {
-            let rows_per = chunk_len(m, &rt);
-            rt.par_chunks_mut(out.as_mut_slice(), rows_per * n, |c, sub| {
-                for (j, out_row) in sub.chunks_mut(n).enumerate() {
-                    row_job(c * rows_per + j, out_row);
-                }
-            });
-        }
-    }
+    });
 }
 
 impl Matrix {
@@ -162,18 +149,33 @@ impl Matrix {
     /// Panics when the shapes differ; in-place accumulation is an internal
     /// hot path where a shape mismatch is a programming error.
     pub fn add_assign(&mut self, other: &Matrix) {
-        assert_eq!(self.shape(), other.shape(), "add_assign requires equal shapes");
+        self.zip_assign("add_assign", other, kernels::add_assign);
+    }
+
+    /// Subtracts `other` from `self` in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the shapes differ, like [`Matrix::add_assign`].
+    pub fn sub_assign(&mut self, other: &Matrix) {
+        self.zip_assign("sub_assign", other, kernels::sub_assign);
+    }
+
+    /// Shared driver for the in-place binary ops: the elementwise chunk
+    /// split of [`Matrix::add`] over a dispatched assign kernel.
+    fn zip_assign(&mut self, op: &'static str, other: &Matrix, k: fn(&mut [f32], &[f32])) {
+        assert_eq!(self.shape(), other.shape(), "{op} requires equal shapes");
         kernels::count_dispatch(1);
+        let b = other.as_slice();
         if let Some(rt) = runtime_for(self.len(), MIN_PAR_ELEMS) {
-            let b = other.as_slice();
             let chunk = chunk_len(b.len(), &rt);
             rt.par_chunks_mut(self.as_mut_slice(), chunk, |c, sub| {
                 let base = c * chunk;
-                kernels::add_assign(sub, &b[base..base + sub.len()]);
+                k(sub, &b[base..base + sub.len()]);
             });
             return;
         }
-        kernels::add_assign(self.as_mut_slice(), other.as_slice());
+        k(self.as_mut_slice(), b);
     }
 
     /// Returns a new matrix with every element multiplied by `s`.
@@ -266,6 +268,40 @@ impl Matrix {
         }
         for (o, &v) in out.as_mut_slice().iter_mut().zip(a) {
             *o = f(v);
+        }
+    }
+
+    /// `out[i] = f(self[i], other[i])` for two same-shape matrices, with
+    /// the parallel split of [`Matrix::map_into`]. One pass instead of a
+    /// [`Matrix::map_into`] into a temporary followed by an elementwise
+    /// product: when `f` performs the same operations per element, the
+    /// result is bit-identical.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `other` or `out` has a different shape.
+    pub fn zip_map_into(
+        &self,
+        other: &Matrix,
+        out: &mut Matrix,
+        f: impl Fn(f32, f32) -> f32 + Sync,
+    ) {
+        assert_eq!(other.shape(), self.shape(), "zip_map_into: operand shape mismatch");
+        assert_eq!(out.shape(), self.shape(), "zip_map_into: output shape mismatch");
+        let (a, b) = (self.as_slice(), other.as_slice());
+        if let Some(rt) = runtime_for(self.len(), MIN_PAR_ELEMS) {
+            let chunk = chunk_len(a.len(), &rt);
+            rt.par_chunks_mut(out.as_mut_slice(), chunk, |c, sub| {
+                let base = c * chunk;
+                let (a, b) = (&a[base..base + sub.len()], &b[base..base + sub.len()]);
+                for ((o, &x), &y) in sub.iter_mut().zip(a).zip(b) {
+                    *o = f(x, y);
+                }
+            });
+            return;
+        }
+        for ((o, &x), &y) in out.as_mut_slice().iter_mut().zip(a).zip(b) {
+            *o = f(x, y);
         }
     }
 
@@ -473,6 +509,15 @@ impl Matrix {
     /// output element is fully overwritten, so recycled buffers are safe
     /// without pre-zeroing.
     ///
+    /// Every element is [`kernels::dot`] of a row of `self` with a row of
+    /// `other`, lane for lane. The kernel packs `other^T` once, on the
+    /// calling thread, into a zero-padded pooled panel and runs
+    /// [`kernels::matmul_nt_row`] per output row, which vectorizes across
+    /// output columns while keeping each element's eight lane partials
+    /// and combine tree; output rows split across the ambient runtime.
+    /// The result is bit-identical to the per-element `dot` loop at any
+    /// thread count and on every SIMD leg.
+    ///
     /// # Errors
     ///
     /// Returns a [`ShapeError`] when `self.cols() != other.cols()`.
@@ -488,13 +533,18 @@ impl Matrix {
         let k = self.cols();
         let n = other.rows();
         assert_eq!(out.shape(), (m, n), "matmul_nt_into: output shape mismatch");
-        kernels::count_dispatch(m * n);
+        if m == 0 || n == 0 {
+            return Ok(());
+        }
+        kernels::count_dispatch(m);
+        let ldb = n.div_ceil(kernels::NT_PANEL_ALIGN) * kernels::NT_PANEL_ALIGN;
+        let mut packed = gemm::pack_scratch(k, ldb);
+        gemm::pack_transposed(other.as_slice(), n, k, ldb, packed.as_mut_slice());
+        let bt = packed.as_slice();
         for_each_out_row(out, m * k * n, |i, out_row| {
-            let a_row = self.row(i);
-            for (j, o) in out_row.iter_mut().enumerate().take(n) {
-                *o = kernels::dot(a_row, other.row(j));
-            }
+            kernels::matmul_nt_row(self.row(i), bt, ldb, out_row);
         });
+        gemm::pack_recycle(packed);
         Ok(())
     }
 
@@ -711,7 +761,8 @@ impl Matrix {
     }
 
     /// [`Matrix::hstack`] writing into a caller-provided `[n, c1+c2]`
-    /// matrix. Every element is fully overwritten.
+    /// matrix. Every element is fully overwritten; large copies split
+    /// their rows across the ambient runtime.
     ///
     /// # Errors
     ///
@@ -729,11 +780,13 @@ impl Matrix {
             (self.rows(), self.cols() + other.cols()),
             "hstack_into: output shape mismatch"
         );
-        for r in 0..self.rows() {
-            let dst = out.row_mut(r);
-            dst[..self.cols()].copy_from_slice(self.row(r));
-            dst[self.cols()..].copy_from_slice(other.row(r));
-        }
+        let (c1, width, work) = (self.cols(), out.cols(), out.len());
+        for_each_row_band(out.as_mut_slice(), width, 1, (work, MIN_PAR_ELEMS), |r0, band| {
+            for (r, dst) in band.chunks_exact_mut(width).enumerate() {
+                dst[..c1].copy_from_slice(self.row(r0 + r));
+                dst[c1..].copy_from_slice(other.row(r0 + r));
+            }
+        });
         Ok(())
     }
 }

@@ -36,3 +36,32 @@ pub(crate) fn runtime_for(work: usize, threshold: usize) -> Option<Runtime> {
 pub(crate) fn chunk_len(len: usize, rt: &Runtime) -> usize {
     len.div_ceil(4 * rt.threads()).max(1)
 }
+
+/// Runs `job(first_row, band)` over bands of whole `align`-row units of
+/// the row-major `out` (row width `cols`), splitting the bands across
+/// the ambient runtime when `work` clears `threshold`. Kernels
+/// whose rows come in groups (grouped pooling and softmax over `k`
+/// consecutive rows) pass the group size as `align`, so no group ever
+/// straddles two bands. Every row is written by exactly one job with the
+/// sequential loop's per-element operation order, so the result is
+/// bit-identical at any thread count.
+pub(crate) fn for_each_row_band<T: Send>(
+    out: &mut [T],
+    cols: usize,
+    align: usize,
+    (work, threshold): (usize, usize),
+    job: impl Fn(usize, &mut [T]) + Sync,
+) {
+    if cols == 0 || out.is_empty() {
+        return;
+    }
+    debug_assert!(align > 0 && out.len().is_multiple_of(cols * align));
+    match runtime_for(work, threshold) {
+        None => job(0, out),
+        Some(rt) => {
+            let units = out.len() / (cols * align);
+            let rows_per = chunk_len(units, &rt) * align;
+            rt.par_chunks_mut(out, rows_per * cols, |c, band| job(c * rows_per, band));
+        }
+    }
+}

@@ -1,0 +1,332 @@
+//! Row-wise, runtime-parallel structural kernels: grouped max pooling and
+//! softmax (forward and backward), row broadcasts, the fused
+//! gather-subtract and column concatenation.
+//!
+//! These carry the neighbourhood structure of the point-cloud networks
+//! (`k` consecutive rows per point's neighbour group) and used to run as
+//! serial, column-strided loops in the autodiff crate. Each kernel here
+//! walks its rows contiguously and splits them across the ambient
+//! runtime in bands of whole groups, while every output element keeps
+//! the exact operation sequence of the serial loop it replaces — the
+//! grouped loops survive as the pinned references in
+//! [`crate::kernels::scalar`]. Results are therefore bit-identical at any
+//! thread count and on either SIMD leg.
+
+use crate::kernels;
+use crate::par::{for_each_row_band, runtime_for, MIN_PAR_ELEMS};
+use crate::Matrix;
+
+/// Columns processed per pass of the grouped kernels: per-column running
+/// state (maximum, denominator, dot) lives in a stack array this wide.
+const COL_BLOCK: usize = 64;
+
+impl Matrix {
+    /// Max-pools each group of `k` consecutive rows: `out[g][c]` is the
+    /// largest `self[g*k + j][c]` and `argmax[g*cols + c]` its row.
+    ///
+    /// Per element this is [`kernels::scalar::group_max`]: the running
+    /// maximum starts at `-inf` at the group's first row and only a
+    /// strictly greater element replaces it, so ties keep the earliest
+    /// row, NaN never wins, and an all-NaN group column yields `-inf`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `k == 0`, the rows are not a multiple of `k`, `out` is
+    /// not `[rows / k, cols]` or `argmax` is not `out.len()` long.
+    pub fn group_max_into(&self, k: usize, out: &mut Matrix, argmax: &mut [usize]) {
+        let (rows, cols) = self.shape();
+        assert!(
+            k > 0 && rows.is_multiple_of(k),
+            "group_max_into: {rows} rows not divisible by k={k}"
+        );
+        assert!(u32::try_from(k).is_ok(), "group_max_into: k={k} exceeds the group index range");
+        assert_eq!(out.shape(), (rows / k, cols), "group_max_into: output shape mismatch");
+        assert_eq!(argmax.len(), out.len(), "group_max_into: argmax length mismatch");
+        let x = self.as_slice();
+        // Pass 1 scans each group row-wise and records the winning rows
+        // with the serial loop's strict `>` test, written as a mask so the
+        // column loop vectorizes. The running maximum only feeds that
+        // test, so it may advance with `f32::max`: it differs from the
+        // serial loop's value only on a tie between `-0.0` and `+0.0`,
+        // which compare equal, and it ignores NaN exactly as `>` does.
+        for_each_row_band(argmax, cols, 1, (self.len(), MIN_PAR_ELEMS), |g0, band| {
+            let mut best = [0.0f32; COL_BLOCK];
+            let mut win = [0u32; COL_BLOCK];
+            for (gi, arg) in band.chunks_mut(cols).enumerate() {
+                let r0 = (g0 + gi) * k;
+                for (cb, arg) in arg.chunks_mut(COL_BLOCK).enumerate() {
+                    let c0 = cb * COL_BLOCK;
+                    let (best, win) = (&mut best[..arg.len()], &mut win[..arg.len()]);
+                    best.fill(f32::NEG_INFINITY);
+                    win.fill(0);
+                    for j in 0..k {
+                        let r = r0 + j;
+                        let row = &x[r * cols + c0..r * cols + c0 + arg.len()];
+                        for ((b, w), &v) in best.iter_mut().zip(win.iter_mut()).zip(row) {
+                            let take = u32::from(v > *b).wrapping_neg();
+                            *w ^= (*w ^ j as u32) & take;
+                            *b = b.max(v);
+                        }
+                    }
+                    for (a, &w) in arg.iter_mut().zip(win.iter()) {
+                        *a = r0 + w as usize;
+                    }
+                }
+            }
+        });
+        // Pass 2 reads the winners back. The serial loop's maximum is the
+        // winning element whenever it beat the initial `-inf`, and `-inf`
+        // otherwise (the group's first row is then NaN or `-inf`).
+        let argmax = &*argmax;
+        for_each_row_band(out.as_mut_slice(), cols, 1, (self.len(), MIN_PAR_ELEMS), |g0, band| {
+            for (gi, orow) in band.chunks_exact_mut(cols).enumerate() {
+                let arg = &argmax[(g0 + gi) * cols..(g0 + gi + 1) * cols];
+                for (c, (o, &r)) in orow.iter_mut().zip(arg).enumerate() {
+                    let v = x[r * cols + c];
+                    *o = if v > f32::NEG_INFINITY { v } else { f32::NEG_INFINITY };
+                }
+            }
+        });
+    }
+
+    /// Backward scatter of [`Matrix::group_max_into`]: `self` is the
+    /// upstream gradient `[groups, cols]`; `out` (`[groups * k, cols]`,
+    /// fully overwritten) is zero except that every `self[g][c]` is added
+    /// into `out[argmax[g*cols + c]][c]` — [`kernels::scalar::group_max_grad`]
+    /// element for element.
+    ///
+    /// `argmax` must name, for every element, a row inside its own group,
+    /// as [`Matrix::group_max_into`] records it.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the shapes disagree, `argmax` is not `self.len()` long
+    /// or an `argmax` row lies outside its parallel band.
+    pub fn group_max_grad_into(&self, argmax: &[usize], out: &mut Matrix) {
+        let (groups, cols) = self.shape();
+        assert_eq!(out.cols(), cols, "group_max_grad_into: column mismatch");
+        assert_eq!(argmax.len(), self.len(), "group_max_grad_into: argmax length mismatch");
+        if groups == 0 {
+            assert_eq!(out.rows(), 0, "group_max_grad_into: output shape mismatch");
+            return;
+        }
+        let k = out.rows() / groups;
+        assert_eq!(out.rows(), groups * k, "group_max_grad_into: output shape mismatch");
+        let gy = self.as_slice();
+        for_each_row_band(
+            out.as_mut_slice(),
+            cols,
+            k,
+            (self.len() * k, MIN_PAR_ELEMS),
+            |r0, band| {
+                band.fill(0.0);
+                let g0 = r0 / k;
+                for g in g0..g0 + band.len() / (k * cols) {
+                    for c in 0..cols {
+                        let src = argmax[g * cols + c] - r0;
+                        band[src * cols + c] += gy[g * cols + c];
+                    }
+                }
+            },
+        );
+    }
+
+    /// Softmax over each group of `k` consecutive rows, per column, into
+    /// `out` (same shape, fully overwritten) — per element exactly
+    /// [`kernels::scalar::group_softmax`]: [`f32::max`] fold, then
+    /// `exp(x - max)` summed in ascending row order, then the division.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `k == 0`, the rows are not a multiple of `k` or `out`
+    /// has a different shape.
+    pub fn group_softmax_into(&self, k: usize, out: &mut Matrix) {
+        let (rows, cols) = self.shape();
+        assert!(
+            k > 0 && rows.is_multiple_of(k),
+            "group_softmax_into: {rows} rows not divisible by k={k}"
+        );
+        assert_eq!(out.shape(), self.shape(), "group_softmax_into: output shape mismatch");
+        let x = self.as_slice();
+        for_each_row_band(out.as_mut_slice(), cols, k, (self.len(), MIN_PAR_ELEMS), |r0, band| {
+            let mut maxv = [0.0f32; COL_BLOCK];
+            let mut denom = [0.0f32; COL_BLOCK];
+            for (gi, group) in band.chunks_mut(k * cols).enumerate() {
+                let gx = &x[(r0 + gi * k) * cols..(r0 + gi * k + k) * cols];
+                for c0 in (0..cols).step_by(COL_BLOCK) {
+                    let w = COL_BLOCK.min(cols - c0);
+                    let (maxv, denom) = (&mut maxv[..w], &mut denom[..w]);
+                    maxv.fill(f32::NEG_INFINITY);
+                    for xr in gx.chunks_exact(cols) {
+                        for (m, &v) in maxv.iter_mut().zip(&xr[c0..c0 + w]) {
+                            *m = m.max(v);
+                        }
+                    }
+                    denom.fill(0.0);
+                    for (xr, or) in gx.chunks_exact(cols).zip(group.chunks_exact_mut(cols)) {
+                        let terms = or[c0..c0 + w].iter_mut().zip(&xr[c0..c0 + w]);
+                        for ((o, &v), (&m, d)) in terms.zip(maxv.iter().zip(denom.iter_mut())) {
+                            let e = (v - m).exp();
+                            *o = e;
+                            *d += e;
+                        }
+                    }
+                    for or in group.chunks_exact_mut(cols) {
+                        for (o, &d) in or[c0..c0 + w].iter_mut().zip(denom.iter()) {
+                            *o /= d;
+                        }
+                    }
+                }
+            }
+        });
+    }
+
+    /// Backward pass of [`Matrix::group_softmax_into`]: `self` is the
+    /// saved softmax, `gy` the upstream gradient; per group and column
+    /// `out = s * (gy - sum_j gy * s)` — exactly
+    /// [`kernels::scalar::group_softmax_grad`]. `out` is fully overwritten.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `k == 0`, the rows are not a multiple of `k` or the
+    /// shapes differ.
+    pub fn group_softmax_grad_into(&self, gy: &Matrix, k: usize, out: &mut Matrix) {
+        let (rows, cols) = self.shape();
+        assert!(
+            k > 0 && rows.is_multiple_of(k),
+            "group_softmax_grad_into: {rows} rows not divisible by k={k}"
+        );
+        assert_eq!(gy.shape(), self.shape(), "group_softmax_grad_into: gradient shape mismatch");
+        assert_eq!(out.shape(), self.shape(), "group_softmax_grad_into: output shape mismatch");
+        let (s, gy) = (self.as_slice(), gy.as_slice());
+        for_each_row_band(out.as_mut_slice(), cols, k, (self.len(), MIN_PAR_ELEMS), |r0, band| {
+            let mut dot = [0.0f32; COL_BLOCK];
+            for (gi, group) in band.chunks_mut(k * cols).enumerate() {
+                let span = (r0 + gi * k) * cols..(r0 + gi * k + k) * cols;
+                let (gs, gg) = (&s[span.clone()], &gy[span]);
+                for c0 in (0..cols).step_by(COL_BLOCK) {
+                    let w = COL_BLOCK.min(cols - c0);
+                    let dot = &mut dot[..w];
+                    dot.fill(0.0);
+                    for (sr, gr) in gs.chunks_exact(cols).zip(gg.chunks_exact(cols)) {
+                        let terms = sr[c0..c0 + w].iter().zip(&gr[c0..c0 + w]);
+                        for (d, (&sv, &gv)) in dot.iter_mut().zip(terms) {
+                            *d += gv * sv;
+                        }
+                    }
+                    let rows = gs.chunks_exact(cols).zip(gg.chunks_exact(cols));
+                    for ((sr, gr), or) in rows.zip(group.chunks_exact_mut(cols)) {
+                        let terms = sr[c0..c0 + w].iter().zip(&gr[c0..c0 + w]);
+                        for ((o, (&sv, &gv)), &d) in
+                            or[c0..c0 + w].iter_mut().zip(terms).zip(dot.iter())
+                        {
+                            *o = sv * (gv - d);
+                        }
+                    }
+                }
+            }
+        });
+    }
+
+    /// Row broadcast `out[r] = op(self[r], row)` with a dispatched binary
+    /// kernel (`kernels::add`, `sub`, `mul`, `div`), rows split across the
+    /// ambient runtime.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `row` or `out` does not match `self`'s width or shape.
+    pub fn broadcast_row_into(
+        &self,
+        row: &[f32],
+        op: fn(&[f32], &[f32], &mut [f32]),
+        out: &mut Matrix,
+    ) {
+        let cols = self.cols();
+        assert_eq!(row.len(), cols, "broadcast_row_into: row width mismatch");
+        assert_eq!(out.shape(), self.shape(), "broadcast_row_into: output shape mismatch");
+        kernels::count_dispatch(self.rows());
+        for_each_row_band(out.as_mut_slice(), cols, 1, (self.len(), MIN_PAR_ELEMS), |r0, band| {
+            for (r, o) in band.chunks_exact_mut(cols).enumerate() {
+                op(self.row(r0 + r), row, o);
+            }
+        });
+    }
+
+    /// In-place row broadcast `self[r] = op(self[r], row)` with a
+    /// dispatched assign kernel (`kernels::add_assign`, …).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `row` does not match `self`'s width.
+    pub fn broadcast_row_assign(&mut self, row: &[f32], op: fn(&mut [f32], &[f32])) {
+        let cols = self.cols();
+        assert_eq!(row.len(), cols, "broadcast_row_assign: row width mismatch");
+        kernels::count_dispatch(self.rows());
+        let work = self.len();
+        for_each_row_band(self.as_mut_slice(), cols, 1, (work, MIN_PAR_ELEMS), |_, band| {
+            for d in band.chunks_exact_mut(cols) {
+                op(d, row);
+            }
+        });
+    }
+
+    /// Backward scatter of a row gather: `out` (fully overwritten) is zero
+    /// except that every row `self[d]` is added into `out[idx[d]]` with
+    /// `kernels::add_assign`, in ascending `d`.
+    ///
+    /// Each parallel band owns a range of destination rows and scans the
+    /// whole index list, applying only the contributions that land in its
+    /// range — so every element still receives its terms in ascending `d`,
+    /// bit-identical to the serial scatter at any thread count.
+    ///
+    /// # Panics
+    ///
+    /// Panics when an index is `>= out.rows()` or the widths disagree.
+    pub fn scatter_add_rows_into(&self, idx: &[usize], out: &mut Matrix) {
+        let cols = self.cols();
+        assert_eq!(self.rows(), idx.len(), "scatter_add_rows_into: index length mismatch");
+        assert_eq!(out.cols(), cols, "scatter_add_rows_into: column mismatch");
+        let rows = out.rows();
+        assert!(idx.iter().all(|&s| s < rows), "scatter_add_rows_into: index out of bounds");
+        kernels::count_dispatch(idx.len());
+        let scatter = |s0: usize, band: &mut [f32]| {
+            band.fill(0.0);
+            let s1 = s0 + band.len() / cols;
+            for (d, &s) in idx.iter().enumerate() {
+                if (s0..s1).contains(&s) {
+                    let dst = &mut band[(s - s0) * cols..(s - s0 + 1) * cols];
+                    kernels::add_assign(dst, self.row(d));
+                }
+            }
+        };
+        // Every band scans the whole index list, so use one band per
+        // thread rather than the finer split of the other kernels.
+        match runtime_for(self.len(), MIN_PAR_ELEMS) {
+            Some(rt) if rows > 0 && cols > 0 => {
+                let rows_per = rows.div_ceil(rt.threads());
+                rt.par_chunks_mut(out.as_mut_slice(), rows_per * cols, |c, band| {
+                    scatter(c * rows_per, band);
+                });
+            }
+            _ => scatter(0, out.as_mut_slice()),
+        }
+    }
+
+    /// Fused gather-subtract: `out[r] = self[idx[r]] - other[r]`, the
+    /// same `kernels::sub` per row as a gather followed by a subtraction.
+    ///
+    /// # Panics
+    ///
+    /// Panics when an index is out of bounds or the shapes disagree.
+    pub fn gather_sub_into(&self, idx: &[usize], other: &Matrix, out: &mut Matrix) {
+        let cols = self.cols();
+        assert_eq!(out.shape(), (idx.len(), cols), "gather_sub_into: output shape mismatch");
+        assert_eq!(other.shape(), out.shape(), "gather_sub_into: operand shape mismatch");
+        kernels::count_dispatch(idx.len());
+        for_each_row_band(out.as_mut_slice(), cols, 1, (other.len(), MIN_PAR_ELEMS), |r0, band| {
+            for (r, o) in band.chunks_exact_mut(cols).enumerate() {
+                kernels::sub(self.row(idx[r0 + r]), other.row(r0 + r), o);
+            }
+        });
+    }
+}

@@ -18,6 +18,17 @@ use colper_repro::serve::{ModelKind, SeatPool};
 use colper_repro::tensor::kernels::{set_simd_enabled, simd_active};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::{Mutex, MutexGuard};
+
+/// Serializes every test in this file. `run_gated` flips the
+/// process-global schedule gate, and sibling tests assert schedule
+/// *state* (`seat.is_scheduled()`), which the gate does change — unlike
+/// results, which stay bit-identical either way.
+static GATE_LOCK: Mutex<()> = Mutex::new(());
+
+fn gate_lock() -> MutexGuard<'static, ()> {
+    GATE_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn tensors(points: usize, seed: u64) -> CloudTensors {
     let cloud = SceneGenerator::indoor(IndoorSceneConfig::with_points(points)).generate(seed);
@@ -70,6 +81,7 @@ fn assert_schedule_invisible<M: SegmentationModel>(model: &M, cloud: &CloudTenso
 
 #[test]
 fn pointnet2_scheduled_replay_is_bit_identical() {
+    let _gate = gate_lock();
     let mut rng = StdRng::seed_from_u64(0);
     let model = PointNet2::new(PointNet2Config::tiny(13), &mut rng);
     assert_schedule_invisible(&model, &tensors(96, 1));
@@ -77,6 +89,7 @@ fn pointnet2_scheduled_replay_is_bit_identical() {
 
 #[test]
 fn resgcn_scheduled_replay_is_bit_identical() {
+    let _gate = gate_lock();
     let mut rng = StdRng::seed_from_u64(1);
     let model = ResGcn::new(ResGcnConfig::tiny(13), &mut rng);
     assert_schedule_invisible(&model, &tensors(96, 2));
@@ -84,6 +97,7 @@ fn resgcn_scheduled_replay_is_bit_identical() {
 
 #[test]
 fn randlanet_is_never_scheduled_and_unaffected_by_the_gate() {
+    let _gate = gate_lock();
     // RandLA-Net's random downsampling draws from the RNG every forward
     // pass, so it reports `deterministic_eval() == false` and the attack
     // must never capture a schedule for it — the gate setting is inert.
@@ -95,6 +109,7 @@ fn randlanet_is_never_scheduled_and_unaffected_by_the_gate() {
 
 #[test]
 fn seat_pool_round_trip_keeps_the_schedule_warm() {
+    let _gate = gate_lock();
     set_schedule_enabled(true);
     let mut rng = StdRng::seed_from_u64(4);
     let model = PointNet2::new(PointNet2Config::tiny(13), &mut rng);
@@ -127,6 +142,7 @@ fn seat_pool_round_trip_keeps_the_schedule_warm() {
 
 #[test]
 fn plan_change_invalidates_the_captured_schedule() {
+    let _gate = gate_lock();
     set_schedule_enabled(true);
     let mut rng = StdRng::seed_from_u64(6);
     let model = PointNet2::new(PointNet2Config::tiny(13), &mut rng);
@@ -166,6 +182,7 @@ fn plan_change_invalidates_the_captured_schedule() {
 
 #[test]
 fn eot_runs_never_capture_a_schedule() {
+    let _gate = gate_lock();
     set_schedule_enabled(true);
     let mut rng = StdRng::seed_from_u64(8);
     let model = PointNet2::new(PointNet2Config::tiny(13), &mut rng);
