@@ -2,7 +2,7 @@
 //! and the paper's attack objectives (Eq. 6, 7, 8).
 
 use crate::tape::{Ix, Op, Tape, Value, Var};
-use colper_tensor::{kernels, Matrix};
+use colper_tensor::{kernels, Act, Matrix};
 use std::sync::Arc;
 
 impl Tape {
@@ -69,6 +69,38 @@ impl Tape {
         let rg = self.any_requires_grad(&[x, gamma, beta]);
         let v = self.push(out, Op::BatchNorm { x, gamma, beta, xhat, inv_std }, rg);
         (v, mean, var)
+    }
+
+    /// Eval-mode batch normalization fused with its activation:
+    /// `act(x * scale + shift)` for `[1,C]` rows `scale` and `shift`,
+    /// recorded as one op.
+    ///
+    /// Per element this is exactly `mul_row(x, scale)`, `add_row(_, shift)`
+    /// and the activation recorded one after another — a rounding after
+    /// the product and another after the sum, never a fused multiply-add —
+    /// and so is its backward: the input's gradient is
+    /// `(gy * act'(y)) * scale`, and the rows' gradients (when they require
+    /// one) reduce `gy * act'(y)` as the unfused arms do. One pass replaces
+    /// three, forward and backward, and one output buffer replaces three.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `scale` or `shift` is not a single row of `x`'s width,
+    /// or a leaky slope is not positive (the backward tests the output
+    /// `y > 0`, which matches the pre-activation test only for a positive
+    /// slope).
+    pub fn affine_act(&mut self, x: Var, scale: Var, shift: Var, act: Act) -> Var {
+        let (rows, cols) = self.value(x).shape();
+        assert_eq!(self.value(scale).shape(), (1, cols), "affine_act: scale must be one row");
+        assert_eq!(self.value(shift).shape(), (1, cols), "affine_act: shift must be one row");
+        if let Act::LeakyRelu(alpha) = act {
+            assert!(alpha > 0.0, "affine_act: leaky slope must be positive, got {alpha}");
+        }
+        let mut out = self.alloc(rows, cols);
+        let (sv, bv) = (self.value(scale).row(0), self.value(shift).row(0));
+        self.value(x).affine_act_into(sv, bv, act, &mut out);
+        let rg = self.any_requires_grad(&[x, scale, shift]);
+        self.push(out, Op::AffineAct { x, scale, shift, act }, rg)
     }
 
     /// Mean softmax cross-entropy over rows: `logits` is `[N,C]`, `labels`

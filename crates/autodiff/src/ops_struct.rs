@@ -5,7 +5,8 @@
 //! `gather_rows` pulls each point's neighbors into consecutive rows,
 //! `group_max` / `group_mean` / `group_softmax` pool over each group of `k`
 //! consecutive rows, and `weighted_gather` performs the inverse-distance
-//! interpolation of PointNet++ feature propagation.
+//! interpolation of PointNet++ feature propagation. `edge_features` builds
+//! DeepGCN's `[x_i | x_j - x_i]` edge rows in one op.
 //!
 //! Index payloads come in two flavors: slice arguments are copied into
 //! pooled vectors (recycled on [`Tape::reset`]), while the `_shared`
@@ -13,7 +14,7 @@
 //! shared across steps with no copy at all.
 
 use crate::tape::{Ix, Op, Tape, Var, Wts};
-use colper_tensor::{kernels, Matrix};
+use colper_tensor::{kernels, GatherIndex, Matrix};
 use std::sync::Arc;
 
 impl Tape {
@@ -164,6 +165,41 @@ impl Tape {
             }
         }
         out
+    }
+
+    /// Edge features of a graph convolution: `[E, 2C]` rows
+    /// `[x[c] | x[j] - x[c]]` for every edge `e` with `c = center[e]` and
+    /// `j = nbr[e]`, recorded as one op.
+    ///
+    /// Element for element this is `concat_cols(x_i, sub(x_j, x_i))` over
+    /// the gathers `x_i = gather_rows(x, center)` and
+    /// `x_j = gather_rows(x, nbr)`, forward and backward: the backward
+    /// reads the `[E, 2C]` gradient once per row of `x` at that row's
+    /// in-edges and adds the center gather's scatter of
+    /// `g_left - g_right`, then the neighbor gather's scatter of `g_right`,
+    /// each summed into `+0.0` in ascending edge order. Both index lists
+    /// are shared (`Arc`), with the inverses that scatter needs.
+    ///
+    /// # Panics
+    ///
+    /// Panics when either index was built for a row count other than
+    /// `x`'s or the two lists differ in length.
+    pub fn edge_features(
+        &mut self,
+        x: Var,
+        center: Arc<GatherIndex>,
+        nbr: Arc<GatherIndex>,
+    ) -> Var {
+        let (rows, cols) = self.value(x).shape();
+        assert!(
+            center.source_rows() == rows && nbr.source_rows() == rows,
+            "edge_features: index built for another row count than {rows}"
+        );
+        assert_eq!(center.len(), nbr.len(), "edge_features: index length mismatch");
+        let mut out = self.alloc(center.len(), 2 * cols);
+        self.value(x).edge_features_into(&center, &nbr, &mut out);
+        let rg = self.node(x).requires_grad;
+        self.push(out, Op::EdgeFeatures { x, center, nbr }, rg)
     }
 
     /// Concatenates columns: `[N,C1] ++ [N,C2] -> [N,C1+C2]`.

@@ -13,10 +13,13 @@
 //! - **Dynamic nodes** — recomputed on every [`TapeSchedule::replay`], in
 //!   recorded order, writing into the same liveness-colored arena slots
 //!   (each node's pooled value buffer, assigned once at capture). Peephole
-//!   fusion collapses `matmul → add_row (→ activation)` chains and
-//!   `gather_rows → sub` pairs into single steps and recycles the
-//!   intermediate buffers; `weighted_gather` is the already-fused
-//!   gather + weighted-sum op. Independent matmuls that share one weight
+//!   fusion runs `matmul → add_row (→ activation)` and `matmul →
+//!   affine_act` chains as one step — the product lands in the last op's
+//!   slot and the bias add, or the eval batch norm and its activation,
+//!   runs as an epilogue over each finished slab of rows — and recycles the
+//!   product's buffer. `affine_act`, `edge_features` and
+//!   `weighted_gather` are themselves fused tape ops, so the dynamic tape
+//!   gains from them too. Independent matmuls that share one weight
 //!   operand and one input shape are additionally grouped into a single
 //!   strided batched GEMM step (see [`TapeSchedule::batched_groups`]).
 //!
@@ -175,14 +178,13 @@ pub struct CompileSpec<'a> {
 enum Step {
     /// Recompute node `i` with the standard op arm.
     Node(u32),
-    /// `matmul → add_row (→ activation)`: the matmul writes straight into
-    /// the bias node's slot (its own buffer was recycled at compile), the
-    /// bias row is added in place, and the optional activation fills its
+    /// `matmul → add_row (→ activation)` or `matmul → affine_act`: the
+    /// matmul writes straight into the epilogue node's slot (its own
+    /// buffer was recycled at compile) and the bias add, or the eval
+    /// batch norm with its activation, runs in place over each finished
+    /// slab of rows; the optional activation after an `add_row` fills its
     /// own slot.
-    FusedLinear { mm: u32, add: u32, act: Option<u32> },
-    /// `gather_rows → sub`: the subtraction reads gathered rows straight
-    /// from the source (the gather's buffer was recycled at compile).
-    FusedGatherSub { gather: u32, sub: u32 },
+    FusedLinear { mm: u32, epi: u32, act: Option<u32> },
     /// A compile-time group of independent matmuls sharing one B operand,
     /// executed as a single strided batched GEMM (`mm_groups[group]`
     /// holds the member node indices in execution order).
@@ -465,10 +467,11 @@ impl TapeSchedule {
         }
 
         // Peephole fusion over the recorded order. Soundness of stealing a
-        // node's buffer: the Matmul and GatherRows backward arms read only
-        // their *operand* values (and the gather's index payload), never
-        // their own output, and their sole consumers (AddRow / Sub)
-        // propagate gradients without reading any forward value.
+        // matmul's buffer: the Matmul backward arm reads only its operand
+        // values, never its own output, and its sole consumer's backward
+        // reads no forward value of it — AddRow propagates gradients
+        // without reading any, and AffineAct reads its input only for the
+        // scale row's gradient, which the peephole requires to be dead.
         let mut sole: Vec<Option<usize>> = vec![None; n];
         for i in 0..n {
             if !dynamic[i] || i == input {
@@ -481,17 +484,16 @@ impl TapeSchedule {
             });
         }
 
-        // Each fused group is anchored at its *second* op (the AddRow /
-        // Sub), not its first: other operands of that op may be recorded
-        // between the pair — ResGcn gathers x_j, then x_i, then subtracts
-        // — and running the group at the first op's slot would read them
-        // one replay stale. The first op (and any trailing activation)
-        // is marked `fused` so the scan skips it; the group is emitted
-        // when the scan reaches the anchor, where every operand of every
-        // member is already recomputed. The activation runs one slot
-        // early (at the anchor instead of its own position), which is
-        // safe: its sole operand is the anchor and its consumers all
-        // come later.
+        // Each fused group is anchored at its *last* op (the AddRow or
+        // AffineAct), not its first: other operands of that op may be
+        // recorded between the pair, and running the group at the first
+        // op's slot would read them one replay stale. The matmul (and any
+        // trailing activation) is marked `fused` so the scan skips it; the
+        // group is emitted when the scan reaches the anchor, where every
+        // operand of every member is already recomputed. The activation
+        // runs one slot early (at the anchor instead of its own position),
+        // which is safe: its sole operand is the anchor and its consumers
+        // all come later.
         let mut steps = Vec::new();
         let mut fused = vec![false; n];
         let mut pending: Vec<Option<Step>> = vec![None; n];
@@ -516,50 +518,40 @@ impl TapeSchedule {
                 steps.push(step);
                 continue;
             }
-            match &tape.nodes[i].op {
-                Op::Matmul(..) if !keep[i] => {
-                    if let Some(j) = sole[i] {
-                        if let Op::AddRow(x, r) = tape.nodes[j].op {
-                            if x.0 == i && r.0 != i {
-                                let act = sole[j].filter(|&k2| {
-                                    matches!(
-                                        tape.nodes[k2].op,
-                                        Op::Relu(v) | Op::LeakyRelu(v, _)
-                                            | Op::Tanh(v) | Op::Sigmoid(v)
-                                        if v.0 == j
-                                    )
-                                });
-                                fused[i] = true;
-                                if let Some(k2) = act {
-                                    fused[k2] = true;
-                                }
-                                stolen.push(i);
-                                fused_groups += 1;
-                                pending[j] = Some(Step::FusedLinear {
-                                    mm: i as u32,
-                                    add: j as u32,
-                                    act: act.map(|k2| k2 as u32),
-                                });
-                                continue;
-                            }
-                        }
+            if let (Op::Matmul(..), false, Some(j)) = (&tape.nodes[i].op, keep[i], sole[i]) {
+                // `Some(trailing activation)` when the pair fuses.
+                let act = match tape.nodes[j].op {
+                    Op::AddRow(x, r) if x.0 == i && r.0 != i => Some(sole[j].filter(|&k2| {
+                        matches!(
+                            tape.nodes[k2].op,
+                            Op::Relu(v) | Op::LeakyRelu(v, _) | Op::Tanh(v) | Op::Sigmoid(v)
+                            if v.0 == j
+                        )
+                    })),
+                    Op::AffineAct { x, scale, shift, .. }
+                        if x.0 == i
+                            && scale.0 != i
+                            && shift.0 != i
+                            && !tape.nodes[scale.0].requires_grad =>
+                    {
+                        Some(None)
                     }
-                }
-                Op::GatherRows(..) if !keep[i] => {
-                    if let Some(j) = sole[i] {
-                        if let Op::Sub(a, b) = tape.nodes[j].op {
-                            if a.0 == i && b.0 != i {
-                                fused[i] = true;
-                                stolen.push(i);
-                                fused_groups += 1;
-                                pending[j] =
-                                    Some(Step::FusedGatherSub { gather: i as u32, sub: j as u32 });
-                                continue;
-                            }
-                        }
+                    _ => None,
+                };
+                if let Some(act) = act {
+                    fused[i] = true;
+                    if let Some(k2) = act {
+                        fused[k2] = true;
                     }
+                    stolen.push(i);
+                    fused_groups += 1;
+                    pending[j] = Some(Step::FusedLinear {
+                        mm: i as u32,
+                        epi: j as u32,
+                        act: act.map(|k2| k2 as u32),
+                    });
+                    continue;
                 }
-                _ => {}
             }
             steps.push(Step::Node(i as u32));
         }
@@ -633,14 +625,11 @@ impl TapeSchedule {
         for step in &self.steps {
             match *step {
                 Step::Node(i) => exec_node(&mut tape.nodes, i as usize, self.hinge.as_ref()),
-                Step::FusedLinear { mm, add, act } => {
-                    exec_fused_linear(&mut tape.nodes, mm as usize, add as usize);
+                Step::FusedLinear { mm, epi, act } => {
+                    exec_fused_linear(&mut tape.nodes, mm as usize, epi as usize);
                     if let Some(act) = act {
                         exec_node(&mut tape.nodes, act as usize, None);
                     }
-                }
-                Step::FusedGatherSub { gather, sub } => {
-                    exec_fused_gather_sub(&mut tape.nodes, gather as usize, sub as usize);
                 }
                 Step::BatchedMatmul { group } => {
                     exec_batched_matmul(tape, &self.mm_groups[group as usize]);
@@ -842,6 +831,13 @@ fn exec_node(nodes: &mut [Node], i: usize, hinge: Option<&HingeSpec>) {
             let rows = head[x.0].value.rows();
             head[x.0].value.block_into(0, rows, c0, c1, value.owned_mut());
         }
+        Op::AffineAct { x, scale, shift, act } => {
+            let (sv, bv) = (head[scale.0].value.row(0), head[shift.0].value.row(0));
+            head[x.0].value.affine_act_into(sv, bv, *act, value.owned_mut());
+        }
+        Op::EdgeFeatures { x, center, nbr } => {
+            head[x.0].value.edge_features_into(center, nbr, value.owned_mut());
+        }
         Op::SoftmaxCrossEntropy { logits, labels, softmax } => {
             let lg = *logits;
             let z: &Matrix = &head[lg.0].value;
@@ -915,40 +911,36 @@ fn row_broadcast(
     head[x.0].value.broadcast_row_into(head[row.0].value.row(0), k, out);
 }
 
-/// Fused `matmul → add_row`: the product lands directly in the bias
-/// node's slot, then the bias row is added in place. `x + b` in the same
-/// operand order as the dynamic `kernels::add(x_row, bias, out)`, so the
-/// result is bit-identical lanewise.
-fn exec_fused_linear(nodes: &mut [Node], mm: usize, add: usize) {
-    let (head, tail) = nodes.split_at_mut(add);
+/// Fused `matmul → add_row` or `matmul → affine_act`: the product lands
+/// directly in the epilogue node's slot and the epilogue runs over each
+/// finished slab of rows — `x + b` in the operand order of the dynamic
+/// `kernels::add(x_row, bias, out)`, or the eval batch norm with its
+/// activation exactly as `affine_act` computes it — so the result is
+/// bit-identical lanewise.
+fn exec_fused_linear(nodes: &mut [Node], mm: usize, epi: usize) {
+    let (head, tail) = nodes.split_at_mut(epi);
     let Node { value, op, .. } = &mut tail[0];
-    let bias = match op {
-        Op::AddRow(_, r) => *r,
-        _ => unreachable!("fused linear without an AddRow"),
-    };
     let (a, b) = match &head[mm].op {
-        Op::Matmul(a, b) => (*a, *b),
+        Op::Matmul(a, b) => (&head[a.0].value, &head[b.0].value),
         _ => unreachable!("fused linear without a Matmul"),
     };
     let out = value.owned_mut();
-    head[a.0].value.matmul_into(&head[b.0].value, out).expect("replay fused matmul");
-    out.broadcast_row_assign(head[bias.0].value.row(0), kernels::add_assign);
-}
-
-/// Fused `gather_rows → sub`: subtracts row-for-row while reading the
-/// gathered rows straight out of the source matrix.
-fn exec_fused_gather_sub(nodes: &mut [Node], gather: usize, sub: usize) {
-    let (head, tail) = nodes.split_at_mut(sub);
-    let Node { value, op, .. } = &mut tail[0];
-    let b = match op {
-        Op::Sub(_, b) => *b,
-        _ => unreachable!("fused gather without a Sub"),
-    };
-    let (x, idx) = match &head[gather].op {
-        Op::GatherRows(x, idx) => (*x, &**idx),
-        _ => unreachable!("fused gather without a GatherRows"),
-    };
-    head[x.0].value.gather_sub_into(idx, &head[b.0].value, value.owned_mut());
+    match op {
+        Op::AddRow(_, r) => {
+            let bias = head[r.0].value.row(0);
+            kernels::count_dispatch(out.rows());
+            a.matmul_epilogue_into(b, out, |slab| {
+                slab.chunks_exact_mut(bias.len()).for_each(|row| kernels::add_assign(row, bias));
+            })
+        }
+        Op::AffineAct { scale, shift, act, .. } => {
+            let (sv, bv, act) = (head[scale.0].value.row(0), head[shift.0].value.row(0), *act);
+            kernels::count_dispatch(1);
+            a.matmul_epilogue_into(b, out, |slab| kernels::affine_act_assign(slab, sv, bv, act))
+        }
+        _ => unreachable!("fused linear without an AddRow or AffineAct"),
+    }
+    .expect("replay fused matmul");
 }
 
 /// One strided batched GEMM over a compile-time group of independent
@@ -987,14 +979,17 @@ fn exec_batched_matmul(tape: &mut Tape, members: &[u32]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use colper_tensor::{Act, GatherIndex};
+    use std::sync::Arc;
 
     fn mat(rows: &[&[f32]]) -> Matrix {
         Matrix::from_rows(rows).unwrap()
     }
 
-    /// A graph exercising every schedulable op class, including the two
-    /// fusion peepholes and both zero-accumulating ops. Returns the loss
-    /// plus the vars a caller would extract.
+    /// A graph exercising every schedulable op class, including both forms
+    /// of the fused-linear peephole, the fused edge-feature op and both
+    /// zero-accumulating ops. Returns the loss plus the vars a caller would
+    /// extract.
     fn build(t: &mut Tape, w0: &Matrix) -> (Var, Var, Var) {
         let w = t.leaf_from(w0);
         let weight = t.constant(mat(&[&[0.4, -0.2, 0.1], &[0.3, 0.9, -0.5]]));
@@ -1008,11 +1003,16 @@ mod tests {
         let h3 = t.mul_row(h2, scale_row);
         let h4 = t.leaky_relu(h3, 0.1);
 
-        // gather -> sub: the FusedGatherSub peephole.
-        let g = t.gather_rows(h4, &[3, 2, 1, 0]);
-        let edge = t.sub(g, h4);
+        // matmul -> affine_act: the FusedLinear peephole with the eval
+        // batch-norm epilogue.
+        let mix = t.constant(mat(&[&[0.5, -0.4, 0.3], &[0.2, 0.8, -0.6], &[-0.7, 0.1, 0.9]]));
+        let h5 = t.matmul(h4, mix);
+        let h6 = t.affine_act(h5, scale_row, bias, Act::LeakyRelu(0.2));
 
-        let cat = t.concat_cols(h4, edge);
+        // The fused edge-feature op: [h[c] | h[j] - h[c]].
+        let center = Arc::new(GatherIndex::new(vec![0, 1, 2, 3], 4));
+        let nbr = Arc::new(GatherIndex::new(vec![3, 2, 1, 1], 4));
+        let cat = t.edge_features(h6, center, nbr);
         let sm = t.group_softmax(cat, 2);
         let att = t.mul(cat, sm);
         let pooled = t.group_mean(att, 2);
@@ -1065,7 +1065,7 @@ mod tests {
             &CompileSpec { input: w, output: loss, keep: &keep, hinge: Some(hinge) },
         )
         .expect("graph must compile");
-        assert!(schedule.fused_groups() >= 2, "both peepholes must fire");
+        assert_eq!(schedule.fused_groups(), 2, "both fused-linear forms must fire");
         assert!(schedule.arena_bytes() > 0);
 
         // Replay twice per input: the second replay runs over dirty

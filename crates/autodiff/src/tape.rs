@@ -2,7 +2,7 @@
 //! (backward) pass.
 
 use crate::ops_nn::edge_dist_sq;
-use colper_tensor::{kernels, BufferPool, Matrix};
+use colper_tensor::{kernels, Act, BufferPool, GatherIndex, Matrix};
 use std::collections::VecDeque;
 use std::ops::Deref;
 use std::sync::Arc;
@@ -154,6 +154,22 @@ pub(crate) enum Op {
     },
     ConcatCols(Var, Var),
     SliceCols(Var, usize, usize),
+    /// Eval-mode batch norm fused with its activation:
+    /// `act(x * scale + shift)` with `[1,C]` scale and shift rows.
+    AffineAct {
+        x: Var,
+        scale: Var,
+        shift: Var,
+        act: Act,
+    },
+    /// Graph edge features: row `e` is `[x[c] | x[j] - x[c]]` for
+    /// `c = center[e]`, `j = nbr[e]`; the indices carry their inverses for
+    /// the backward scatter.
+    EdgeFeatures {
+        x: Var,
+        center: Arc<GatherIndex>,
+        nbr: Arc<GatherIndex>,
+    },
     /// Fused batch normalization (training mode): saves normalized
     /// activations and the inverse standard deviation.
     BatchNorm {
@@ -226,7 +242,13 @@ impl Op {
             | Op::GatherRows(x, _)
             | Op::GroupMax { x, .. }
             | Op::GroupSoftmax { x, .. }
-            | Op::WeightedGather { x, .. } => f(*x),
+            | Op::WeightedGather { x, .. }
+            | Op::EdgeFeatures { x, .. } => f(*x),
+            Op::AffineAct { x, scale, shift, .. } => {
+                f(*x);
+                f(*scale);
+                f(*shift);
+            }
             Op::BatchNorm { x, gamma, beta, .. } => {
                 f(*x);
                 f(*gamma);
@@ -897,6 +919,71 @@ pub(crate) fn step_backward(
                 }
             }
             accumulate(nodes, grads, pool, *x, g);
+        }
+        Op::AffineAct { x, scale, shift, act } => {
+            // The unfused `mul_row → add_row → activation` arms, in their
+            // order: the shift's gradient, then the input's, then the
+            // scale's. The input's gradient is `(gy * act'(y)) * scale` in
+            // one pass; the activation's gradient `g1 = gy * act'(y)` is
+            // materialized only for the rows' reductions.
+            let (yv, sv): (&Matrix, &Matrix) = (&nodes[i].value, &nodes[scale.0].value);
+            let g1 = (wants(*scale) || wants(*shift)).then(|| match *act {
+                Act::Identity => pool.copy_of(gy),
+                Act::Relu | Act::LeakyRelu(_) => {
+                    let slope = if let Act::LeakyRelu(alpha) = *act { alpha } else { 0.0 };
+                    elementwise_grad(
+                        pool,
+                        compiled,
+                        gy,
+                        yv,
+                        move |v| {
+                            if v > 0.0 {
+                                1.0
+                            } else {
+                                slope
+                            }
+                        },
+                    )
+                }
+            });
+            if let (true, Some(g1)) = (wants(*shift), &g1) {
+                let mut gr = grad_buf(pool, compiled, 1, gy.cols());
+                g1.sum_rows_into(&mut gr);
+                accumulate(nodes, grads, pool, *shift, gr);
+            }
+            if wants(*x) {
+                let mut gx = grad_buf(pool, compiled, gy.rows(), gy.cols());
+                gy.affine_act_grad_into(yv, sv.row(0), *act, &mut gx);
+                accumulate(nodes, grads, pool, *x, gx);
+            }
+            if let (true, Some(g1)) = (wants(*scale), &g1) {
+                let mut tmp = grad_buf(pool, compiled, gy.rows(), gy.cols());
+                g1.mul_into(&nodes[x.0].value, &mut tmp).expect("shape");
+                let mut gr = grad_buf(pool, compiled, 1, gy.cols());
+                tmp.sum_rows_into(&mut gr);
+                pool.recycle(tmp);
+                accumulate(nodes, grads, pool, *scale, gr);
+            }
+            if let Some(g1) = g1 {
+                pool.recycle(g1);
+            }
+        }
+        Op::EdgeFeatures { x, center, nbr } => {
+            // One read of the `[E, 2C]` gradient per destination row adds
+            // the center gather's scatter of `g_left - g_right`, then the
+            // neighbor gather's scatter of `g_right` — the unfused arms'
+            // accumulation, element for element.
+            if wants(*x) {
+                match &mut grads[x.0] {
+                    Some(acc) => gy.edge_features_grad_into(center, nbr, true, acc),
+                    slot @ None => {
+                        let (r, c) = nodes[x.0].value.shape();
+                        let mut g = grad_buf(pool, compiled, r, c);
+                        gy.edge_features_grad_into(center, nbr, false, &mut g);
+                        *slot = Some(g);
+                    }
+                }
+            }
         }
         Op::BatchNorm { x, gamma, beta, xhat, inv_std } => {
             let n = xhat.rows() as f32;

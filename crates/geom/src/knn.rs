@@ -8,7 +8,6 @@
 
 use crate::{GeomError, KdTree, Neighbor, Point3};
 use colper_runtime::Runtime;
-use std::cmp::Ordering;
 
 /// Below this many queries the per-chunk scheduling overhead outweighs the
 /// tree traversals.
@@ -63,12 +62,10 @@ pub fn brute_force_knn(points: &[Point3], query: Point3, k: usize) -> Vec<Neighb
         .enumerate()
         .map(|(i, &p)| Neighbor { index: i, sq_dist: p.sq_dist(query) })
         .collect();
-    all.sort_by(|a, b| {
-        a.sq_dist
-            .partial_cmp(&b.sq_dist)
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| a.index.cmp(&b.index))
-    });
+    // `total_cmp` + index, the order `KdTree` keeps: a NaN distance (from
+    // a non-finite point) sorts after every number instead of breaking
+    // the comparator's total order, which `sort_by` may panic on.
+    all.sort_by(|a, b| a.sq_dist.total_cmp(&b.sq_dist).then_with(|| a.index.cmp(&b.index)));
     all.truncate(k);
     all
 }
@@ -285,6 +282,24 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    #[test]
+    fn brute_force_knn_orders_nan_distances_last_and_deterministically() {
+        let mut pts = random_points(40, 17);
+        pts[3] = Point3::new(f32::NAN, 0.0, 0.0);
+        pts[11] = Point3::new(0.1, f32::NAN, f32::INFINITY);
+        pts[29] = Point3::new(f32::NAN, f32::NAN, f32::NAN);
+        let all = brute_force_knn(&pts, Point3::new(0.0, 0.0, 0.0), pts.len());
+        assert_eq!(all.len(), pts.len());
+        // Finite distances ascend; the NaN ones come last, by index.
+        let nan: Vec<usize> = all.iter().filter(|n| n.sq_dist.is_nan()).map(|n| n.index).collect();
+        assert_eq!(nan, vec![3, 11, 29]);
+        assert!(all[..all.len() - 3].windows(2).all(|w| w[0].sq_dist <= w[1].sq_dist));
+        // A NaN query point is a valid input too: every distance is NaN,
+        // so the order falls back to the index.
+        let q = brute_force_knn(&pts, Point3::new(f32::NAN, 0.0, 0.0), 5);
+        assert_eq!(q.iter().map(|n| n.index).collect::<Vec<_>>(), vec![0, 1, 2, 3, 4]);
+    }
 
     fn random_points(n: usize, seed: u64) -> Vec<Point3> {
         let mut rng = StdRng::seed_from_u64(seed);

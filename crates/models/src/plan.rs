@@ -25,6 +25,7 @@ use crate::{PointNet2Config, RandLaNetConfig, ResGcnConfig};
 use colper_geom::{
     ball_query, dilated_knn, farthest_point_sampling, knn_graph, three_nn_weights, KdTree, Point3,
 };
+use colper_tensor::GatherIndex;
 use std::sync::Arc;
 
 /// Pre-computed coordinate-only structures for one (model config, cloud)
@@ -125,7 +126,8 @@ pub(crate) fn plan_pointnet2(config: &PointNet2Config, coords: &[Point3]) -> Poi
 }
 
 /// Cached geometry for a ResGCN forward pass: one dilated k-NN graph per
-/// distinct dilation in the block schedule.
+/// distinct dilation in the block schedule, each with the inverse the
+/// edge-feature backward scatters through.
 #[derive(Debug)]
 pub struct ResGcnPlan {
     pub(crate) n: usize,
@@ -133,10 +135,11 @@ pub struct ResGcnPlan {
     pub(crate) k: usize,
     /// Dilation used by each block (`1 + b % max_dilation`).
     pub(crate) dilations: Vec<usize>,
-    /// `graphs[d]` is the dilated k-NN graph for dilation `d`.
-    pub(crate) graphs: Vec<Option<Arc<[usize]>>>,
-    /// Flattened `[n * k]` center indices for edge grouping.
-    pub(crate) center_flat: Arc<[usize]>,
+    /// `graphs[d]` is the dilated k-NN graph for dilation `d`: edge
+    /// `i * k + j` reads point `i`'s `j`-th neighbor.
+    pub(crate) graphs: Vec<Option<Arc<GatherIndex>>>,
+    /// Flattened `[n * k]` center indices (`i` repeated `k` times).
+    pub(crate) center: Arc<GatherIndex>,
     /// `[n]` zeros: gathers the global mean row back onto every point.
     pub(crate) global_rep: Arc<[usize]>,
 }
@@ -146,19 +149,19 @@ pub(crate) fn plan_resgcn(config: &ResGcnConfig, coords: &[Point3]) -> ResGcnPla
     let n = coords.len();
     let k = config.k.min(n);
     let dilations: Vec<usize> = (0..config.blocks).map(|b| 1 + b % config.max_dilation).collect();
-    let mut graphs: Vec<Option<Arc<[usize]>>> = vec![None; config.max_dilation + 1];
+    let mut graphs: Vec<Option<Arc<GatherIndex>>> = vec![None; config.max_dilation + 1];
     for &d in &dilations {
         if graphs[d].is_none() {
-            graphs[d] = Some(dilated_knn(coords, k, d).into());
+            graphs[d] = Some(Arc::new(GatherIndex::new(dilated_knn(coords, k, d), n)));
         }
     }
-    let center_flat: Vec<usize> = (0..n).flat_map(|i| std::iter::repeat_n(i, k)).collect();
+    let center: Vec<usize> = (0..n).flat_map(|i| std::iter::repeat_n(i, k)).collect();
     ResGcnPlan {
         n,
         k,
         dilations,
         graphs,
-        center_flat: center_flat.into(),
+        center: Arc::new(GatherIndex::new(center, n)),
         global_rep: vec![0usize; n].into(),
     }
 }
@@ -258,7 +261,8 @@ mod tests {
         assert_eq!(p.dilations, vec![1, 2]);
         assert!(p.graphs[1].is_some() && p.graphs[2].is_some());
         assert_eq!(p.graphs[1].as_ref().unwrap().len(), 64 * p.k);
-        assert_eq!(p.center_flat.len(), 64 * p.k);
+        assert_eq!(p.center.len(), 64 * p.k);
+        assert_eq!(p.center.readers(5), (5 * p.k..6 * p.k).collect::<Vec<_>>());
     }
 
     #[test]

@@ -153,10 +153,8 @@ impl SegmentationModel for ResGcn {
         for (b, edge_mlp) in self.edge_mlps.iter().enumerate() {
             let _span = colper_obs::span!(FORWARD_RESGCN_BLOCK);
             let nb = plan.graphs[plan.dilations[b]].as_ref().expect("graph precomputed");
-            let x_j = session.tape.gather_rows_shared(h, nb.clone());
-            let x_i = session.tape.gather_rows_shared(h, plan.center_flat.clone());
-            let diff = session.tape.sub(x_j, x_i);
-            let edge = session.tape.concat_cols(x_i, diff);
+            // [h_i | h_j - h_i] per edge, as one fused op.
+            let edge = session.tape.edge_features(h, plan.center.clone(), nb.clone());
             let msg = edge_mlp.forward(session, edge);
             let agg = session.tape.group_max(msg, k);
             // Residual connection: the mechanism that makes 28 blocks

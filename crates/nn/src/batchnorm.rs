@@ -2,7 +2,7 @@
 
 use crate::{BnUpdate, BufferId, Forward, ParamId, ParamSet};
 use colper_autodiff::Var;
-use colper_tensor::Matrix;
+use colper_tensor::{Act, Matrix};
 
 /// Batch normalization over the point (row) axis.
 ///
@@ -55,6 +55,21 @@ impl BatchNorm {
     ///
     /// Panics when `x` does not have `dim` columns.
     pub fn forward(&self, f: &mut Forward<'_>, x: Var) -> Var {
+        self.forward_act(f, x, Act::Identity)
+    }
+
+    /// Applies the layer followed by `act`.
+    ///
+    /// In evaluation mode the layer and its activation record as one
+    /// fused tape op, [`colper_autodiff::Tape::affine_act`], whose result
+    /// and gradients are those of the unfused `mul_row → add_row →
+    /// activation` chain bit for bit. Training mode normalizes with batch
+    /// statistics and applies the activation as its own op.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `x` does not have `dim` columns.
+    pub(crate) fn forward_act(&self, f: &mut Forward<'_>, x: Var, act: Act) -> Var {
         assert_eq!(f.tape.value(x).cols(), self.dim, "BatchNorm: expected {} columns", self.dim);
         if f.training() {
             let gamma = f.param(self.gamma);
@@ -67,10 +82,10 @@ impl BatchNorm {
                 var,
                 momentum: self.momentum,
             });
-            y
+            crate::mlp::activate(f, y, act)
         } else {
             // Fold running stats with gamma/beta into one affine row op:
-            // y = x * scale + shift, scale = gamma/sqrt(var+eps),
+            // y = act(x * scale + shift), scale = gamma/sqrt(var+eps),
             // shift = beta - mean*scale.
             let eps = self.eps;
             let var = f.buffer_shared(self.running_var);
@@ -81,8 +96,7 @@ impl BatchNorm {
             let scale = f.tape.mul_row(inv_std_row, gamma); // [1,dim]
             let ms = f.tape.mul(mean_row, scale);
             let shift = f.tape.sub(beta, ms);
-            let scaled = f.tape.mul_row(x, scale);
-            f.tape.add_row(scaled, shift)
+            f.tape.affine_act(x, scale, shift, act)
         }
     }
 }
@@ -135,6 +149,46 @@ mod tests {
         }
         let rm = ps.buffer(crate::BufferId(0))[(0, 0)];
         assert!((rm - 10.0).abs() < 0.1, "running mean {rm}");
+    }
+
+    #[test]
+    fn eval_forward_act_matches_the_unfused_chain() {
+        let mut ps = ParamSet::new();
+        let bn = BatchNorm::new(&mut ps, "bn", 3);
+        *ps.buffer_mut(crate::BufferId(0)) = Matrix::from_rows(&[&[0.5, -1.0, 2.0]]).unwrap();
+        *ps.buffer_mut(crate::BufferId(1)) = Matrix::from_rows(&[&[4.0, 0.25, 1.5]]).unwrap();
+        let x0 = Matrix::from_fn(5, 3, |r, c| (r as f32 - 2.0) * 0.7 + c as f32 * 0.3);
+        for act in [Act::Identity, Act::Relu, Act::LeakyRelu(0.2)] {
+            let mut fused = Forward::new(&ps, false);
+            let x = fused.tape.leaf(x0.clone());
+            let y = bn.forward_act(&mut fused, x, act);
+            let loss = fused.tape.sum(y);
+            fused.tape.backward(loss);
+
+            // The unfused reference: multiply, add, then the activation.
+            let mut plain = Forward::new(&ps, false);
+            let xp = plain.tape.leaf(x0.clone());
+            let var = plain.buffer_shared(crate::BufferId(1));
+            let inv_std = plain.tape.constant_map(&var, |v| 1.0 / (v + 1e-5).sqrt());
+            let mean = plain.tape.constant_shared(plain.buffer_shared(crate::BufferId(0)));
+            let gamma = plain.param(crate::ParamId(0));
+            let beta = plain.param(crate::ParamId(1));
+            let scale = plain.tape.mul_row(inv_std, gamma);
+            let ms = plain.tape.mul(mean, scale);
+            let shift = plain.tape.sub(beta, ms);
+            let scaled = plain.tape.mul_row(xp, scale);
+            let t = plain.tape.add_row(scaled, shift);
+            let yp = match act {
+                Act::Identity => t,
+                Act::Relu => plain.tape.relu(t),
+                Act::LeakyRelu(a) => plain.tape.leaky_relu(t, a),
+            };
+            let lp = plain.tape.sum(yp);
+            plain.tape.backward(lp);
+
+            assert_eq!(fused.tape.value(y), plain.tape.value(yp), "{act:?} forward");
+            assert_eq!(fused.tape.grad(x), plain.tape.grad(xp), "{act:?} backward");
+        }
     }
 
     #[test]

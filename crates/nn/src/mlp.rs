@@ -4,6 +4,7 @@
 
 use crate::{BatchNorm, Forward, Linear, ParamSet};
 use colper_autodiff::Var;
+use colper_tensor::Act;
 use rand::Rng;
 
 /// Point-wise nonlinearities available to [`SharedMlp`].
@@ -18,12 +19,22 @@ pub enum Activation {
 }
 
 impl Activation {
-    fn apply(self, f: &mut Forward<'_>, x: Var) -> Var {
+    /// The tape-level activation this nonlinearity records.
+    pub(crate) fn act(self) -> Act {
         match self {
-            Activation::Relu => f.tape.relu(x),
-            Activation::LeakyRelu => f.tape.leaky_relu(x, 0.2),
-            Activation::Identity => x,
+            Activation::Relu => Act::Relu,
+            Activation::LeakyRelu => Act::LeakyRelu(0.2),
+            Activation::Identity => Act::Identity,
         }
+    }
+}
+
+/// Records `act` on its own (the unfused activation op).
+pub(crate) fn activate(f: &mut Forward<'_>, x: Var, act: Act) -> Var {
+    match act {
+        Act::Relu => f.tape.relu(x),
+        Act::LeakyRelu(alpha) => f.tape.leaky_relu(x, alpha),
+        Act::Identity => x,
     }
 }
 
@@ -76,15 +87,17 @@ impl SharedMlp {
         self.blocks.len()
     }
 
-    /// Applies the MLP to `[N, in_dim]` activations.
+    /// Applies the MLP to `[N, in_dim]` activations. In evaluation mode a
+    /// batch-normed block's norm and activation record as one fused op,
+    /// [`colper_autodiff::Tape::affine_act`].
     pub fn forward(&self, f: &mut Forward<'_>, x: Var) -> Var {
         let mut h = x;
         for (lin, bn, act) in &self.blocks {
             h = lin.forward(f, h);
-            if let Some(bn) = bn {
-                h = bn.forward(f, h);
-            }
-            h = act.apply(f, h);
+            h = match bn {
+                Some(bn) => bn.forward_act(f, h, act.act()),
+                None => activate(f, h, act.act()),
+            };
         }
         h
     }

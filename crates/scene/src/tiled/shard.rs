@@ -162,7 +162,15 @@ impl ShardHeader {
         let tile_y = u32::from_le_bytes(bytes[16..20].try_into().expect("4 bytes"));
         let world_seed = u64::from_le_bytes(bytes[20..28].try_into().expect("8 bytes"));
         let record_count = u64::from_le_bytes(bytes[28..36].try_into().expect("8 bytes"));
-        let expected = HEADER_LEN as u64 + record_count * column.record_width() as u64;
+        // Checked: a crafted record count must not wrap the expected
+        // length (a release build would otherwise accept the header).
+        let expected = record_count
+            .checked_mul(column.record_width() as u64)
+            .and_then(|payload| payload.checked_add(HEADER_LEN as u64))
+            .ok_or_else(|| ShardError::CorruptHeader {
+                path: path.to_path_buf(),
+                reason: format!("record count {record_count} overflows the file length"),
+            })?;
         if len != expected {
             return Err(ShardError::Truncated { path: path.to_path_buf(), expected, actual: len });
         }
@@ -324,6 +332,19 @@ mod tests {
         let mut bytes = header().encode();
         bytes[7] = 5;
         let err = ShardHeader::decode(Path::new("t"), &bytes, HEADER_LEN as u64 + 36).unwrap_err();
+        assert!(matches!(err, ShardError::CorruptHeader { .. }), "{err}");
+    }
+
+    #[test]
+    fn overflowing_record_count_is_a_corrupt_header() {
+        // 36 + (2^62 + 3) * 4 wraps to exactly 48 in u64: unchecked, a
+        // release build accepted this header for a 48-byte file and a
+        // debug build panicked on the multiply.
+        let h = ShardHeader { column: Column::X, record_count: (1u64 << 62) + 3, ..header() };
+        let mut file = h.encode().to_vec();
+        file.extend_from_slice(&[0u8; 12]);
+        assert_eq!(file.len(), 48);
+        let err = ShardHeader::decode(Path::new("t"), &file, file.len() as u64).unwrap_err();
         assert!(matches!(err, ShardError::CorruptHeader { .. }), "{err}");
     }
 

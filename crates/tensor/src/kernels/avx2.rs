@@ -15,12 +15,13 @@
 //! dispatch layer in [`super`]).
 #![allow(unsafe_code)]
 
-use super::scalar;
+use super::{scalar, Act};
 use core::arch::x86_64::{
     __m256i, _mm256_add_ps, _mm256_blendv_ps, _mm256_cmp_ps, _mm256_cmpgt_epi32, _mm256_div_ps,
     _mm256_fmadd_ps, _mm256_fnmadd_ps, _mm256_loadu_ps, _mm256_maskload_ps, _mm256_maskstore_ps,
     _mm256_max_ps, _mm256_min_ps, _mm256_mul_ps, _mm256_set1_epi32, _mm256_set1_ps,
-    _mm256_setr_epi32, _mm256_setzero_ps, _mm256_storeu_ps, _mm256_sub_ps, _CMP_UNORD_Q,
+    _mm256_setr_epi32, _mm256_setzero_ps, _mm256_storeu_ps, _mm256_sub_ps, _CMP_GT_OQ,
+    _CMP_UNORD_Q,
 };
 
 const W: usize = 8;
@@ -491,6 +492,194 @@ pub(super) unsafe fn gemm_tile_6x16(
             }
         }
     }
+}
+
+/// Shared body of the two [`scalar::affine_act`] twins over whole rows
+/// of width `scale.len()`: `out` may alias `x` (each vector is loaded
+/// before it is stored), which is how the in-place variant runs through
+/// the same loop.
+///
+/// # Safety
+///
+/// Requires AVX2+FMA; `x` and `out` must be valid for `n` elements, a whole number
+/// of rows of width `scale.len() == shift.len()`.
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn affine_act_ptr(
+    x: *const f32,
+    scale: &[f32],
+    shift: &[f32],
+    act: Act,
+    out: *mut f32,
+    n: usize,
+) {
+    let w = scale.len();
+    assert!(shift.len() == w && (w > 0 || n == 0) && n.is_multiple_of(w.max(1)));
+    let (sp, bp) = (scale.as_ptr(), shift.as_ptr());
+    let zero = _mm256_setzero_ps();
+    // One loop nest per activation, so the select is decided outside the
+    // vector loop. Each lane: product, then sum (two roundings), then the
+    // activation of `scalar::affine_act_lane`.
+    macro_rules! sweep {
+        (|$t:ident| $act:expr) => {
+            for r in (0..n).step_by(w.max(1)) {
+                let (xr, or) = (x.add(r), out.add(r));
+                let mut i = 0;
+                while i + W <= w {
+                    let p = _mm256_mul_ps(_mm256_loadu_ps(xr.add(i)), _mm256_loadu_ps(sp.add(i)));
+                    let $t = _mm256_add_ps(p, _mm256_loadu_ps(bp.add(i)));
+                    _mm256_storeu_ps(or.add(i), $act);
+                    i += W;
+                }
+                while i < w {
+                    *or.add(i) = scalar::affine_act_lane(*xr.add(i), scale[i], shift[i], act);
+                    i += 1;
+                }
+            }
+        };
+    }
+    match act {
+        Act::Identity => sweep!(|t| t),
+        // `max(t, 0)` returns the second operand when `t` is NaN or a
+        // zero, which is `f32::max`'s `+0.0` for both.
+        Act::Relu => sweep!(|t| _mm256_max_ps(t, zero)),
+        Act::LeakyRelu(alpha) => {
+            let va = _mm256_set1_ps(alpha);
+            sweep!(|t| _mm256_blendv_ps(
+                _mm256_mul_ps(va, t),
+                t,
+                _mm256_cmp_ps::<_CMP_GT_OQ>(t, zero)
+            ));
+        }
+    }
+}
+
+/// AVX2 twin of [`scalar::affine_act`].
+///
+/// # Safety
+///
+/// Requires AVX2+FMA, verified by the caller via runtime detection.
+#[target_feature(enable = "avx2", enable = "fma")]
+pub(super) unsafe fn affine_act(
+    x: &[f32],
+    scale: &[f32],
+    shift: &[f32],
+    act: Act,
+    out: &mut [f32],
+) {
+    let n = out.len();
+    assert!(x.len() >= n);
+    affine_act_ptr(x.as_ptr(), scale, shift, act, out.as_mut_ptr(), n);
+}
+
+/// AVX2 twin of [`scalar::affine_act_assign`].
+///
+/// # Safety
+///
+/// Requires AVX2+FMA, verified by the caller via runtime detection.
+#[target_feature(enable = "avx2", enable = "fma")]
+pub(super) unsafe fn affine_act_assign(v: &mut [f32], scale: &[f32], shift: &[f32], act: Act) {
+    let n = v.len();
+    let p = v.as_mut_ptr();
+    affine_act_ptr(p, scale, shift, act, p, n);
+}
+
+/// AVX2 twin of [`scalar::affine_act_grad`]: the derivative is selected
+/// by `y > 0` and multiplied in, then the scale — two products per lane,
+/// in the scalar reference's order.
+///
+/// # Safety
+///
+/// Requires AVX2+FMA, verified by the caller via runtime detection.
+#[target_feature(enable = "avx2", enable = "fma")]
+pub(super) unsafe fn affine_act_grad(
+    gy: &[f32],
+    y: &[f32],
+    scale: &[f32],
+    act: Act,
+    out: &mut [f32],
+) {
+    let (n, w) = (out.len(), scale.len());
+    assert!(gy.len() >= n && y.len() >= n && (w > 0 || n == 0) && n.is_multiple_of(w.max(1)));
+    let (gp, yp, sp, op) = (gy.as_ptr(), y.as_ptr(), scale.as_ptr(), out.as_mut_ptr());
+    let (zero, one) = (_mm256_setzero_ps(), _mm256_set1_ps(1.0));
+    macro_rules! sweep {
+        (|$g:ident, $y:ident| $gt:expr) => {
+            for r in (0..n).step_by(w.max(1)) {
+                let mut i = 0;
+                while i + W <= w {
+                    let $g = _mm256_loadu_ps(gp.add(r + i));
+                    let $y = _mm256_loadu_ps(yp.add(r + i));
+                    _mm256_storeu_ps(op.add(r + i), _mm256_mul_ps($gt, _mm256_loadu_ps(sp.add(i))));
+                    i += W;
+                }
+                while i < w {
+                    out[r + i] = scalar::affine_act_grad_lane(gy[r + i], y[r + i], scale[i], act);
+                    i += 1;
+                }
+            }
+        };
+    }
+    match act {
+        Act::Identity => sweep!(|g, _y| g),
+        Act::Relu => sweep!(|g, y| _mm256_mul_ps(
+            g,
+            _mm256_blendv_ps(zero, one, _mm256_cmp_ps::<_CMP_GT_OQ>(y, zero))
+        )),
+        Act::LeakyRelu(alpha) => {
+            let va = _mm256_set1_ps(alpha);
+            sweep!(|g, y| _mm256_mul_ps(
+                g,
+                _mm256_blendv_ps(va, one, _mm256_cmp_ps::<_CMP_GT_OQ>(y, zero))
+            ));
+        }
+    }
+}
+
+/// AVX2 twin of [`scalar::edge_grad_row`]: eight columns per pass, each
+/// lane running the scalar reference's two scatter sums (`+0.0` start,
+/// ascending edges, `g_left - g_right` rounded before it is added) and
+/// the final `(out + sc) + sn`; ragged tail columns finish in the
+/// reference loop.
+///
+/// # Safety
+///
+/// Requires AVX2+FMA, verified by the caller via runtime detection.
+#[target_feature(enable = "avx2", enable = "fma")]
+pub(super) unsafe fn edge_grad_row(
+    g: &[f32],
+    cols: usize,
+    center_edges: &[usize],
+    nbr_edges: &[usize],
+    accumulate: bool,
+    out: &mut [f32],
+) {
+    let n = out.len();
+    let w = 2 * cols;
+    assert!(n <= cols);
+    let op = out.as_mut_ptr();
+    let mut j = 0;
+    while j + W <= n {
+        let mut sc = _mm256_setzero_ps();
+        for &d in center_edges {
+            let row = &g[d * w..d * w + w];
+            let left = _mm256_loadu_ps(row.as_ptr().add(j));
+            let right = _mm256_loadu_ps(row.as_ptr().add(cols + j));
+            sc = _mm256_add_ps(sc, _mm256_sub_ps(left, right));
+        }
+        let mut sn = _mm256_setzero_ps();
+        for &d in nbr_edges {
+            let row = &g[d * w..d * w + w];
+            sn = _mm256_add_ps(sn, _mm256_loadu_ps(row.as_ptr().add(cols + j)));
+        }
+        let r = if accumulate {
+            _mm256_add_ps(_mm256_add_ps(_mm256_loadu_ps(op.add(j)), sc), sn)
+        } else {
+            _mm256_add_ps(sc, sn)
+        };
+        _mm256_storeu_ps(op.add(j), r);
+        j += W;
+    }
+    scalar::edge_grad_cols(g, cols, center_edges, nbr_edges, accumulate, j, &mut out[j..]);
 }
 
 /// AVX2 twin of [`scalar::tanh`]: the same clamp, fused polynomial chain

@@ -1,11 +1,14 @@
-//! AVX-512F implementations of the GEMM micro-tile and the NT row kernel.
+//! AVX-512F implementations of the GEMM micro-tile, the NT row kernel and
+//! the fused row kernels.
 //!
 //! Same contract as [`super::avx2`]: every output element continues its
 //! ascending-`k` fused-multiply-add chain exactly as the scalar reference
 //! does, so the 512-bit tile is bit-identical to both the scalar and the
 //! AVX2 legs — a chain's order depends only on `k` order, never on vector
 //! width or tile geometry. The NT row kernel keeps [`super::scalar::dot`]'s
-//! eight lane partials per element across sixteen columns. Every other
+//! eight lane partials per element across sixteen columns, and the fused
+//! eval-batch-norm epilogue and edge-feature backward run the scalar
+//! references' per-lane sequences sixteen columns at a time. Every other
 //! kernel family saturates with 256-bit vectors already.
 //!
 //! Like `avx2`, this module is a sanctioned `unsafe` island: intrinsics
@@ -14,9 +17,11 @@
 //! in [`super`]).
 #![allow(unsafe_code)]
 
+use super::{scalar, Act};
 use core::arch::x86_64::{
-    __mmask16, _mm512_add_ps, _mm512_fmadd_ps, _mm512_loadu_ps, _mm512_mask_storeu_ps,
-    _mm512_maskz_loadu_ps, _mm512_set1_ps, _mm512_setzero_ps, _mm512_storeu_ps,
+    __mmask16, _mm512_add_ps, _mm512_cmp_ps_mask, _mm512_fmadd_ps, _mm512_loadu_ps,
+    _mm512_mask_blend_ps, _mm512_mask_storeu_ps, _mm512_maskz_loadu_ps, _mm512_max_ps,
+    _mm512_mul_ps, _mm512_set1_ps, _mm512_setzero_ps, _mm512_storeu_ps, _mm512_sub_ps, _CMP_GT_OQ,
 };
 
 const W: usize = 16;
@@ -149,4 +154,183 @@ pub(super) unsafe fn matmul_nt_row(a_row: &[f32], bt: &[f32], ldb: usize, out_ro
         }
         j += W;
     }
+}
+
+/// Shared body of the two [`scalar::affine_act`] twins over whole rows;
+/// `out` may alias `x`, as in [`super::avx2`].
+///
+/// # Safety
+///
+/// Requires AVX-512F; `x` and `out` must be valid for `n` elements, a whole number
+/// of rows of width `scale.len() == shift.len()`.
+#[target_feature(enable = "avx512f")]
+unsafe fn affine_act_ptr(
+    x: *const f32,
+    scale: &[f32],
+    shift: &[f32],
+    act: Act,
+    out: *mut f32,
+    n: usize,
+) {
+    let w = scale.len();
+    assert!(shift.len() == w && (w > 0 || n == 0) && n.is_multiple_of(w.max(1)));
+    let (sp, bp) = (scale.as_ptr(), shift.as_ptr());
+    let zero = _mm512_setzero_ps();
+    // One loop nest per activation, so the select is decided outside the
+    // vector loop. Each lane: product, then sum (two roundings), then the
+    // activation of `scalar::affine_act_lane`.
+    macro_rules! sweep {
+        (|$t:ident| $act:expr) => {
+            for r in (0..n).step_by(w.max(1)) {
+                let (xr, or) = (x.add(r), out.add(r));
+                let mut i = 0;
+                while i + W <= w {
+                    let p = _mm512_mul_ps(_mm512_loadu_ps(xr.add(i)), _mm512_loadu_ps(sp.add(i)));
+                    let $t = _mm512_add_ps(p, _mm512_loadu_ps(bp.add(i)));
+                    _mm512_storeu_ps(or.add(i), $act);
+                    i += W;
+                }
+                while i < w {
+                    *or.add(i) = scalar::affine_act_lane(*xr.add(i), scale[i], shift[i], act);
+                    i += 1;
+                }
+            }
+        };
+    }
+    match act {
+        Act::Identity => sweep!(|t| t),
+        Act::Relu => sweep!(|t| _mm512_max_ps(t, zero)),
+        Act::LeakyRelu(alpha) => {
+            let va = _mm512_set1_ps(alpha);
+            sweep!(|t| _mm512_mask_blend_ps(
+                _mm512_cmp_ps_mask::<_CMP_GT_OQ>(t, zero),
+                _mm512_mul_ps(va, t),
+                t
+            ));
+        }
+    }
+}
+
+/// AVX-512 twin of [`scalar::affine_act`].
+///
+/// # Safety
+///
+/// Requires AVX-512F, verified by the caller via runtime detection.
+#[target_feature(enable = "avx512f")]
+pub(super) unsafe fn affine_act(
+    x: &[f32],
+    scale: &[f32],
+    shift: &[f32],
+    act: Act,
+    out: &mut [f32],
+) {
+    let n = out.len();
+    assert!(x.len() >= n);
+    affine_act_ptr(x.as_ptr(), scale, shift, act, out.as_mut_ptr(), n);
+}
+
+/// AVX-512 twin of [`scalar::affine_act_assign`].
+///
+/// # Safety
+///
+/// Requires AVX-512F, verified by the caller via runtime detection.
+#[target_feature(enable = "avx512f")]
+pub(super) unsafe fn affine_act_assign(v: &mut [f32], scale: &[f32], shift: &[f32], act: Act) {
+    let n = v.len();
+    let p = v.as_mut_ptr();
+    affine_act_ptr(p, scale, shift, act, p, n);
+}
+
+/// AVX-512 twin of [`scalar::affine_act_grad`].
+///
+/// # Safety
+///
+/// Requires AVX-512F, verified by the caller via runtime detection.
+#[target_feature(enable = "avx512f")]
+pub(super) unsafe fn affine_act_grad(
+    gy: &[f32],
+    y: &[f32],
+    scale: &[f32],
+    act: Act,
+    out: &mut [f32],
+) {
+    let (n, w) = (out.len(), scale.len());
+    assert!(gy.len() >= n && y.len() >= n && (w > 0 || n == 0) && n.is_multiple_of(w.max(1)));
+    let (gp, yp, sp, op) = (gy.as_ptr(), y.as_ptr(), scale.as_ptr(), out.as_mut_ptr());
+    let (zero, one) = (_mm512_setzero_ps(), _mm512_set1_ps(1.0));
+    macro_rules! sweep {
+        (|$g:ident, $y:ident| $gt:expr) => {
+            for r in (0..n).step_by(w.max(1)) {
+                let mut i = 0;
+                while i + W <= w {
+                    let $g = _mm512_loadu_ps(gp.add(r + i));
+                    let $y = _mm512_loadu_ps(yp.add(r + i));
+                    _mm512_storeu_ps(op.add(r + i), _mm512_mul_ps($gt, _mm512_loadu_ps(sp.add(i))));
+                    i += W;
+                }
+                while i < w {
+                    out[r + i] = scalar::affine_act_grad_lane(gy[r + i], y[r + i], scale[i], act);
+                    i += 1;
+                }
+            }
+        };
+    }
+    match act {
+        Act::Identity => sweep!(|g, _y| g),
+        Act::Relu => sweep!(|g, y| _mm512_mul_ps(
+            g,
+            _mm512_mask_blend_ps(_mm512_cmp_ps_mask::<_CMP_GT_OQ>(y, zero), zero, one)
+        )),
+        Act::LeakyRelu(alpha) => {
+            let va = _mm512_set1_ps(alpha);
+            sweep!(|g, y| _mm512_mul_ps(
+                g,
+                _mm512_mask_blend_ps(_mm512_cmp_ps_mask::<_CMP_GT_OQ>(y, zero), va, one)
+            ));
+        }
+    }
+}
+
+/// AVX-512 twin of [`scalar::edge_grad_row`]: the layout of
+/// [`super::avx2::edge_grad_row`] with sixteen columns per pass.
+///
+/// # Safety
+///
+/// Requires AVX-512F, verified by the caller via runtime detection.
+#[target_feature(enable = "avx512f")]
+pub(super) unsafe fn edge_grad_row(
+    g: &[f32],
+    cols: usize,
+    center_edges: &[usize],
+    nbr_edges: &[usize],
+    accumulate: bool,
+    out: &mut [f32],
+) {
+    let n = out.len();
+    let w = 2 * cols;
+    assert!(n <= cols);
+    let op = out.as_mut_ptr();
+    let mut j = 0;
+    while j + W <= n {
+        let mut sc = _mm512_setzero_ps();
+        for &d in center_edges {
+            let row = &g[d * w..d * w + w];
+            let left = _mm512_loadu_ps(row.as_ptr().add(j));
+            let right = _mm512_loadu_ps(row.as_ptr().add(cols + j));
+            sc = _mm512_add_ps(sc, _mm512_sub_ps(left, right));
+        }
+        let mut sn = _mm512_setzero_ps();
+        for &d in nbr_edges {
+            let row = &g[d * w..d * w + w];
+            sn = _mm512_add_ps(sn, _mm512_loadu_ps(row.as_ptr().add(cols + j)));
+        }
+        let r = if accumulate {
+            _mm512_add_ps(_mm512_add_ps(_mm512_loadu_ps(op.add(j)), sc), sn)
+        } else {
+            _mm512_add_ps(sc, sn)
+        };
+        _mm512_storeu_ps(op.add(j), r);
+        j += W;
+    }
+    scalar::edge_grad_cols(g, cols, center_edges, nbr_edges, accumulate, j, &mut out[j..]);
 }

@@ -10,8 +10,9 @@
 //!   a fixed tree, and fused operations use [`f32::mul_add`];
 //! - an **AVX2+FMA implementation** (private `avx2` module) that performs
 //!   the *same* per-element operation sequence eight lanes at a time
-//!   (the GEMM micro-tile and [`matmul_nt_row`] add an AVX-512F leg,
-//!   selected by [`gemm_isa`]).
+//!   (the GEMM micro-tile, [`matmul_nt_row`] and the fused row kernels
+//!   [`affine_act`], [`affine_act_assign`], [`affine_act_grad`] and
+//!   [`edge_grad_row`] add an AVX-512F leg, selected by [`gemm_isa`]).
 //!
 //! Because both paths execute identical correctly-rounded operations in
 //! identical order, their results are **bit-identical** for every input
@@ -421,6 +422,71 @@ pub fn matmul_nt_row(a_row: &[f32], bt: &[f32], ldb: usize, out_row: &mut [f32])
         GemmIsa::Scalar => {}
     }
     scalar::matmul_nt_row(a_row, bt, ldb, out_row)
+}
+
+/// The activation a fused affine row kernel ([`affine_act`]) applies and
+/// its backward ([`affine_act_grad`]) differentiates.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Act {
+    /// No nonlinearity.
+    Identity,
+    /// `t.max(0.0)`: `t` when `t > 0`, `+0.0` otherwise (NaN included).
+    Relu,
+    /// `t` when `t > 0`, else `alpha * t`. The backward tests the output
+    /// `y > 0`, which matches the pre-activation test only for a positive
+    /// slope, so the slope must be positive.
+    LeakyRelu(f32),
+}
+
+macro_rules! isa_dispatched {
+    ($(#[$doc:meta])* $name:ident ( $($arg:ident : $ty:ty),* )) => {
+        $(#[$doc])*
+        #[inline]
+        #[allow(unsafe_code)]
+        pub fn $name($($arg: $ty),*) {
+            #[cfg(target_arch = "x86_64")]
+            match gemm_isa() {
+                // SAFETY: `gemm_isa` names a SIMD leg only after runtime
+                // feature detection confirmed its instruction set on this
+                // CPU; the kernels assert their slice bounds.
+                GemmIsa::Avx512 => return unsafe { avx512::$name($($arg),*) },
+                GemmIsa::Avx2 => return unsafe { avx2::$name($($arg),*) },
+                GemmIsa::Scalar => {}
+            }
+            scalar::$name($($arg),*)
+        }
+    };
+}
+
+isa_dispatched! {
+    /// `out = act(x * scale + shift)` over whole rows of width
+    /// `scale.len()`: eval-mode batch norm and its activation in one pass,
+    /// on the leg [`gemm_isa`] selects. See [`scalar::affine_act_lane`]
+    /// for the per-element semantics.
+    affine_act(x: &[f32], scale: &[f32], shift: &[f32], act: Act, out: &mut [f32])
+}
+isa_dispatched! {
+    /// In-place [`affine_act`] — the epilogue a fused matmul runs over
+    /// each slab of finished output rows. See [`scalar::affine_act_assign`].
+    affine_act_assign(v: &mut [f32], scale: &[f32], shift: &[f32], act: Act)
+}
+isa_dispatched! {
+    /// `out = (gy * act'(y)) * scale` over whole rows, the backward of
+    /// [`affine_act`] into its input. See [`scalar::affine_act_grad_lane`].
+    affine_act_grad(gy: &[f32], y: &[f32], scale: &[f32], act: Act, out: &mut [f32])
+}
+isa_dispatched! {
+    /// One destination row of the edge-feature backward, reading the
+    /// `[E, 2 * cols]` gradient `g` at the row's in-edges. See
+    /// [`scalar::edge_grad_row`] for the exact accumulation order.
+    edge_grad_row(
+        g: &[f32],
+        cols: usize,
+        center_edges: &[usize],
+        nbr_edges: &[usize],
+        accumulate: bool,
+        out: &mut [f32]
+    )
 }
 
 #[cfg(test)]

@@ -19,6 +19,8 @@
 //! These functions are public so property tests (and sceptical users) can
 //! compare them directly against whatever `super`'s runtime dispatch picks.
 
+use super::Act;
+
 /// Number of strided partial sums used by every reduction kernel. Equal to
 /// the AVX2 `f32` vector width so one `ymm` register holds all lanes.
 pub const LANES: usize = 8;
@@ -369,6 +371,122 @@ pub fn group_softmax_grad(softmax: &[f32], gy: &[f32], cols: usize, k: usize, ou
                 out[e] = softmax[e] * (gy[e] - dot);
             }
         }
+    }
+}
+
+/// One lane of [`affine_act`]: `act(x * s + b)`, rounded after the
+/// product and again after the sum (never a fused multiply-add), with
+/// the tape's activation expressions — `t.max(0.0)` for ReLU and
+/// `if t > 0.0 { t } else { alpha * t }` for leaky ReLU. That is the
+/// element a row-broadcast multiply, a row-broadcast add and the
+/// activation compute one after another.
+#[inline]
+pub fn affine_act_lane(x: f32, s: f32, b: f32, act: Act) -> f32 {
+    let t = x * s + b;
+    match act {
+        Act::Identity => t,
+        Act::Relu => t.max(0.0),
+        Act::LeakyRelu(alpha) => {
+            if t > 0.0 {
+                t
+            } else {
+                alpha * t
+            }
+        }
+    }
+}
+
+/// `out = act(x * scale + shift)` via [`affine_act_lane`] over whole rows
+/// of width `scale.len()` (`x` and `out` hold a whole number of rows):
+/// eval-mode batch norm and its activation in one pass.
+pub fn affine_act(x: &[f32], scale: &[f32], shift: &[f32], act: Act, out: &mut [f32]) {
+    let w = scale.len();
+    for (xr, or) in x.chunks(w.max(1)).zip(out.chunks_mut(w.max(1))) {
+        for (o, ((&x, &s), &b)) in or.iter_mut().zip(xr.iter().zip(scale).zip(shift)) {
+            *o = affine_act_lane(x, s, b, act);
+        }
+    }
+}
+
+/// In-place [`affine_act`]: `v = act(v * scale + shift)` over whole rows.
+pub fn affine_act_assign(v: &mut [f32], scale: &[f32], shift: &[f32], act: Act) {
+    for vr in v.chunks_mut(scale.len().max(1)) {
+        for (o, (&s, &b)) in vr.iter_mut().zip(scale.iter().zip(shift)) {
+            *o = affine_act_lane(*o, s, b, act);
+        }
+    }
+}
+
+/// One lane of [`affine_act_grad`]: `(g * act'(y)) * s`, the activation
+/// backward followed by the row-broadcast multiply's backward. The
+/// derivative tests the *output* `y > 0`, which for ReLU and for a
+/// positive leaky slope holds exactly when the pre-activation does; the
+/// product with the derivative is always performed (`g * 0.0` keeps the
+/// sign of `g` and turns `±inf` into NaN, as the unfused arm does).
+#[inline]
+pub fn affine_act_grad_lane(g: f32, y: f32, s: f32, act: Act) -> f32 {
+    let gt = match act {
+        Act::Identity => g,
+        Act::Relu => g * if y > 0.0 { 1.0 } else { 0.0 },
+        Act::LeakyRelu(alpha) => g * if y > 0.0 { 1.0 } else { alpha },
+    };
+    gt * s
+}
+
+/// `out = (gy * act'(y)) * scale` via [`affine_act_grad_lane`] over whole
+/// rows of width `scale.len()`.
+pub fn affine_act_grad(gy: &[f32], y: &[f32], scale: &[f32], act: Act, out: &mut [f32]) {
+    let w = scale.len().max(1);
+    for ((gr, yr), or) in gy.chunks(w).zip(y.chunks(w)).zip(out.chunks_mut(w)) {
+        for (o, ((&g, &y), &s)) in or.iter_mut().zip(gr.iter().zip(yr).zip(scale)) {
+            *o = affine_act_grad_lane(g, y, s, act);
+        }
+    }
+}
+
+/// Pinned serial reference for one destination row of the edge-feature
+/// backward. `g` is the `[E, 2 * cols]` upstream gradient of rows
+/// `[h[c] | h[j] - h[c]]`; `center_edges` and `nbr_edges` list, in
+/// ascending order, the edges whose center (resp. neighbor) is this row.
+///
+/// Per column this is the unfused backward exactly: the center gather's
+/// scatter `sc` sums `g_left - g_right` (one rounding) into `+0.0` over
+/// `center_edges`, the neighbor gather's scatter `sn` sums `g_right` the
+/// same way over `nbr_edges`, and the row becomes `(out + sc) + sn` when
+/// `accumulate` (a gradient slot already existed) or `sc + sn` when not.
+pub fn edge_grad_row(
+    g: &[f32],
+    cols: usize,
+    center_edges: &[usize],
+    nbr_edges: &[usize],
+    accumulate: bool,
+    out: &mut [f32],
+) {
+    edge_grad_cols(g, cols, center_edges, nbr_edges, accumulate, 0, out);
+}
+
+/// [`edge_grad_row`] for the columns `from..from + out.len()` of the row;
+/// the SIMD twins finish their ragged tail columns through it.
+pub(super) fn edge_grad_cols(
+    g: &[f32],
+    cols: usize,
+    center_edges: &[usize],
+    nbr_edges: &[usize],
+    accumulate: bool,
+    from: usize,
+    out: &mut [f32],
+) {
+    let w = 2 * cols;
+    for (j, o) in (from..).zip(out.iter_mut()) {
+        let mut sc = 0.0f32;
+        for &d in center_edges {
+            sc += g[d * w + j] - g[d * w + cols + j];
+        }
+        let mut sn = 0.0f32;
+        for &d in nbr_edges {
+            sn += g[d * w + cols + j];
+        }
+        *o = if accumulate { (*o + sc) + sn } else { sc + sn };
     }
 }
 

@@ -43,6 +43,8 @@ mod structural;
 pub use error::{ShapeError, TensorError};
 pub use gemm::{gemm_mode, set_gemm_mode, GemmMode};
 pub use init::Initializer;
+pub use kernels::Act;
 pub use matrix::Matrix;
 pub use pool::BufferPool;
 pub use shaped::{ShapeMismatch, ShapedCols};
+pub use structural::GatherIndex;

@@ -15,6 +15,14 @@ use crate::kernels;
 use crate::par::{chunk_len, for_each_row_band, runtime_for, MIN_PAR_ELEMS, MIN_PAR_MACS};
 use crate::{Matrix, ShapeError, TensorError};
 
+/// A matmul epilogue: runs over slabs of whole finished output rows.
+type RowEpilogue<'a> = dyn Fn(&mut [f32]) + Sync + 'a;
+
+/// Rows a matmul epilogue receives per call on the row kernel: small
+/// enough that the slab just written is still in L1, large enough to
+/// amortize the epilogue's kernel dispatch.
+const EPILOGUE_ROWS: usize = 64;
+
 /// Runs `row_job(i, out_row)` for every row of `out`, splitting the rows
 /// across the ambient runtime when `macs` (multiply-accumulate count) makes
 /// it worthwhile. Each row is written by exactly one invocation, so the
@@ -329,8 +337,8 @@ impl Matrix {
         Ok(out)
     }
 
-    /// [`Matrix::matmul`] writing into a caller-provided matrix (which is
-    /// zeroed first, so recycled buffers are safe).
+    /// [`Matrix::matmul`] writing into a caller-provided matrix (every
+    /// element is overwritten, so recycled buffers are safe).
     ///
     /// # Errors
     ///
@@ -340,6 +348,40 @@ impl Matrix {
     ///
     /// Panics when `out` is not `[m, n]`.
     pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) -> Result<(), TensorError> {
+        self.matmul_rows_into(other, out, None)
+    }
+
+    /// [`Matrix::matmul_into`] followed by `epilogue` over every output row
+    /// once its product is final. The epilogue receives slabs of whole
+    /// rows (row width `other.cols()`): on the row kernel, blocks of 64
+    /// rows just written, still in cache; on the tiled
+    /// route, the row bands of one pass after the product. Either way
+    /// every element first receives exactly the product
+    /// [`Matrix::matmul_into`] writes, so an elementwise epilogue gives
+    /// the same bits as running it afterwards.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ShapeError`] when `self.cols() != other.rows()`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `out` is not `[m, n]`.
+    pub fn matmul_epilogue_into(
+        &self,
+        other: &Matrix,
+        out: &mut Matrix,
+        epilogue: impl Fn(&mut [f32]) + Sync,
+    ) -> Result<(), TensorError> {
+        self.matmul_rows_into(other, out, Some(&epilogue))
+    }
+
+    fn matmul_rows_into(
+        &self,
+        other: &Matrix,
+        out: &mut Matrix,
+        epilogue: Option<&RowEpilogue<'_>>,
+    ) -> Result<(), TensorError> {
         if self.cols() != other.rows() {
             return Err(ShapeError::new("matmul", self.shape(), other.shape()).into());
         }
@@ -349,12 +391,26 @@ impl Matrix {
         kernels::count_dispatch(m);
         if gemm::use_tiled(m, k, n) {
             gemm::gemm_into(self.as_slice(), other.as_slice(), m, k, n, out.as_mut_slice());
+            if let Some(epi) = epilogue {
+                let work = out.len();
+                for_each_row_band(out.as_mut_slice(), n, 1, (work, MIN_PAR_ELEMS), |_, band| {
+                    epi(band)
+                });
+            }
             return Ok(());
         }
-        out.as_mut_slice().fill(0.0);
         let b = other.as_slice();
-        for_each_out_row(out, m * k * n, |i, out_row| {
-            kernels::matmul_row(self.row(i), b, n, out_row);
+        for_each_row_band(out.as_mut_slice(), n, 1, (m * k * n, MIN_PAR_MACS), |r0, band| {
+            for (s, slab) in band.chunks_mut(EPILOGUE_ROWS * n.max(1)).enumerate() {
+                let s0 = r0 + s * EPILOGUE_ROWS;
+                for (j, out_row) in slab.chunks_mut(n).enumerate() {
+                    out_row.fill(0.0);
+                    kernels::matmul_row(self.row(s0 + j), b, n, out_row);
+                }
+                if let Some(epi) = epilogue {
+                    epi(slab);
+                }
+            }
         });
         Ok(())
     }

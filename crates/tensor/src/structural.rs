@@ -1,6 +1,7 @@
 //! Row-wise, runtime-parallel structural kernels: grouped max pooling and
-//! softmax (forward and backward), row broadcasts, the fused
-//! gather-subtract and column concatenation.
+//! softmax (forward and backward), row broadcasts, the gather's backward
+//! scatter, and the fused eval-batch-norm + activation and graph
+//! edge-feature ops (forward and backward).
 //!
 //! These carry the neighbourhood structure of the point-cloud networks
 //! (`k` consecutive rows per point's neighbour group) and used to run as
@@ -12,7 +13,7 @@
 //! [`crate::kernels::scalar`]. Results are therefore bit-identical at any
 //! thread count and on either SIMD leg.
 
-use crate::kernels;
+use crate::kernels::{self, Act};
 use crate::par::{for_each_row_band, runtime_for, MIN_PAR_ELEMS};
 use crate::Matrix;
 
@@ -252,24 +253,6 @@ impl Matrix {
         });
     }
 
-    /// In-place row broadcast `self[r] = op(self[r], row)` with a
-    /// dispatched assign kernel (`kernels::add_assign`, …).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `row` does not match `self`'s width.
-    pub fn broadcast_row_assign(&mut self, row: &[f32], op: fn(&mut [f32], &[f32])) {
-        let cols = self.cols();
-        assert_eq!(row.len(), cols, "broadcast_row_assign: row width mismatch");
-        kernels::count_dispatch(self.rows());
-        let work = self.len();
-        for_each_row_band(self.as_mut_slice(), cols, 1, (work, MIN_PAR_ELEMS), |_, band| {
-            for d in band.chunks_exact_mut(cols) {
-                op(d, row);
-            }
-        });
-    }
-
     /// Backward scatter of a row gather: `out` (fully overwritten) is zero
     /// except that every row `self[d]` is added into `out[idx[d]]` with
     /// `kernels::add_assign`, in ascending `d`.
@@ -312,21 +295,186 @@ impl Matrix {
         }
     }
 
-    /// Fused gather-subtract: `out[r] = self[idx[r]] - other[r]`, the
-    /// same `kernels::sub` per row as a gather followed by a subtraction.
+    /// Eval-mode batch norm and its activation in one pass:
+    /// `out[r] = act(self[r] * scale + shift)` per
+    /// [`kernels::scalar::affine_act_lane`] — per element exactly a
+    /// row-broadcast multiply, a row-broadcast add and the activation run
+    /// one after another. Rows split across the ambient runtime.
     ///
     /// # Panics
     ///
-    /// Panics when an index is out of bounds or the shapes disagree.
-    pub fn gather_sub_into(&self, idx: &[usize], other: &Matrix, out: &mut Matrix) {
+    /// Panics when `scale` or `shift` does not match `self`'s width or
+    /// `out` has a different shape.
+    pub fn affine_act_into(&self, scale: &[f32], shift: &[f32], act: Act, out: &mut Matrix) {
         let cols = self.cols();
-        assert_eq!(out.shape(), (idx.len(), cols), "gather_sub_into: output shape mismatch");
-        assert_eq!(other.shape(), out.shape(), "gather_sub_into: operand shape mismatch");
-        kernels::count_dispatch(idx.len());
-        for_each_row_band(out.as_mut_slice(), cols, 1, (other.len(), MIN_PAR_ELEMS), |r0, band| {
-            for (r, o) in band.chunks_exact_mut(cols).enumerate() {
-                kernels::sub(self.row(idx[r0 + r]), other.row(r0 + r), o);
+        assert!(scale.len() == cols && shift.len() == cols, "affine_act_into: row width mismatch");
+        assert_eq!(out.shape(), self.shape(), "affine_act_into: output shape mismatch");
+        kernels::count_dispatch(1);
+        let x = self.as_slice();
+        for_each_row_band(out.as_mut_slice(), cols, 1, (self.len(), MIN_PAR_ELEMS), |r0, band| {
+            kernels::affine_act(&x[r0 * cols..r0 * cols + band.len()], scale, shift, act, band);
+        });
+    }
+
+    /// Backward of [`Matrix::affine_act_into`] into its input: `self` is
+    /// the upstream gradient, `y` the op's output, and
+    /// `out = (self * act'(y)) * scale` per
+    /// [`kernels::scalar::affine_act_grad_lane`] — the activation backward
+    /// and the row-broadcast multiply's backward in one pass. `out` is
+    /// fully overwritten.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the shapes or the `scale` width disagree.
+    pub fn affine_act_grad_into(&self, y: &Matrix, scale: &[f32], act: Act, out: &mut Matrix) {
+        let cols = self.cols();
+        assert_eq!(scale.len(), cols, "affine_act_grad_into: row width mismatch");
+        assert_eq!(y.shape(), self.shape(), "affine_act_grad_into: output shape mismatch");
+        assert_eq!(out.shape(), self.shape(), "affine_act_grad_into: gradient shape mismatch");
+        kernels::count_dispatch(1);
+        let (gy, y) = (self.as_slice(), y.as_slice());
+        for_each_row_band(out.as_mut_slice(), cols, 1, (self.len(), MIN_PAR_ELEMS), |r0, band| {
+            let span = r0 * cols..r0 * cols + band.len();
+            kernels::affine_act_grad(&gy[span.clone()], &y[span], scale, act, band);
+        });
+    }
+
+    /// Edge features of a graph convolution: row `e` of `out`
+    /// (`[E, 2 * cols]`, fully overwritten) is
+    /// `[self[c] | self[j] - self[c]]` for `c = center[e]`, `j = nbr[e]` —
+    /// a copy and one `kernels::sub` per row, element for element the two
+    /// gathers, the subtraction and the column concatenation they replace.
+    ///
+    /// # Panics
+    ///
+    /// Panics when either index list was built for another row count, the
+    /// lists differ in length or `out` has the wrong shape.
+    pub fn edge_features_into(&self, center: &GatherIndex, nbr: &GatherIndex, out: &mut Matrix) {
+        let (rows, cols) = self.shape();
+        assert!(
+            center.source_rows() == rows && nbr.source_rows() == rows,
+            "edge_features_into: index built for another row count"
+        );
+        assert_eq!(center.len(), nbr.len(), "edge_features_into: index length mismatch");
+        assert_eq!(out.shape(), (center.len(), 2 * cols), "edge_features_into: output shape");
+        kernels::count_dispatch(center.len());
+        let (ci, ni) = (center.indices(), nbr.indices());
+        let work = out.len();
+        for_each_row_band(out.as_mut_slice(), 2 * cols, 1, (work, MIN_PAR_ELEMS), |e0, band| {
+            for (e, o) in band.chunks_exact_mut(2 * cols).enumerate() {
+                let c = self.row(ci[e0 + e]);
+                let (left, right) = o.split_at_mut(cols);
+                left.copy_from_slice(c);
+                kernels::sub(self.row(ni[e0 + e]), c, right);
             }
         });
+    }
+
+    /// Backward of [`Matrix::edge_features_into`] into the source rows:
+    /// `self` is the `[E, 2 * cols]` upstream gradient, read once per
+    /// destination row at that row's in-edges ([`GatherIndex::readers`]).
+    /// Per element this is the unfused backward exactly (see
+    /// [`kernels::scalar::edge_grad_row`]): `out = (out + S_c) + S_n` when
+    /// `accumulate`, else `out = S_c + S_n`, where `S_c` scatters
+    /// `g_left - g_right` over the center edges and `S_n` scatters
+    /// `g_right` over the neighbor edges, each summed into `+0.0` in
+    /// ascending edge order. Destination rows split across the ambient
+    /// runtime.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the shapes or index lists disagree.
+    pub fn edge_features_grad_into(
+        &self,
+        center: &GatherIndex,
+        nbr: &GatherIndex,
+        accumulate: bool,
+        out: &mut Matrix,
+    ) {
+        let (rows, cols) = out.shape();
+        assert!(
+            center.source_rows() == rows && nbr.source_rows() == rows,
+            "edge_features_grad_into: index built for another row count"
+        );
+        assert_eq!(center.len(), nbr.len(), "edge_features_grad_into: index length mismatch");
+        assert_eq!(self.shape(), (center.len(), 2 * cols), "edge_features_grad_into: gradient");
+        kernels::count_dispatch(rows);
+        let g = self.as_slice();
+        for_each_row_band(out.as_mut_slice(), cols, 1, (self.len(), MIN_PAR_ELEMS), |r0, band| {
+            for (r, o) in band.chunks_exact_mut(cols).enumerate() {
+                let (ce, ne) = (center.readers(r0 + r), nbr.readers(r0 + r));
+                kernels::edge_grad_row(g, cols, ce, ne, accumulate, o);
+            }
+        });
+    }
+}
+
+/// A row-gather index list — position `d` reads source row `indices()[d]`
+/// — together with its inverse: for every source row, the positions that
+/// read it, in ascending order.
+///
+/// A gather's backward is a scatter. Through the inverse every destination
+/// row collects its own terms, so the scatter splits destination rows
+/// across threads while each element keeps the serial scatter's
+/// ascending-position order. Built once per index list (a model's geometry
+/// plan holds them) and shared by reference afterwards.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct GatherIndex {
+    idx: Vec<usize>,
+    starts: Vec<usize>,
+    readers: Vec<usize>,
+}
+
+impl GatherIndex {
+    /// Indexes `idx` over `rows` source rows (a stable counting sort).
+    ///
+    /// # Panics
+    ///
+    /// Panics when an index is `>= rows`.
+    pub fn new(idx: Vec<usize>, rows: usize) -> Self {
+        let mut starts = vec![0usize; rows + 1];
+        for &s in &idx {
+            assert!(s < rows, "GatherIndex: index {s} out of bounds (rows={rows})");
+            starts[s + 1] += 1;
+        }
+        for r in 0..rows {
+            starts[r + 1] += starts[r];
+        }
+        let mut next = starts[..rows].to_vec();
+        let mut readers = vec![0usize; idx.len()];
+        for (d, &s) in idx.iter().enumerate() {
+            readers[next[s]] = d;
+            next[s] += 1;
+        }
+        Self { idx, starts, readers }
+    }
+
+    /// The gather positions' source rows.
+    pub fn indices(&self) -> &[usize] {
+        &self.idx
+    }
+
+    /// Number of gather positions.
+    pub fn len(&self) -> usize {
+        self.idx.len()
+    }
+
+    /// Whether the gather has no positions.
+    pub fn is_empty(&self) -> bool {
+        self.idx.is_empty()
+    }
+
+    /// Number of source rows the index was built over.
+    pub fn source_rows(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    /// The positions that read source row `row`, ascending.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `row >= self.source_rows()`.
+    pub fn readers(&self, row: usize) -> &[usize] {
+        &self.readers[self.starts[row]..self.starts[row + 1]]
     }
 }

@@ -1,12 +1,15 @@
 //! Bit-identity contracts for the row-wise, runtime-parallel kernels:
 //! the column-vectorized NT matmul and the structural kernels (grouped
-//! max and softmax, forward and backward; row broadcasts; gather-sub and
-//! the gather's backward scatter; concatenation and block copies; the
-//! one-pass activation backward).
+//! max and softmax, forward and backward; row broadcasts; the gather's
+//! backward scatter; concatenation and block copies; the one-pass
+//! activation backward) and the fused ops that replace unfused tape
+//! sequences (eval batch norm + activation, forward, backward and as a
+//! matmul epilogue; graph edge features, forward and backward).
 //!
 //! Each kernel is compared with the serial loop it replaced — kept as the
 //! pinned reference in [`kernels::scalar`] (or, for the per-row copies,
-//! written out below) — on every SIMD leg (scalar, AVX2, AVX-512) and on
+//! written out below), and for the fused ops the unfused sequence of
+//! matrix ops the tape ran before — on every SIMD leg (scalar, AVX2, AVX-512) and on
 //! a 1-thread against a 4-thread runtime, comparing raw `f32` bits so `-0.0` against `+0.0`
 //! cannot hide. Inputs mix ties, NaN, `±inf` and signed zeros.
 //!
@@ -18,7 +21,7 @@
 
 use colper_runtime::Runtime;
 use colper_tensor::kernels::{self, scalar};
-use colper_tensor::Matrix;
+use colper_tensor::{Act, GatherIndex, Matrix};
 use proptest::prelude::*;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
@@ -229,15 +232,6 @@ proptest! {
                 }
             }
             for r in 0..rows {
-                let mut d = x.row(r).to_vec();
-                kernels::add_assign(&mut d, row.row(0));
-                dump.extend(bits(&d));
-            }
-            for (r, &src) in idx.iter().enumerate() {
-                kernels::sub(x.row(src), y.row(r), &mut out);
-                dump.extend(bits(&out));
-            }
-            for r in 0..rows {
                 dump.extend(bits(x.row(r)));
                 dump.extend(bits(z.row(r)));
             }
@@ -265,11 +259,6 @@ proptest! {
                 x.broadcast_row_into(row.row(0), op, &mut out);
                 dump.extend(bits(out.as_slice()));
             }
-            let mut acc = x.clone();
-            acc.broadcast_row_assign(row.row(0), kernels::add_assign);
-            dump.extend(bits(acc.as_slice()));
-            x.gather_sub_into(&idx, &y, &mut out);
-            dump.extend(bits(out.as_slice()));
             let mut cat = Matrix::filled(rows, cols + c2, f32::NAN);
             x.hstack_into(&z, &mut cat).unwrap();
             dump.extend(bits(cat.as_slice()));
@@ -348,4 +337,243 @@ fn matmul_nt_matches_per_element_dot_at_attack_shape() {
     for (label, run) in &runs {
         assert_eq!(run, &reference, "{label}");
     }
+}
+
+const ACTS: [Act; 3] = [Act::Identity, Act::Relu, Act::LeakyRelu(0.2)];
+
+/// The unfused eval batch norm + activation, forward and backward, as the
+/// tape recorded it: a row-broadcast multiply, a row-broadcast add and the
+/// activation; backward, the activation's derivative tested on the
+/// pre-activation `t`, then the multiply's backward.
+fn affine_act_reference(
+    x: &Matrix,
+    scale: &[f32],
+    shift: &[f32],
+    act: Act,
+    gy: &Matrix,
+) -> Vec<u32> {
+    let (rows, cols) = x.shape();
+    let mut s = Matrix::zeros(rows, cols);
+    x.broadcast_row_into(scale, kernels::mul, &mut s);
+    let mut t = Matrix::zeros(rows, cols);
+    s.broadcast_row_into(shift, kernels::add, &mut t);
+    let (y, g1) = match act {
+        Act::Identity => (t.clone(), gy.clone()),
+        Act::Relu => {
+            let mut g1 = Matrix::zeros(rows, cols);
+            gy.zip_map_into(&t, &mut g1, |d, v| d * if v > 0.0 { 1.0 } else { 0.0 });
+            (t.map(|v| v.max(0.0)), g1)
+        }
+        Act::LeakyRelu(a) => {
+            let mut g1 = Matrix::zeros(rows, cols);
+            gy.zip_map_into(&t, &mut g1, |d, v| d * if v > 0.0 { 1.0 } else { a });
+            (t.map(|v| if v > 0.0 { v } else { a * v }), g1)
+        }
+    };
+    let mut gx = Matrix::zeros(rows, cols);
+    g1.broadcast_row_into(scale, kernels::mul, &mut gx);
+    let mut dump = bits(y.as_slice());
+    dump.extend(bits(gx.as_slice()));
+    dump
+}
+
+/// The unfused edge features as the tape recorded them — two gathers, a
+/// subtraction and a column concatenation — and their backward into an
+/// existing gradient slot `acc` (or none): the concat's two block copies,
+/// the subtraction's in-place `g_left - g_right`, then the center
+/// gather's scatter added into the slot before the neighbor gather's.
+fn edge_reference(
+    h: &Matrix,
+    center: &[usize],
+    nbr: &[usize],
+    g: &Matrix,
+    acc: Option<&Matrix>,
+) -> Vec<u32> {
+    let (n, c) = h.shape();
+    let e = center.len();
+    let x_j = h.select_rows(nbr);
+    let x_i = h.select_rows(center);
+    let diff = x_j.sub(&x_i).unwrap();
+    let edge = x_i.hstack(&diff).unwrap();
+    let mut g_left = g.block(0, e, 0, c);
+    let g_right = g.block(0, e, c, 2 * c);
+    g_left.sub_assign(&g_right);
+    let mut s_c = Matrix::zeros(n, c);
+    g_left.scatter_add_rows_into(center, &mut s_c);
+    let mut s_n = Matrix::zeros(n, c);
+    g_right.scatter_add_rows_into(nbr, &mut s_n);
+    let mut slot = match acc {
+        Some(a) => {
+            let mut a = a.clone();
+            a.add_assign(&s_c);
+            a
+        }
+        None => s_c,
+    };
+    slot.add_assign(&s_n);
+    let mut dump = bits(edge.as_slice());
+    dump.extend(bits(slot.as_slice()));
+    dump
+}
+
+fn edge_fused(
+    h: &Matrix,
+    center: &GatherIndex,
+    nbr: &GatherIndex,
+    g: &Matrix,
+    acc: Option<&Matrix>,
+) -> Vec<u32> {
+    let (n, c) = h.shape();
+    let mut edge = Matrix::filled(center.len(), 2 * c, f32::NAN);
+    h.edge_features_into(center, nbr, &mut edge);
+    let mut slot = match acc {
+        Some(a) => a.clone(),
+        None => Matrix::filled(n, c, f32::NAN),
+    };
+    g.edge_features_grad_into(center, nbr, acc.is_some(), &mut slot);
+    let mut dump = bits(edge.as_slice());
+    dump.extend(bits(slot.as_slice()));
+    dump
+}
+
+/// A dilated-k-NN-like graph over `n` points: `k` edges per point (capped
+/// at `n`), neighbors drawn from a hash so some rows have no in-edges.
+fn graph(n: usize, k: usize, seed: u64, skew: bool) -> (Vec<usize>, Vec<usize>) {
+    let k = k.min(n);
+    let center: Vec<usize> = (0..n).flat_map(|i| std::iter::repeat_n(i, k)).collect();
+    let nbr = (0..n * k)
+        .map(|e| {
+            let h = (seed ^ (e as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)) >> 17;
+            // A skewed graph points every edge at the first third of the
+            // rows, leaving the rest without neighbor in-edges.
+            if skew {
+                h as usize % n.div_ceil(3)
+            } else {
+                h as usize % n
+            }
+        })
+        .collect();
+    (center, nbr)
+}
+
+proptest! {
+    #[test]
+    fn affine_act_matches_unfused_sequence(
+        rows in 0usize..400,
+        ci in 0usize..GROUP_COLS.len(),
+        ai in 0usize..ACTS.len(),
+        seed in 0u64..1_000_000,
+    ) {
+        let (cols, act) = (GROUP_COLS[ci], ACTS[ai]);
+        let x = matrix(rows, cols, seed, awkward);
+        let gy = matrix(rows, cols, seed + 1, awkward);
+        let scale = matrix(1, cols, seed + 2, awkward);
+        let shift = matrix(1, cols, seed + 3, awkward);
+        let reference = affine_act_reference(&x, scale.row(0), shift.row(0), act, &gy);
+        let runs = on_all_legs(|| {
+            let mut y = Matrix::filled(rows, cols, f32::NAN);
+            x.affine_act_into(scale.row(0), shift.row(0), act, &mut y);
+            let mut in_place = x.clone();
+            kernels::affine_act_assign(in_place.as_mut_slice(), scale.row(0), shift.row(0), act);
+            assert_eq!(bits(in_place.as_slice()), bits(y.as_slice()), "in-place epilogue");
+            let mut gx = Matrix::filled(rows, cols, f32::NAN);
+            gy.affine_act_grad_into(&y, scale.row(0), act, &mut gx);
+            let mut dump = bits(y.as_slice());
+            dump.extend(bits(gx.as_slice()));
+            dump
+        });
+        assert_legs(&reference, &runs)?;
+    }
+
+    #[test]
+    fn edge_features_match_unfused_sequence(
+        n in 1usize..60,
+        k in 1usize..10,
+        ci in 0usize..GROUP_COLS.len(),
+        skew in 0u8..2,
+        accumulate in 0u8..2,
+        seed in 0u64..1_000_000,
+    ) {
+        let cols = GROUP_COLS[ci];
+        let (center, nbr) = graph(n, k, seed, skew == 1);
+        let h = matrix(n, cols, seed + 1, awkward);
+        let g = matrix(center.len(), 2 * cols, seed + 2, awkward);
+        let acc = matrix(n, cols, seed + 3, awkward);
+        let acc = (accumulate == 1).then_some(&acc);
+        let reference = edge_reference(&h, &center, &nbr, &g, acc);
+        let (ci_, ni_) = (GatherIndex::new(center.clone(), n), GatherIndex::new(nbr.clone(), n));
+        let runs = on_all_legs(|| edge_fused(&h, &ci_, &ni_, &g, acc));
+        assert_legs(&reference, &runs)?;
+        // The op is not tied to `e / k` centers: any center list works.
+        let (center2, _) = graph(n, k, seed + 9, false);
+        let shuffled: Vec<usize> = center2.iter().rev().copied().collect();
+        let reference = edge_reference(&h, &shuffled, &nbr, &g, acc);
+        let c2 = GatherIndex::new(shuffled, n);
+        let runs = on_all_legs(|| edge_fused(&h, &c2, &ni_, &g, acc));
+        assert_legs(&reference, &runs)?;
+    }
+}
+
+/// The fused ops at the attack's shapes, large enough to split across the
+/// 4-thread runtime, and the matmul epilogue on both GEMM routes (the
+/// row kernel at `k * n < 32768`, the tiled kernel above it).
+#[test]
+fn fused_ops_match_unfused_sequence_at_scale() {
+    let (n, k, cols) = (700, 8, 32);
+    let (center, nbr) = graph(n, k, 3, false);
+    let h = matrix(n, cols, 4, awkward);
+    let g = matrix(n * k, 2 * cols, 5, awkward);
+    let acc = matrix(n, cols, 6, awkward);
+    let (ci, ni) = (GatherIndex::new(center.clone(), n), GatherIndex::new(nbr.clone(), n));
+    for acc in [Some(&acc), None] {
+        let reference = edge_reference(&h, &center, &nbr, &g, acc);
+        for (label, run) in &on_all_legs(|| edge_fused(&h, &ci, &ni, &g, acc)) {
+            assert_eq!(run, &reference, "edge features {label}");
+        }
+    }
+    for (m, kk, nn) in [(n * k, 2 * cols, cols), (300, 256, 128)] {
+        let a = matrix(m, kk, 7, finite);
+        let w = matrix(kk, nn, 8, finite);
+        let scale = matrix(1, nn, 9, awkward);
+        let shift = matrix(1, nn, 10, awkward);
+        let gy = matrix(m, nn, 11, awkward);
+        for act in ACTS {
+            let x = a.matmul(&w).unwrap();
+            let reference = affine_act_reference(&x, scale.row(0), shift.row(0), act, &gy);
+            let runs = on_all_legs(|| {
+                let mut y = Matrix::filled(m, nn, f32::NAN);
+                a.matmul_epilogue_into(&w, &mut y, |slab| {
+                    kernels::affine_act_assign(slab, scale.row(0), shift.row(0), act);
+                })
+                .unwrap();
+                let mut gx = Matrix::filled(m, nn, f32::NAN);
+                gy.affine_act_grad_into(&y, scale.row(0), act, &mut gx);
+                let mut dump = bits(y.as_slice());
+                dump.extend(bits(gx.as_slice()));
+                dump
+            });
+            for (label, run) in &runs {
+                assert_eq!(run, &reference, "[{m}x{kk}]x[{kk}x{nn}] {act:?} {label}");
+            }
+        }
+    }
+}
+
+#[test]
+fn gather_index_lists_readers_in_ascending_order() {
+    let idx = GatherIndex::new(vec![2, 0, 2, 2, 0], 4);
+    assert_eq!(idx.len(), 5);
+    assert_eq!(idx.source_rows(), 4);
+    assert_eq!(idx.indices(), &[2, 0, 2, 2, 0]);
+    assert_eq!(idx.readers(0), &[1, 4]);
+    assert_eq!(idx.readers(1), &[] as &[usize]);
+    assert_eq!(idx.readers(2), &[0, 2, 3]);
+    assert_eq!(idx.readers(3), &[] as &[usize]);
+    assert!(GatherIndex::new(Vec::new(), 0).is_empty());
+}
+
+#[test]
+#[should_panic(expected = "out of bounds")]
+fn gather_index_rejects_out_of_range_rows() {
+    let _ = GatherIndex::new(vec![0, 3], 3);
 }
