@@ -4,7 +4,7 @@
 //! its numbers (use the `table*` binaries for the numbers).
 
 use colper_attack::{
-    AttackConfig, AttackSession, L0Attack, L0AttackConfig, NoiseBaseline, PerturbTarget,
+    AttackConfig, AttackSession, L0Attack, L0AttackConfig, Objective, PerturbTarget,
 };
 use colper_models::{CloudTensors, PointNet2, PointNet2Config, ResGcn, ResGcnConfig};
 use colper_scene::{normalize, IndoorClass, IndoorSceneConfig, RoomKind, SceneGenerator};
@@ -37,9 +37,12 @@ fn bench_table_pipelines(c: &mut Criterion) {
         b.iter(|| {
             let mut rng = StdRng::seed_from_u64(1);
             let attack = AttackSession::new(AttackConfig::non_targeted(STEPS));
-            let mask = vec![true; pn_t.len()];
             let result = attack.run_with_rng(&pointnet, &pn_t, &mut rng);
-            let baseline = NoiseBaseline::new(result.l2_sq).run(&pointnet, &pn_t, &mask, &mut rng);
+            let noise = AttackConfig {
+                objective: Objective::NoiseBaseline { l2_sq: result.l2_sq },
+                ..AttackConfig::non_targeted(STEPS)
+            };
+            let baseline = AttackSession::new(noise).run_with_rng(&pointnet, &pn_t, &mut rng);
             (result.success_metric, baseline.success_metric)
         });
     });

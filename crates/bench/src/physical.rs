@@ -7,7 +7,7 @@
 //! sample through the pipeline.
 
 use crate::{acc_miou, parallel_map, ModelZoo};
-use colper_attack::physical::{robust_colper, survival, PhysicalModel};
+use colper_attack::physical::{eot_config, survival, PhysicalModel};
 use colper_attack::{AttackConfig, AttackSession};
 use colper_models::CloudTensors;
 use colper_scene::normalize;
@@ -66,7 +66,6 @@ pub fn run(zoo: &ModelZoo) -> PhysicalReport {
     for (label, pm) in severities {
         let outcomes = parallel_map(&zoo.runtime, &samples, |i, t| {
             let mut rng = StdRng::seed_from_u64(95_000 + i as u64);
-            let mask = vec![true; t.len()];
 
             // Clean accuracy through the pipeline.
             let degraded_clean = pm.degrade(&t.colors, &mut rng);
@@ -81,15 +80,8 @@ pub fn run(zoo: &ModelZoo) -> PhysicalReport {
             let plain_report = survival(model, t, &plain.adversarial_colors, &pm, 4, &mut rng);
 
             // EoT-hardened attack, then physical replay.
-            let robust = robust_colper(
-                model,
-                t,
-                &mask,
-                &AttackConfig::non_targeted(steps),
-                &pm,
-                3,
-                &mut rng,
-            );
+            let robust = AttackSession::new(eot_config(AttackConfig::non_targeted(steps), &pm, 3))
+                .run_with_rng(model, t, &mut rng);
             let robust_report = survival(model, t, &robust.adversarial_colors, &pm, 4, &mut rng);
 
             (clean_acc, plain_report, robust_report)

@@ -2,7 +2,7 @@
 //! models, compared to a random-noise baseline matched on L2.
 
 use crate::{acc_miou, parallel_map, BenchConfig, ModelZoo};
-use colper_attack::{AttackConfig, AttackSession, NoiseBaseline};
+use colper_attack::{AttackConfig, AttackSession, Objective};
 use colper_metrics::Summary;
 use colper_models::{CloudTensors, SegmentationModel};
 use colper_runtime::Runtime;
@@ -77,11 +77,14 @@ pub fn attack_samples<M: SegmentationModel>(
         let (clean_acc, clean_miou) = acc_miou(&clean_preds, &t.labels, classes);
 
         let attack = AttackSession::new(AttackConfig::non_targeted(steps));
-        let mask = vec![true; t.len()];
         let result = attack.run_with_rng(model, t, &mut rng);
         let (adv_acc, adv_miou) = acc_miou(&result.predictions, &t.labels, classes);
 
-        let baseline = NoiseBaseline::new(result.l2_sq).run(model, t, &mask, &mut rng);
+        let noise = AttackConfig {
+            objective: Objective::NoiseBaseline { l2_sq: result.l2_sq },
+            ..AttackConfig::non_targeted(steps)
+        };
+        let baseline = AttackSession::new(noise).run_with_rng(model, t, &mut rng);
         let (base_acc, base_miou) = acc_miou(&baseline.predictions, &t.labels, classes);
 
         SampleOutcome {

@@ -1,7 +1,7 @@
 //! Algorithm 1 of the paper: the COLPER optimization loop.
 
 use crate::seat::{CapturedSchedule, ScheduleKey, SeatTape};
-use crate::{AttackConfig, AttackGoal, AttackResult, TanhReparam};
+use crate::{AttackConfig, AttackResult, Objective, TanhReparam, WarmSeat};
 use colper_autodiff::{CompileSpec, HingeSpec, TapeSchedule, Var};
 use colper_geom::knn_graph;
 use colper_metrics::success_rate;
@@ -118,583 +118,506 @@ impl PlateauTracker {
     }
 }
 
-/// The COLPER attack engine.
-///
-/// One instance holds the hyper-parameters; the optimization itself is
-/// driven exclusively through [`crate::AttackSession`] — the session
-/// builder is the crate's only public attack entry point. The cloud's
+/// The COLPER attack engine: one planned attack on one cloud, drawing
+/// from the caller's RNG and reporting step telemetry for cloud index
+/// `cloud` through `obs` (a no-op with a disabled observer). The cloud's
 /// tensors must already be in the victim's normalized view (see
 /// [`colper_scene::normalize`]).
 ///
+/// Crate-private: [`crate::AttackSession`] is the only way to start a
+/// run. A transfer `penalty` records the second network's forward pass
+/// into the same graph every step, which disqualifies static-schedule
+/// capture (the schedule compiler pins exactly one victim).
+///
 /// # Parallelism
 ///
-/// The attack runs on a [`Runtime`]: [`Colper::with_runtime`] attaches an
-/// explicit handle, while a default instance inherits whatever runtime the
-/// caller [installed](Runtime::install) (falling back to sequential).
-/// Results are bit-identical for every thread count — the pool only changes
-/// wall-clock time, never the adversarial sample.
-#[derive(Debug, Clone)]
-pub struct Colper {
-    config: AttackConfig,
-    runtime: Runtime,
+/// An explicit `runtime` wins; a sequential handle defers to the ambient
+/// runtime the caller [installed](Runtime::install) (falling back to
+/// sequential), so a session without a runtime picks up pool parallelism
+/// installed by batch / bench callers. Installing the effective runtime
+/// lets the tensor and geometry kernels inside the forward/backward
+/// passes see the same pool. Results are bit-identical for every thread
+/// count — the pool only changes wall-clock time, never the adversarial
+/// sample.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run<M: SegmentationModel + ?Sized>(
+    config: &AttackConfig,
+    runtime: &Runtime,
+    model: &M,
+    tensors: &CloudTensors,
+    mask: &[bool],
+    plan: &AttackPlan,
+    rng: &mut StdRng,
+    obs: &Observer,
+    cloud: usize,
+    seat: Option<&mut WarmSeat>,
+    penalty: Option<&PenaltyRun<'_>>,
+) -> AttackResult {
+    let rt = if runtime.is_sequential() { colper_runtime::current() } else { runtime.clone() };
+    rt.clone().install(move || {
+        optimize(config, model, tensors, mask, plan, rng, &rt, obs, cloud, seat, penalty)
+    })
 }
 
-impl PartialEq for Colper {
-    /// Equality is configuration equality: the runtime is an execution
-    /// resource, not part of the attack's identity (results do not depend
-    /// on it).
-    fn eq(&self, other: &Self) -> bool {
-        self.config == other.config
-    }
-}
+/// The optimization loop of Algorithm 1, running on `rt`.
+#[allow(clippy::too_many_arguments)]
+fn optimize<M: SegmentationModel + ?Sized>(
+    cfg: &AttackConfig,
+    model: &M,
+    tensors: &CloudTensors,
+    mask: &[bool],
+    plan: &AttackPlan,
+    rng: &mut StdRng,
+    rt: &Runtime,
+    obs: &Observer,
+    cloud: usize,
+    mut seat: Option<&mut WarmSeat>,
+    penalty: Option<&PenaltyRun<'_>>,
+) -> AttackResult {
+    let n = tensors.len();
+    let classes = model.num_classes();
+    cfg.validate(classes);
+    assert_eq!(mask.len(), n, "mask length must equal point count");
+    let attacked_points = mask.iter().filter(|&&m| m).count();
+    assert!(attacked_points > 0, "attack mask selects no points");
+    assert_eq!(plan.alpha, cfg.alpha.min(n), "attack plan built under a different alpha");
+    assert_eq!(plan.geometry.num_points(), n, "attack plan built for a different cloud");
+    assert!(*plan.xyz == tensors.xyz, "attack plan built for a different cloud");
 
-impl Colper {
-    /// Creates the attack with the given configuration. The attack defers
-    /// to the ambient [`Runtime`] of the calling thread; use
-    /// [`Colper::with_runtime`] to pin one explicitly.
-    pub fn new(config: AttackConfig) -> Self {
-        Self { config, runtime: Runtime::sequential() }
-    }
+    // Only the targeted objective optimizes toward a class; every other
+    // objective runs the non-targeted hinge and convergence test.
+    let (targeted, labels_for_loss) = match cfg.objective {
+        Objective::Targeted { target } => (true, vec![target; n]),
+        _ => (false, tensors.labels.clone()),
+    };
+    let threshold = cfg.threshold(classes);
 
-    /// Attaches a compute runtime. An explicit pool here overrides the
-    /// ambient runtime; passing [`Runtime::sequential`] restores the
-    /// default deferring behavior.
-    #[must_use]
-    pub fn with_runtime(mut self, runtime: Runtime) -> Self {
-        self.runtime = runtime;
-        self
-    }
+    // Transfer penalty: the second network's geometry is planned once
+    // per run (its coordinates are constants, exactly like the
+    // surrogate's) and its view tensors are interned for per-step
+    // constant binding. Point order must match — the shared color
+    // variable and the hinge's labels/mask index by point.
+    let penalty_ctx = penalty.map(|p| {
+        let pt = p.tensors.unwrap_or(tensors);
+        assert_eq!(pt.len(), n, "penalty view must cover the same points");
+        assert_eq!(
+            pt.labels, tensors.labels,
+            "penalty view must preserve point order (labels differ)"
+        );
+        assert_eq!(
+            p.model.num_classes(),
+            classes,
+            "penalty model must share the surrogate's class count"
+        );
+        (p, pt, p.model.plan(&pt.coords), Arc::new(pt.xyz.clone()), Arc::new(pt.loc01.clone()))
+    });
 
-    /// The attack configuration.
-    pub fn config(&self) -> &AttackConfig {
-        &self.config
-    }
+    // Eq. 5: optimize w with colors = tanh-mapped w, initialized so
+    // the first iterate reproduces the clean colors. The run's
+    // constants are interned once so every step shares them with the
+    // tape instead of copying them into the graph.
+    let reparam = TanhReparam::color();
+    let orig = Arc::new(tensors.colors.clone());
+    let mut w = reparam.to_w(&orig);
+    let mut adam = AdamState::new(n, 3);
 
-    /// The runtime the attack was built with (sequential unless
-    /// [`Colper::with_runtime`] was used).
-    pub fn runtime(&self) -> &Runtime {
-        &self.runtime
-    }
+    // Fixed alpha-NN graph for the smoothness penalty (Eq. 6),
+    // cached in the plan.
+    let alpha = plan.alpha;
 
-    /// The attack engine behind [`crate::AttackSession`]: one planned
-    /// attack drawing from the caller's RNG, reporting step telemetry for
-    /// cloud index `cloud` through `obs` (a no-op with a disabled
-    /// observer).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn run_planned_obs<M: SegmentationModel + ?Sized>(
-        &self,
-        model: &M,
-        tensors: &colper_models::CloudTensors,
-        mask: &[bool],
-        plan: &AttackPlan,
-        rng: &mut StdRng,
-        obs: &Observer,
-        cloud: usize,
-    ) -> AttackResult {
-        self.run_planned_obs_full(model, tensors, mask, plan, rng, obs, cloud, None, None)
-    }
+    // Only masked points may change: color = mask*c(w) + (1-mask)*orig.
+    let mask_m = Arc::new(Matrix::from_fn(n, 3, |r, _| if mask[r] { 1.0 } else { 0.0 }));
+    let frozen = Arc::new(Matrix::from_fn(n, 3, |r, c| if mask[r] { 0.0 } else { orig[(r, c)] }));
 
-    /// The fully general engine entry: seat *and* optional transfer
-    /// penalty. A penalty run records the second network's forward pass
-    /// into the same graph every step, which disqualifies static-schedule
-    /// capture (the schedule compiler pins exactly one victim); results
-    /// remain bit-identical across runtimes and SIMD legs.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn run_planned_obs_full<M: SegmentationModel + ?Sized>(
-        &self,
-        model: &M,
-        tensors: &colper_models::CloudTensors,
-        mask: &[bool],
-        plan: &AttackPlan,
-        rng: &mut StdRng,
-        obs: &Observer,
-        cloud: usize,
-        seat: Option<&mut crate::WarmSeat>,
-        penalty: Option<&PenaltyRun<'_>>,
-    ) -> AttackResult {
-        // An explicitly attached runtime wins; the default sequential
-        // handle defers to the ambient one so `Colper::new` picks up pool
-        // parallelism installed by batch / bench callers. Installing the
-        // effective runtime lets the tensor and geometry kernels inside
-        // the forward/backward passes see the same pool.
-        let rt = if self.runtime.is_sequential() {
-            colper_runtime::current()
-        } else {
-            self.runtime.clone()
-        };
-        rt.clone().install(move || {
-            self.optimize(model, tensors, mask, plan, rng, &rt, obs, cloud, seat, penalty)
-        })
-    }
+    // The paper checks every int(Steps * 0.01) iterations (10 when
+    // Steps = 1000); clamp from below so reduced step budgets do not
+    // degenerate into noise injection at every iteration.
+    let plateau_every = (cfg.steps / 100).max(5);
+    let mut plateau = PlateauTracker::new(plateau_every);
+    let mut restarts = 0usize;
+    let mut history = Vec::with_capacity(cfg.steps);
+    let mut converged = false;
+    let mut steps_run = 0;
+    let (mut best_metric, better): (f32, fn(f32, f32) -> bool) = if targeted {
+        (f32::NEG_INFINITY, |new, best| new > best)
+    } else {
+        (f32::INFINITY, |new, best| new < best)
+    };
+    let mut best_colors = Matrix::clone(&orig);
+    let mut best_preds: Vec<usize> = Vec::new();
 
-    /// The optimization loop of Algorithm 1, running on `rt`.
-    #[allow(clippy::too_many_arguments)]
-    fn optimize<M: SegmentationModel + ?Sized>(
-        &self,
-        model: &M,
-        tensors: &colper_models::CloudTensors,
-        mask: &[bool],
-        plan: &AttackPlan,
-        rng: &mut StdRng,
-        rt: &Runtime,
-        obs: &Observer,
-        cloud: usize,
-        mut seat: Option<&mut crate::WarmSeat>,
-        penalty: Option<&PenaltyRun<'_>>,
-    ) -> AttackResult {
-        let n = tensors.len();
-        let classes = model.num_classes();
-        let cfg = &self.config;
-        cfg.validate(classes);
-        assert_eq!(mask.len(), n, "mask length must equal point count");
-        let attacked_points = mask.iter().filter(|&&m| m).count();
-        assert!(attacked_points > 0, "attack mask selects no points");
-        assert_eq!(plan.alpha, cfg.alpha.min(n), "attack plan built under a different alpha");
-        assert_eq!(plan.geometry.num_points(), n, "attack plan built for a different cloud");
-        assert!(*plan.xyz == tensors.xyz, "attack plan built for a different cloud");
+    // Static-schedule eligibility: single-sample path, global gate on,
+    // a victim whose eval forward is a pure function of its inputs
+    // (RandLA-Net's random sampling is not), and capture inputs that
+    // pass shape validation. When eligible, the key pins everything
+    // the captured graph folded in: the config, the parameter/buffer
+    // storage, the plan's interned tensors, and the run's labels /
+    // mask / original colors.
+    let schedule_eligible = cfg.gradient_samples == 1
+        && colper_autodiff::schedule_enabled()
+        && model.deterministic_eval()
+        && penalty_ctx.is_none()
+        && CaptureShapes::check(n, &plan.xyz, &orig, &plan.loc01).is_ok();
+    let sched_key = schedule_eligible.then(|| ScheduleKey {
+        config: cfg.clone(),
+        param_addrs: model.params().storage_fingerprint(),
+        xyz_addr: Arc::as_ptr(&plan.xyz) as usize,
+        loc_addr: Arc::as_ptr(&plan.loc01) as usize,
+        nbrs_addr: plan.smooth_nbrs.as_ptr() as usize,
+        nbrs_len: plan.smooth_nbrs.len(),
+        points: n,
+        labels: labels_for_loss.clone(),
+        mask: mask.to_vec(),
+        orig_colors: orig.clone(),
+    });
 
-        let labels_for_loss: Vec<usize> = match cfg.goal {
-            AttackGoal::NonTargeted => tensors.labels.clone(),
-            AttackGoal::Targeted { target } => vec![target; n],
-        };
-        let threshold = cfg.threshold(classes);
-
-        // Transfer penalty: the second network's geometry is planned once
-        // per run (its coordinates are constants, exactly like the
-        // surrogate's) and its view tensors are interned for per-step
-        // constant binding. Point order must match — the shared color
-        // variable and the hinge's labels/mask index by point.
-        let penalty_ctx = penalty.map(|p| {
-            let pt = p.tensors.unwrap_or(tensors);
-            assert_eq!(pt.len(), n, "penalty view must cover the same points");
-            assert_eq!(
-                pt.labels, tensors.labels,
-                "penalty view must preserve point order (labels differ)"
-            );
-            assert_eq!(
-                p.model.num_classes(),
-                classes,
-                "penalty model must share the surrogate's class count"
-            );
-            (p, pt, p.model.plan(&pt.coords), Arc::new(pt.xyz.clone()), Arc::new(pt.loc01.clone()))
-        });
-
-        // Eq. 5: optimize w with colors = tanh-mapped w, initialized so
-        // the first iterate reproduces the clean colors. The run's
-        // constants are interned once so every step shares them with the
-        // tape instead of copying them into the graph.
-        let reparam = TanhReparam::color();
-        let orig = Arc::new(tensors.colors.clone());
-        let mut w = reparam.to_w(&orig);
-        let mut adam = AdamState::new(n, 3);
-
-        // Fixed alpha-NN graph for the smoothness penalty (Eq. 6),
-        // cached in the plan.
-        let alpha = plan.alpha;
-
-        // Only masked points may change: color = mask*c(w) + (1-mask)*orig.
-        let mask_m = Arc::new(Matrix::from_fn(n, 3, |r, _| if mask[r] { 1.0 } else { 0.0 }));
-        let frozen =
-            Arc::new(Matrix::from_fn(n, 3, |r, c| if mask[r] { 0.0 } else { orig[(r, c)] }));
-
-        // The paper checks every int(Steps * 0.01) iterations (10 when
-        // Steps = 1000); clamp from below so reduced step budgets do not
-        // degenerate into noise injection at every iteration.
-        let plateau_every = (cfg.steps / 100).max(5);
-        let mut plateau = PlateauTracker::new(plateau_every);
-        let mut restarts = 0usize;
-        let mut history = Vec::with_capacity(cfg.steps);
-        let mut converged = false;
-        let mut steps_run = 0;
-        let (mut best_metric, better): (f32, fn(f32, f32) -> bool) = match cfg.goal {
-            AttackGoal::NonTargeted => (f32::INFINITY, |new, best| new < best),
-            AttackGoal::Targeted { .. } => (f32::NEG_INFINITY, |new, best| new > best),
-        };
-        let mut best_colors = Matrix::clone(&orig);
-        let mut best_preds: Vec<usize> = Vec::new();
-
-        // Static-schedule eligibility: single-sample path, global gate on,
-        // a victim whose eval forward is a pure function of its inputs
-        // (RandLA-Net's random sampling is not), and capture inputs that
-        // pass shape validation. When eligible, the key pins everything
-        // the captured graph folded in: the config, the parameter/buffer
-        // storage, the plan's interned tensors, and the run's labels /
-        // mask / original colors.
-        let schedule_eligible = cfg.gradient_samples == 1
-            && colper_autodiff::schedule_enabled()
-            && model.deterministic_eval()
-            && penalty_ctx.is_none()
-            && CaptureShapes::check(n, &plan.xyz, &orig, &plan.loc01).is_ok();
-        let sched_key = schedule_eligible.then(|| ScheduleKey {
-            config: cfg.clone(),
-            param_addrs: model.params().storage_fingerprint(),
-            xyz_addr: Arc::as_ptr(&plan.xyz) as usize,
-            loc_addr: Arc::as_ptr(&plan.loc01) as usize,
-            nbrs_addr: plan.smooth_nbrs.as_ptr() as usize,
-            nbrs_len: plan.smooth_nbrs.len(),
-            points: n,
-            labels: labels_for_loss.clone(),
-            mask: mask.to_vec(),
-            orig_colors: orig.clone(),
-        });
-
-        // Steady-state buffers for the single-sample path: one reusable
-        // forward session plus preallocated gradient / prediction / color
-        // scratch, so step >= 2 performs no heap allocation in tape value
-        // or gradient storage. A seated run resumes on the seat's donated
-        // tape, extending the zero-allocation property back to step 1 of
-        // repeat attacks on same-shaped clouds. When the seat's tape also
-        // carries a schedule compiled for exactly this key, the run adopts
-        // the captured graph intact and replays from its very first step.
-        let mut captured: Option<CapturedSchedule> = None;
-        let mut sched_failed = false;
-        let mut steady =
-            (cfg.gradient_samples == 1).then(|| match seat.as_mut().and_then(|s| s.checkout()) {
-                Some(SeatTape { tape, captured: donated }) => {
-                    colper_obs::counters::SEAT_WARM.incr();
-                    match (donated, &sched_key) {
-                        (Some(c), Some(key)) if c.key == *key => {
-                            captured = Some(c);
-                            Forward::resume_captured(model.params(), tape)
-                        }
-                        _ => Forward::resume(model.params(), false, tape),
+    // Steady-state buffers for the single-sample path: one reusable
+    // forward session plus preallocated gradient / prediction / color
+    // scratch, so step >= 2 performs no heap allocation in tape value
+    // or gradient storage. A seated run resumes on the seat's donated
+    // tape, extending the zero-allocation property back to step 1 of
+    // repeat attacks on same-shaped clouds. When the seat's tape also
+    // carries a schedule compiled for exactly this key, the run adopts
+    // the captured graph intact and replays from its very first step.
+    let mut captured: Option<CapturedSchedule> = None;
+    let mut sched_failed = false;
+    let mut steady =
+        (cfg.gradient_samples == 1).then(|| match seat.as_mut().and_then(|s| s.checkout()) {
+            Some(SeatTape { tape, captured: donated }) => {
+                colper_obs::counters::SEAT_WARM.incr();
+                match (donated, &sched_key) {
+                    (Some(c), Some(key)) if c.key == *key => {
+                        captured = Some(c);
+                        Forward::resume_captured(model.params(), tape)
                     }
+                    _ => Forward::resume(model.params(), false, tape),
                 }
-                None => Forward::new(model.params(), false),
-            });
-        let mut grad_buf = Matrix::zeros(n, 3);
-        let mut preds_buf: Vec<usize> = Vec::new();
-        let mut colors_buf = Matrix::zeros(n, 3);
+            }
+            None => Forward::new(model.params(), false),
+        });
+    let mut grad_buf = Matrix::zeros(n, 3);
+    let mut preds_buf: Vec<usize> = Vec::new();
+    let mut colors_buf = Matrix::zeros(n, 3);
 
-        // Telemetry is collected into a buffer pre-sized to the step
-        // budget (`None` — and no allocation at all — when tracing is
-        // off). Every recorded quantity is *read* from state the loop
-        // already computes; tracing cannot perturb the trajectory.
-        let mut trace_buf = obs.begin_attack(cloud, cfg.steps);
+    // Telemetry is collected into a buffer pre-sized to the step
+    // budget (`None` — and no allocation at all — when tracing is
+    // off). Every recorded quantity is *read* from state the loop
+    // already computes; tracing cannot perturb the trajectory.
+    let mut trace_buf = obs.begin_attack(cloud, cfg.steps);
 
-        let mut metric_history = Vec::new();
-        for step in 0..cfg.steps {
-            let _step_span = colper_obs::span!(ATTACK_STEP);
-            steps_run = step + 1;
-            // Records one forward/backward pass onto `session` and returns
-            // `(gain, w_var, color, logits, dist, adv_loss, smooth)`.
-            // Shared by the session-reuse and EoT paths so both record the
-            // exact same graph.
-            let build =
-                |session: &mut Forward<'_>, sample_idx: usize, rng: &mut StdRng| -> BuiltVars {
-                    let w_var = session.tape.leaf_from(&w);
-                    let color_free = reparam.features_on_tape(&mut session.tape, w_var);
-                    let color_masked = session.tape.mul_const_shared(color_free, mask_m.clone());
-                    let frozen_var = session.tape.constant_shared(frozen.clone());
-                    let color = session.tape.add(color_masked, frozen_var);
+    let mut metric_history = Vec::new();
+    for step in 0..cfg.steps {
+        let _step_span = colper_obs::span!(ATTACK_STEP);
+        steps_run = step + 1;
+        // Records one forward/backward pass onto `session` and returns
+        // `(gain, w_var, color, logits, dist, adv_loss, smooth)`.
+        // Shared by the session-reuse and EoT paths so both record the
+        // exact same graph.
+        let build = |session: &mut Forward<'_>, sample_idx: usize, rng: &mut StdRng| -> BuiltVars {
+            let w_var = session.tape.leaf_from(&w);
+            let color_free = reparam.features_on_tape(&mut session.tape, w_var);
+            let color_masked = session.tape.mul_const_shared(color_free, mask_m.clone());
+            let frozen_var = session.tape.constant_shared(frozen.clone());
+            let color = session.tape.add(color_masked, frozen_var);
 
-                    // EoT over illumination: the victim sees the colors under
-                    // a random scene-lighting multiplier, while the distance
-                    // and smoothness terms stay on the printed (unlit) colors.
-                    // The first sample stays unlit so the convergence metric
-                    // and best-iterate selection are deterministic.
-                    let seen_color = if cfg.lighting_eot > 0.0 && sample_idx > 0 {
-                        let lf = 1.0 + rng.gen_range(-cfg.lighting_eot..=cfg.lighting_eot);
-                        session.tape.scale(color, lf)
-                    } else {
-                        color
-                    };
-                    let xyz = session.tape.constant_shared(plan.xyz.clone());
-                    let loc = session.tape.constant_shared(plan.loc01.clone());
-                    let input = ModelInput {
-                        coords: &tensors.coords,
-                        xyz,
-                        color: seen_color,
-                        loc,
-                        plan: Some(&plan.geometry),
-                    };
-                    let logits = model.forward(session, &input, rng);
-
-                    // gain = D + λ1 L + λ2 S   (Eq. 2 / Eq. 3)
-                    let orig_var = session.tape.constant_shared(orig.clone());
-                    let diff = session.tape.sub(color, orig_var);
-                    let sq = session.tape.square(diff);
-                    let dist = session.tape.sum(sq);
-                    let smooth = session.tape.smoothness_shared(
-                        color,
-                        plan.xyz.clone(),
-                        plan.smooth_nbrs.clone(),
-                        alpha,
-                    );
-                    let adv_loss = match cfg.goal {
-                        AttackGoal::NonTargeted => {
-                            session.tape.cw_nontargeted(logits, &labels_for_loss, mask)
-                        }
-                        AttackGoal::Targeted { .. } => {
-                            session.tape.cw_targeted(logits, &labels_for_loss, mask)
-                        }
-                    };
-                    // Transfer penalty (AdvPC, Eq.-style combination):
-                    // forward the second network on the same color
-                    // variable — its own coordinate view and geometry
-                    // plan, the shared perturbation — and add its hinge
-                    // at weight γ. The combined term replaces L in
-                    // gain = D + λ1·L + λ2·S.
-                    let adv_loss = match &penalty_ctx {
-                        Some((p, pt, pplan, pxyz, ploc)) => {
-                            let pxyz_var = session.tape.constant_shared(pxyz.clone());
-                            let ploc_var = session.tape.constant_shared(ploc.clone());
-                            let pinput = ModelInput {
-                                coords: &pt.coords,
-                                xyz: pxyz_var,
-                                color: seen_color,
-                                loc: ploc_var,
-                                plan: Some(pplan),
-                            };
-                            // The penalty network binds its own weights:
-                            // a guest session shares the tape but
-                            // resolves ParamIds against the penalty
-                            // model's ParamSet.
-                            let plogits = session.with_params(p.model.params(), |guest| {
-                                p.model.forward(guest, &pinput, rng)
-                            });
-                            let phinge = match cfg.goal {
-                                AttackGoal::NonTargeted => {
-                                    session.tape.cw_nontargeted(plogits, &labels_for_loss, mask)
-                                }
-                                AttackGoal::Targeted { .. } => {
-                                    session.tape.cw_targeted(plogits, &labels_for_loss, mask)
-                                }
-                            };
-                            let weighted_penalty = session.tape.scale(phinge, p.gamma);
-                            session.tape.add(adv_loss, weighted_penalty)
-                        }
-                        None => adv_loss,
-                    };
-                    let weighted_loss = session.tape.scale(adv_loss, cfg.lambda1);
-                    let weighted_smooth = session.tape.scale(smooth, cfg.lambda2);
-                    let partial = session.tape.add(dist, weighted_loss);
-                    let gain = session.tape.add(partial, weighted_smooth);
-                    session.tape.backward(gain);
-                    (gain, w_var, color, logits, dist, adv_loss, smooth)
-                };
-
-            // Raw loss terms `[D, L, S]` of the (unlit) sample 0,
-            // reported in the step telemetry.
-            let terms: [f32; 3];
-            let gain_v = if cfg.gradient_samples == 1 {
-                // Single-sample (paper-exact) path: the forward pass draws
-                // from the caller's RNG in place, preserving its stream.
-                // One session is reused across every step — `reset` keeps
-                // the tape's buffer pools, and the extraction below writes
-                // into preallocated scratch, so the steady state allocates
-                // nothing. Once a schedule is captured, steps stop even
-                // rebuilding the graph: the frozen op program replays over
-                // the captured nodes, bit-identical to a dynamic rebuild
-                // (the victim's eval forward consumes no randomness on
-                // this path, so the RNG stream is preserved too).
-                let session = steady.as_mut().expect("single-sample path owns a session");
-                let vars = if let Some(c) = captured.as_ref() {
-                    let _build_span = colper_obs::span!(ATTACK_BUILD);
-                    c.schedule.replay(&mut session.tape, &w);
-                    c.vars
-                } else {
-                    session.reset();
-                    let built = {
-                        let _build_span = colper_obs::span!(ATTACK_BUILD);
-                        build(session, 0, rng)
-                    };
-                    // One-shot capture: freeze the graph just recorded into
-                    // a static schedule for every following step. A graph
-                    // the compiler rejects falls back to dynamic rebuilds
-                    // permanently (the graph is the same every step, so
-                    // retrying could only fail again).
-                    if !sched_failed {
-                        if let Some(key) = sched_key.clone() {
-                            let (gain, w_var, color, logits, dist, adv_loss, smooth) = built;
-                            let spec = CompileSpec {
-                                input: w_var,
-                                output: gain,
-                                keep: &[color, logits, dist, adv_loss, smooth],
-                                hinge: Some(HingeSpec {
-                                    labels: labels_for_loss.clone(),
-                                    mask: mask.to_vec(),
-                                    targeted: matches!(cfg.goal, AttackGoal::Targeted { .. }),
-                                }),
-                            };
-                            match TapeSchedule::compile(&mut session.tape, &spec) {
-                                Ok(schedule) => {
-                                    captured = Some(CapturedSchedule { key, schedule, vars: built })
-                                }
-                                Err(_) => sched_failed = true,
-                            }
-                        }
-                    }
-                    built
-                };
-                let (gain, w_var, color, logits, dist, adv_loss, smooth) = vars;
-                let gain_v = session.tape.value(gain)[(0, 0)];
-                terms = [
-                    session.tape.value(dist)[(0, 0)],
-                    session.tape.value(adv_loss)[(0, 0)],
-                    session.tape.value(smooth)[(0, 0)],
-                ];
-                grad_buf.fill_from(session.tape.grad(w_var).expect("w must receive a gradient"));
-                session.tape.value(logits).argmax_rows_into(&mut preds_buf);
-                colors_buf.fill_from(session.tape.value(color));
-                gain_v
+            // EoT over illumination: the victim sees the colors under
+            // a random scene-lighting multiplier, while the distance
+            // and smoothness terms stay on the printed (unlit) colors.
+            // The first sample stays unlit so the convergence metric
+            // and best-iterate selection are deterministic.
+            let seen_color = if cfg.lighting_eot > 0.0 && sample_idx > 0 {
+                let lf = 1.0 + rng.gen_range(-cfg.lighting_eot..=cfg.lighting_eot);
+                session.tape.scale(color, lf)
             } else {
-                // Expectation over transforms: average the gradient over
-                // `gradient_samples` forward/backward passes (stochastic
-                // victims like RandLA-Net resample per pass). Derive one
-                // seed per sample *sequentially* from the caller's RNG, so
-                // both the sample trajectories and the caller's stream
-                // afterwards are independent of how the pool schedules the
-                // samples. `par_reduce` folds the per-sample terms in
-                // sample order (grain 1), so the averaged gradient is
-                // bit-identical on every runtime, including the sequential
-                // one. Worker sessions cannot be reused across steps here
-                // (the closure is shared by the pool), so this path keeps
-                // fresh sessions.
-                let one_sample = |sample_idx: usize, rng: &mut StdRng| -> SampleEval {
-                    let mut session = Forward::new(model.params(), false);
-                    let (gain, w_var, color, logits, dist, adv_loss, smooth) = {
-                        let _build_span = colper_obs::span!(ATTACK_BUILD);
-                        build(&mut session, sample_idx, rng)
+                color
+            };
+            let xyz = session.tape.constant_shared(plan.xyz.clone());
+            let loc = session.tape.constant_shared(plan.loc01.clone());
+            let input = ModelInput {
+                coords: &tensors.coords,
+                xyz,
+                color: seen_color,
+                loc,
+                plan: Some(&plan.geometry),
+            };
+            let logits = model.forward(session, &input, rng);
+
+            // gain = D + λ1 L + λ2 S   (Eq. 2 / Eq. 3)
+            let orig_var = session.tape.constant_shared(orig.clone());
+            let diff = session.tape.sub(color, orig_var);
+            let sq = session.tape.square(diff);
+            let dist = session.tape.sum(sq);
+            let smooth = session.tape.smoothness_shared(
+                color,
+                plan.xyz.clone(),
+                plan.smooth_nbrs.clone(),
+                alpha,
+            );
+            let adv_loss = if targeted {
+                session.tape.cw_targeted(logits, &labels_for_loss, mask)
+            } else {
+                session.tape.cw_nontargeted(logits, &labels_for_loss, mask)
+            };
+            // Transfer penalty (AdvPC, Eq.-style combination):
+            // forward the second network on the same color
+            // variable — its own coordinate view and geometry
+            // plan, the shared perturbation — and add its hinge
+            // at weight γ. The combined term replaces L in
+            // gain = D + λ1·L + λ2·S.
+            let adv_loss = match &penalty_ctx {
+                Some((p, pt, pplan, pxyz, ploc)) => {
+                    let pxyz_var = session.tape.constant_shared(pxyz.clone());
+                    let ploc_var = session.tape.constant_shared(ploc.clone());
+                    let pinput = ModelInput {
+                        coords: &pt.coords,
+                        xyz: pxyz_var,
+                        color: seen_color,
+                        loc: ploc_var,
+                        plan: Some(pplan),
                     };
-                    let gain_v = session.tape.value(gain)[(0, 0)];
-                    let grad = session.tape.grad(w_var).expect("w must receive a gradient").clone();
-                    let eval = (sample_idx == 0).then(|| {
-                        (
-                            session.tape.value(logits).argmax_rows(),
-                            session.tape.value(color).clone(),
-                            [
-                                session.tape.value(dist)[(0, 0)],
-                                session.tape.value(adv_loss)[(0, 0)],
-                                session.tape.value(smooth)[(0, 0)],
-                            ],
-                        )
+                    // The penalty network binds its own weights:
+                    // a guest session shares the tape but
+                    // resolves ParamIds against the penalty
+                    // model's ParamSet.
+                    let plogits = session.with_params(p.model.params(), |guest| {
+                        p.model.forward(guest, &pinput, rng)
                     });
-                    (gain_v, grad, eval)
+                    let phinge = if targeted {
+                        session.tape.cw_targeted(plogits, &labels_for_loss, mask)
+                    } else {
+                        session.tape.cw_nontargeted(plogits, &labels_for_loss, mask)
+                    };
+                    let weighted_penalty = session.tape.scale(phinge, p.gamma);
+                    session.tape.add(adv_loss, weighted_penalty)
+                }
+                None => adv_loss,
+            };
+            let weighted_loss = session.tape.scale(adv_loss, cfg.lambda1);
+            let weighted_smooth = session.tape.scale(smooth, cfg.lambda2);
+            let partial = session.tape.add(dist, weighted_loss);
+            let gain = session.tape.add(partial, weighted_smooth);
+            session.tape.backward(gain);
+            (gain, w_var, color, logits, dist, adv_loss, smooth)
+        };
+
+        // Raw loss terms `[D, L, S]` of the (unlit) sample 0,
+        // reported in the step telemetry.
+        let terms: [f32; 3];
+        let gain_v = if cfg.gradient_samples == 1 {
+            // Single-sample (paper-exact) path: the forward pass draws
+            // from the caller's RNG in place, preserving its stream.
+            // One session is reused across every step — `reset` keeps
+            // the tape's buffer pools, and the extraction below writes
+            // into preallocated scratch, so the steady state allocates
+            // nothing. Once a schedule is captured, steps stop even
+            // rebuilding the graph: the frozen op program replays over
+            // the captured nodes, bit-identical to a dynamic rebuild
+            // (the victim's eval forward consumes no randomness on
+            // this path, so the RNG stream is preserved too).
+            let session = steady.as_mut().expect("single-sample path owns a session");
+            let vars = if let Some(c) = captured.as_ref() {
+                let _build_span = colper_obs::span!(ATTACK_BUILD);
+                c.schedule.replay(&mut session.tape, &w);
+                c.vars
+            } else {
+                session.reset();
+                let built = {
+                    let _build_span = colper_obs::span!(ATTACK_BUILD);
+                    build(session, 0, rng)
                 };
-                let seeds: Vec<u64> = (0..cfg.gradient_samples).map(|_| rng.gen()).collect();
-                let (gain_sum, grad_sum, first_eval) = rt
-                    .par_reduce(
-                        cfg.gradient_samples,
-                        1,
-                        |s| one_sample(s, &mut StdRng::seed_from_u64(seeds[s])),
-                        |(ga, mut wa, ea), (gb, wb, eb)| {
-                            wa.add_assign(&wb);
-                            (ga + gb, wa, ea.or(eb))
-                        },
-                    )
-                    .expect("gradient_samples is validated to be at least 1");
-                let inv = 1.0 / cfg.gradient_samples as f32;
-                grad_buf = grad_sum.scale(inv);
-                let (preds, colors_now, sample0_terms) =
-                    first_eval.expect("sample 0 reports an evaluation");
-                preds_buf = preds;
-                colors_buf = colors_now;
-                terms = sample0_terms;
-                gain_sum * inv
-            };
-            history.push(gain_v);
-
-            // Attacker's metric on the current iterate.
-            let metric = match cfg.goal {
-                AttackGoal::NonTargeted => masked_accuracy(&preds_buf, &tensors.labels, mask),
-                AttackGoal::Targeted { .. } => success_rate(&preds_buf, &labels_for_loss, mask),
-            };
-            if cfg.record_trajectory {
-                metric_history.push(metric);
-            }
-            if best_preds.is_empty() || better(metric, best_metric) {
-                best_metric = metric;
-                best_colors.fill_from(&colors_buf);
-                best_preds.clone_from(&preds_buf);
-            }
-
-            {
-                let _adam_span = colper_obs::span!(ATTACK_ADAM);
-                adam.update(&mut w, &grad_buf, cfg.lr);
-            }
-
-            // Converge(gain_i): the attacker's own stopping criterion.
-            let done = match cfg.goal {
-                AttackGoal::NonTargeted => metric < threshold,
-                AttackGoal::Targeted { .. } => metric >= threshold,
-            };
-
-            // Plateau restart: every int(Steps * 0.01) iterations, add
-            // uniform noise when the objective stopped improving since
-            // the previous checkpoint. A converged step never consults
-            // the tracker (it used to break before reaching it).
-            let restarted = !done && plateau.observe(step, gain_v);
-            if restarted {
-                restarts += 1;
-                colper_obs::counters::ATTACK_RESTARTS.incr();
-                for (r, &attacked) in mask.iter().enumerate() {
-                    if attacked {
-                        for c in 0..3 {
-                            w[(r, c)] += rng.gen_range(0.0..1.0) * cfg.noise_scale;
+                // One-shot capture: freeze the graph just recorded into
+                // a static schedule for every following step. A graph
+                // the compiler rejects falls back to dynamic rebuilds
+                // permanently (the graph is the same every step, so
+                // retrying could only fail again).
+                if !sched_failed {
+                    if let Some(key) = sched_key.clone() {
+                        let (gain, w_var, color, logits, dist, adv_loss, smooth) = built;
+                        let spec = CompileSpec {
+                            input: w_var,
+                            output: gain,
+                            keep: &[color, logits, dist, adv_loss, smooth],
+                            hinge: Some(HingeSpec {
+                                labels: labels_for_loss.clone(),
+                                mask: mask.to_vec(),
+                                targeted,
+                            }),
+                        };
+                        match TapeSchedule::compile(&mut session.tape, &spec) {
+                            Ok(schedule) => {
+                                captured = Some(CapturedSchedule { key, schedule, vars: built })
+                            }
+                            Err(_) => sched_failed = true,
                         }
                     }
                 }
-            }
-
-            if let Some(buf) = trace_buf.as_mut() {
-                let grad_inf_norm = grad_buf.as_slice().iter().fold(0.0f32, |m, &v| m.max(v.abs()));
-                let flipped_points = preds_buf
-                    .iter()
-                    .zip(&tensors.labels)
-                    .zip(mask)
-                    .filter(|((p, l), &attacked)| attacked && p != l)
-                    .count();
-                buf.push(StepRecord {
-                    step,
-                    gain: gain_v,
-                    dist: terms[0],
-                    cw_hinge: terms[1],
-                    smooth: terms[2],
-                    weighted_hinge: cfg.lambda1 * terms[1],
-                    weighted_smooth: cfg.lambda2 * terms[2],
-                    grad_inf_norm,
-                    flipped_points,
-                    metric,
-                    plateau_checkpoint_gain: plateau.checkpoint_gain,
-                    restarted,
+                built
+            };
+            let (gain, w_var, color, logits, dist, adv_loss, smooth) = vars;
+            let gain_v = session.tape.value(gain)[(0, 0)];
+            terms = [
+                session.tape.value(dist)[(0, 0)],
+                session.tape.value(adv_loss)[(0, 0)],
+                session.tape.value(smooth)[(0, 0)],
+            ];
+            grad_buf.fill_from(session.tape.grad(w_var).expect("w must receive a gradient"));
+            session.tape.value(logits).argmax_rows_into(&mut preds_buf);
+            colors_buf.fill_from(session.tape.value(color));
+            gain_v
+        } else {
+            // Expectation over transforms: average the gradient over
+            // `gradient_samples` forward/backward passes (stochastic
+            // victims like RandLA-Net resample per pass). Derive one
+            // seed per sample *sequentially* from the caller's RNG, so
+            // both the sample trajectories and the caller's stream
+            // afterwards are independent of how the pool schedules the
+            // samples. `par_reduce` folds the per-sample terms in
+            // sample order (grain 1), so the averaged gradient is
+            // bit-identical on every runtime, including the sequential
+            // one. Worker sessions cannot be reused across steps here
+            // (the closure is shared by the pool), so this path keeps
+            // fresh sessions.
+            let one_sample = |sample_idx: usize, rng: &mut StdRng| -> SampleEval {
+                let mut session = Forward::new(model.params(), false);
+                let (gain, w_var, color, logits, dist, adv_loss, smooth) = {
+                    let _build_span = colper_obs::span!(ATTACK_BUILD);
+                    build(&mut session, sample_idx, rng)
+                };
+                let gain_v = session.tape.value(gain)[(0, 0)];
+                let grad = session.tape.grad(w_var).expect("w must receive a gradient").clone();
+                let eval = (sample_idx == 0).then(|| {
+                    (
+                        session.tape.value(logits).argmax_rows(),
+                        session.tape.value(color).clone(),
+                        [
+                            session.tape.value(dist)[(0, 0)],
+                            session.tape.value(adv_loss)[(0, 0)],
+                            session.tape.value(smooth)[(0, 0)],
+                        ],
+                    )
                 });
-            }
+                (gain_v, grad, eval)
+            };
+            let seeds: Vec<u64> = (0..cfg.gradient_samples).map(|_| rng.gen()).collect();
+            let (gain_sum, grad_sum, first_eval) = rt
+                .par_reduce(
+                    cfg.gradient_samples,
+                    1,
+                    |s| one_sample(s, &mut StdRng::seed_from_u64(seeds[s])),
+                    |(ga, mut wa, ea), (gb, wb, eb)| {
+                        wa.add_assign(&wb);
+                        (ga + gb, wa, ea.or(eb))
+                    },
+                )
+                .expect("gradient_samples is validated to be at least 1");
+            let inv = 1.0 / cfg.gradient_samples as f32;
+            grad_buf = grad_sum.scale(inv);
+            let (preds, colors_now, sample0_terms) =
+                first_eval.expect("sample 0 reports an evaluation");
+            preds_buf = preds;
+            colors_buf = colors_now;
+            terms = sample0_terms;
+            gain_sum * inv
+        };
+        history.push(gain_v);
 
-            if done {
-                converged = true;
-                break;
-            }
+        // Attacker's metric on the current iterate.
+        let metric = if targeted {
+            success_rate(&preds_buf, &labels_for_loss, mask)
+        } else {
+            masked_accuracy(&preds_buf, &tensors.labels, mask)
+        };
+        if cfg.record_trajectory {
+            metric_history.push(metric);
         }
-        if let Some(buf) = trace_buf {
-            obs.finish_attack(buf);
-        }
-
-        // Hand the steady session's tape back to the seat so the next
-        // attack seated here starts with warmed buffer pools. A captured
-        // schedule travels with its tape (graph intact, not reset): a
-        // key-matching successor replays from step 1, anyone else resumes
-        // normally and the stale graph is cleared by its first `reset`.
-        if let (Some(seat), Some(session)) = (seat.as_mut(), steady.take()) {
-            match captured.take() {
-                Some(c) => seat.donate_captured(session.into_tape_captured(), c),
-                None => seat.donate(session.into_tape()),
-            }
+        if best_preds.is_empty() || better(metric, best_metric) {
+            best_metric = metric;
+            best_colors.fill_from(&colors_buf);
+            best_preds.clone_from(&preds_buf);
         }
 
-        let l2_sq = best_colors.sub(&orig).expect("shape").frobenius_sq();
-        AttackResult {
-            adversarial_colors: best_colors,
-            l2_sq,
-            steps_run,
-            converged,
-            gain_history: history,
-            metric_history,
-            predictions: best_preds,
-            success_metric: best_metric,
-            attacked_points,
-            restarts,
+        {
+            let _adam_span = colper_obs::span!(ATTACK_ADAM);
+            adam.update(&mut w, &grad_buf, cfg.lr);
         }
+
+        // Converge(gain_i): the attacker's own stopping criterion.
+        let done = if targeted { metric >= threshold } else { metric < threshold };
+
+        // Plateau restart: every int(Steps * 0.01) iterations, add
+        // uniform noise when the objective stopped improving since
+        // the previous checkpoint. A converged step never consults
+        // the tracker.
+        let restarted = !done && plateau.observe(step, gain_v);
+        if restarted {
+            restarts += 1;
+            colper_obs::counters::ATTACK_RESTARTS.incr();
+            for (r, &attacked) in mask.iter().enumerate() {
+                if attacked {
+                    for c in 0..3 {
+                        w[(r, c)] += rng.gen_range(0.0..1.0) * cfg.noise_scale;
+                    }
+                }
+            }
+        }
+
+        if let Some(buf) = trace_buf.as_mut() {
+            let grad_inf_norm = grad_buf.as_slice().iter().fold(0.0f32, |m, &v| m.max(v.abs()));
+            let flipped_points = preds_buf
+                .iter()
+                .zip(&tensors.labels)
+                .zip(mask)
+                .filter(|((p, l), &attacked)| attacked && p != l)
+                .count();
+            buf.push(StepRecord {
+                step,
+                gain: gain_v,
+                dist: terms[0],
+                cw_hinge: terms[1],
+                smooth: terms[2],
+                weighted_hinge: cfg.lambda1 * terms[1],
+                weighted_smooth: cfg.lambda2 * terms[2],
+                grad_inf_norm,
+                flipped_points,
+                metric,
+                plateau_checkpoint_gain: plateau.checkpoint_gain,
+                restarted,
+            });
+        }
+
+        if done {
+            converged = true;
+            break;
+        }
+    }
+    if let Some(buf) = trace_buf {
+        obs.finish_attack(buf);
+    }
+
+    // Hand the steady session's tape back to the seat so the next
+    // attack seated here starts with warmed buffer pools. A captured
+    // schedule travels with its tape (graph intact, not reset): a
+    // key-matching successor replays from step 1, anyone else resumes
+    // normally and the stale graph is cleared by its first `reset`.
+    if let (Some(seat), Some(session)) = (seat.as_mut(), steady.take()) {
+        match captured.take() {
+            Some(c) => seat.donate_captured(session.into_tape_captured(), c),
+            None => seat.donate(session.into_tape()),
+        }
+    }
+
+    let l2_sq = best_colors.sub(&orig).expect("shape").frobenius_sq();
+    AttackResult {
+        adversarial_colors: best_colors,
+        l2_sq,
+        steps_run,
+        converged,
+        gain_history: history,
+        metric_history,
+        predictions: best_preds,
+        success_metric: best_metric,
+        attacked_points,
+        restarts,
     }
 }
 

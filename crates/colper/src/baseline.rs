@@ -1,7 +1,8 @@
 //! The random-noise baseline the paper compares COLPER against in
 //! Tables 1 and 3: uniform color noise *matched on L2* to the attack's
 //! perturbation, showing that the accuracy drop is not explained by
-//! noise magnitude alone.
+//! noise magnitude alone. It runs as [`crate::Objective::NoiseBaseline`]
+//! through [`crate::AttackSession`].
 
 use crate::AttackResult;
 use colper_metrics::ConfusionMatrix;
@@ -57,57 +58,43 @@ pub fn random_color_noise(
     out
 }
 
-/// The baseline "attack": random noise at a given L2 budget, evaluated
-/// exactly like a [`crate::Colper`] run so the harness can print both in
-/// one table row.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NoiseBaseline {
-    /// Squared-L2 budget to match (typically the COLPER result's
-    /// [`AttackResult::l2_sq`]).
-    pub target_l2_sq: f32,
-}
-
-impl NoiseBaseline {
-    /// Creates a baseline matched to `target_l2_sq`.
-    pub fn new(target_l2_sq: f32) -> Self {
-        Self { target_l2_sq }
-    }
-
-    /// Applies the noise and evaluates the victim.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `mask.len() != tensors.len()`.
-    pub fn run<M: SegmentationModel + ?Sized>(
-        &self,
-        model: &M,
-        tensors: &CloudTensors,
-        mask: &[bool],
-        rng: &mut StdRng,
-    ) -> AttackResult {
-        let noisy = random_color_noise(&tensors.colors, mask, self.target_l2_sq, rng);
-        let mut perturbed = tensors.clone();
-        perturbed.colors = noisy.clone();
-        let preds = colper_models::predict(model, &perturbed, rng);
-        let mut cm = ConfusionMatrix::new(model.num_classes());
-        let masked_preds: Vec<usize> =
-            preds.iter().zip(mask).filter(|(_, &m)| m).map(|(&p, _)| p).collect();
-        let masked_labels: Vec<usize> =
-            tensors.labels.iter().zip(mask).filter(|(_, &m)| m).map(|(&l, _)| l).collect();
-        cm.update(&masked_preds, &masked_labels);
-        let l2_sq = noisy.sub(&tensors.colors).expect("shape").frobenius_sq();
-        AttackResult {
-            adversarial_colors: noisy,
-            l2_sq,
-            steps_run: 1,
-            converged: false,
-            gain_history: Vec::new(),
-            metric_history: Vec::new(),
-            predictions: preds,
-            success_metric: cm.accuracy(),
-            attacked_points: mask.iter().filter(|&&m| m).count(),
-            restarts: 0,
-        }
+/// The baseline "attack" behind [`crate::Objective::NoiseBaseline`]:
+/// random noise at a squared-L2 budget of `target_l2_sq` (typically a
+/// COLPER result's [`AttackResult::l2_sq`]), evaluated exactly like an
+/// attack so the harness can print both in one table row.
+///
+/// # Panics
+///
+/// Panics when `mask.len() != tensors.len()`.
+pub(crate) fn noise_baseline<M: SegmentationModel + ?Sized>(
+    model: &M,
+    tensors: &CloudTensors,
+    mask: &[bool],
+    target_l2_sq: f32,
+    rng: &mut StdRng,
+) -> AttackResult {
+    let noisy = random_color_noise(&tensors.colors, mask, target_l2_sq, rng);
+    let mut perturbed = tensors.clone();
+    perturbed.colors = noisy.clone();
+    let preds = colper_models::predict(model, &perturbed, rng);
+    let mut cm = ConfusionMatrix::new(model.num_classes());
+    let masked_preds: Vec<usize> =
+        preds.iter().zip(mask).filter(|(_, &m)| m).map(|(&p, _)| p).collect();
+    let masked_labels: Vec<usize> =
+        tensors.labels.iter().zip(mask).filter(|(_, &m)| m).map(|(&l, _)| l).collect();
+    cm.update(&masked_preds, &masked_labels);
+    let l2_sq = noisy.sub(&tensors.colors).expect("shape").frobenius_sq();
+    AttackResult {
+        adversarial_colors: noisy,
+        l2_sq,
+        steps_run: 1,
+        converged: false,
+        gain_history: Vec::new(),
+        metric_history: Vec::new(),
+        predictions: preds,
+        success_metric: cm.accuracy(),
+        attacked_points: mask.iter().filter(|&&m| m).count(),
+        restarts: 0,
     }
 }
 

@@ -1,20 +1,8 @@
 //! Attack configuration, with the paper's hyper-parameters as defaults.
 
-/// What the attacker wants (Section "Problem Formulation" of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AttackGoal {
-    /// Make every attacked point's prediction differ from its ground
-    /// truth (Eq. 3 / Eq. 8).
-    NonTargeted,
-    /// Drive every attacked point's prediction to `target` (Eq. 2 /
-    /// Eq. 7) — e.g. board → wall in the paper's indoor experiments.
-    Targeted {
-        /// The class the attacked points should be predicted as.
-        target: usize,
-    },
-}
+use crate::Objective;
 
-/// Hyper-parameters of [`crate::Colper`].
+/// What one [`crate::AttackSession`] run optimizes for, and how.
 ///
 /// Defaults follow the paper: `λ1 = λ2 = 1`, `α = 10` smoothness
 /// neighbors, Adam with learning rate 0.01, plateau-noise every
@@ -23,8 +11,10 @@ pub enum AttackGoal {
 /// [`AttackConfig::paper_scale`] restores 1000.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AttackConfig {
-    /// The attack goal.
-    pub goal: AttackGoal,
+    /// What the attacker wants (see [`Objective`]). Only
+    /// [`Objective::Targeted`] optimizes the targeted hinge (Eq. 7) and
+    /// convergence test; every other objective is non-targeted (Eq. 8).
+    pub objective: Objective,
     /// Maximum number of optimization iterations (`Steps`).
     pub steps: usize,
     /// Weight of the adversarial loss (`λ1`).
@@ -63,7 +53,7 @@ impl AttackConfig {
     /// (`steps`).
     pub fn non_targeted(steps: usize) -> Self {
         Self {
-            goal: AttackGoal::NonTargeted,
+            objective: Objective::NonTargeted,
             steps,
             lambda1: 1.0,
             lambda2: 1.0,
@@ -79,7 +69,7 @@ impl AttackConfig {
 
     /// A targeted attack configuration toward `target`.
     pub fn targeted(steps: usize, target: usize) -> Self {
-        Self { goal: AttackGoal::Targeted { target }, ..Self::non_targeted(steps) }
+        Self { objective: Objective::Targeted { target }, ..Self::non_targeted(steps) }
     }
 
     /// Restores the paper's `Steps = 1000`.
@@ -89,10 +79,10 @@ impl AttackConfig {
 
     /// The effective convergence threshold for `classes` classes.
     pub fn threshold(&self, classes: usize) -> f32 {
-        match (self.convergence_threshold, self.goal) {
+        match (self.convergence_threshold, &self.objective) {
             (Some(t), _) => t,
-            (None, AttackGoal::NonTargeted) => 1.0 / classes as f32,
-            (None, AttackGoal::Targeted { .. }) => 0.95,
+            (None, Objective::Targeted { .. }) => 0.95,
+            (None, _) => 1.0 / classes as f32,
         }
     }
 
@@ -101,7 +91,7 @@ impl AttackConfig {
         assert!(self.alpha > 0, "AttackConfig: alpha must be positive");
         assert!(self.lr > 0.0, "AttackConfig: lr must be positive");
         assert!(self.gradient_samples > 0, "AttackConfig: gradient_samples must be positive");
-        if let AttackGoal::Targeted { target } = self.goal {
+        if let Objective::Targeted { target } = self.objective {
             assert!(target < classes, "AttackConfig: target class {target} out of range");
         }
     }

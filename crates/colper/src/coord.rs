@@ -7,7 +7,7 @@
 //! their original values and frozen, shrinking the perturbed set until
 //! it fits the L0 budget (10% of the points in the paper).
 
-use crate::{AttackGoal, TanhReparam};
+use crate::TanhReparam;
 use colper_geom::Point3;
 use colper_metrics::ConfusionMatrix;
 use colper_models::{CloudTensors, GeometryPlan, ModelInput, SegmentationModel};
@@ -30,8 +30,6 @@ pub enum PerturbTarget {
 pub struct L0AttackConfig {
     /// Perturbed feature block.
     pub target: PerturbTarget,
-    /// Attack goal (the paper's Table 7 uses non-targeted).
-    pub goal: AttackGoal,
     /// Optimization steps per restoration round.
     pub steps_per_round: usize,
     /// Points restored (frozen) per round — `N` in Eq. 9; the paper
@@ -53,7 +51,6 @@ impl L0AttackConfig {
     pub fn new(target: PerturbTarget) -> Self {
         Self {
             target,
-            goal: AttackGoal::NonTargeted,
             steps_per_round: 30,
             restore_per_round: 100,
             l0_budget: 0.10,
@@ -121,10 +118,6 @@ impl L0Attack {
             PerturbTarget::Color => (tensors.colors.clone(), TanhReparam::color()),
             PerturbTarget::Coordinate => (tensors.xyz.clone(), TanhReparam::coordinate()),
         };
-        let labels_for_loss: Vec<usize> = match cfg.goal {
-            AttackGoal::NonTargeted => tensors.labels.clone(),
-            AttackGoal::Targeted { target } => vec![target; n],
-        };
 
         let mut w = reparam.to_w(&orig);
         let w_orig = w.clone();
@@ -143,16 +136,7 @@ impl L0Attack {
             // Algorithm 2 drops the D and S terms (gain = loss).
             let mut adam = AdamState::new(n, 3);
             for _ in 0..cfg.steps_per_round {
-                let (grad, _) = self.step(
-                    model,
-                    tensors,
-                    &w,
-                    &perturbable,
-                    &labels_for_loss,
-                    &reparam,
-                    &plan,
-                    rng,
-                );
+                let (grad, _) = self.step(model, tensors, &w, &perturbable, &reparam, &plan, rng);
                 last_grad = grad.clone();
                 adam.update(&mut w, &grad, cfg.lr);
             }
@@ -162,16 +146,8 @@ impl L0Attack {
                 // spend a longer final phase on the surviving set.
                 let mut adam = AdamState::new(n, 3);
                 for _ in 0..cfg.steps_per_round * 3 {
-                    let (grad, _) = self.step(
-                        model,
-                        tensors,
-                        &w,
-                        &perturbable,
-                        &labels_for_loss,
-                        &reparam,
-                        &plan,
-                        rng,
-                    );
+                    let (grad, _) =
+                        self.step(model, tensors, &w, &perturbable, &reparam, &plan, rng);
                     adam.update(&mut w, &grad, cfg.lr * 2.0);
                 }
                 break;
@@ -252,7 +228,6 @@ impl L0Attack {
         tensors: &CloudTensors,
         w: &Matrix,
         perturbable: &[bool],
-        labels_for_loss: &[usize],
         reparam: &TanhReparam,
         plan: &GeometryPlan,
         rng: &mut StdRng,
@@ -283,15 +258,9 @@ impl L0Attack {
         // set X_t (all points here); only the perturbation support shrinks
         // via the mask. Perturbing 10% of the points must still be able
         // to flip their neighbors through the network's receptive field.
+        // The loss is non-targeted (Eq. 8), as in the paper's Table 7.
         let full_mask = vec![true; n];
-        let loss = match self.config.goal {
-            AttackGoal::NonTargeted => {
-                session.tape.cw_nontargeted(logits, labels_for_loss, &full_mask)
-            }
-            AttackGoal::Targeted { .. } => {
-                session.tape.cw_targeted(logits, labels_for_loss, &full_mask)
-            }
-        };
+        let loss = session.tape.cw_nontargeted(logits, &tensors.labels, &full_mask);
         session.tape.backward(loss);
         let loss_v = session.tape.value(loss)[(0, 0)];
         let grad = session.tape.grad(w_var).cloned().unwrap_or_else(|| Matrix::zeros(n, 3));

@@ -18,10 +18,18 @@
 //! guessing for non-targeted attacks, success rate ≥ 95% for targeted
 //! ones).
 //!
-//! Alongside the main attack the crate ships the paper's comparison
-//! apparatus: the L0-constrained coordinate/color attack (Algorithm 2,
-//! with the impactful-point selection of Eq. 9), the random-noise
-//! baseline matched on L2, and the transferability helpers (Eq. 10).
+//! [`AttackSession`] is the only way to start a run of this engine. What
+//! the attacker wants is an [`Objective`] in the [`AttackConfig`]: the
+//! paper's non-targeted and targeted goals, the random-noise baseline
+//! matched on L2 (Tables 1 and 3), AdvPC-style transfer and
+//! boundary-focused perturbation; the lighting-EoT attack of the
+//! physical study is a config from [`physical::eot_config`].
+//!
+//! Alongside it the crate ships the paper's other comparison apparatus,
+//! separate algorithms with their own losses and projections: the
+//! L0-constrained coordinate/color attack (Algorithm 2, with the
+//! impactful-point selection of Eq. 9), the classic FGSM / I-FGSM / PGD
+//! baselines, and the transferability helpers (Eq. 10).
 //!
 //! # Example
 //!
@@ -60,14 +68,14 @@ mod streaming;
 mod transfer;
 mod validate;
 
-pub use attack::{AttackPlan, Colper};
-pub use baseline::{random_color_noise, NoiseBaseline};
+pub use attack::AttackPlan;
+pub use baseline::random_color_noise;
 pub use batch::{BatchItem, BatchOutcome};
 pub use classic::{ClassicAttack, ClassicKind};
 /// Re-exported so attack callers can build an [`Observer`] without
 /// depending on `colper-obs` directly.
 pub use colper_obs::Observer;
-pub use config::{AttackConfig, AttackGoal};
+pub use config::AttackConfig;
 pub use coord::{L0Attack, L0AttackConfig, L0Result, PerturbTarget};
 pub use objective::Objective;
 pub use reparam::TanhReparam;

@@ -1,15 +1,16 @@
 //! [`Objective`]: what the attacker optimizes for, as a first-class
 //! value with a stable string id.
 //!
-//! Historically the goal lived inside [`crate::AttackConfig`] as the
-//! two-variant [`crate::AttackGoal`], and the noise baseline was a
-//! separate entry point. The robustness matrix and the `colperd` service
-//! need to *name* attacks — the same string keys a registry, a JSON job
-//! spec, and a report row — and need two objectives the goal enum cannot
-//! express: AdvPC-style transfer (arXiv 1912.00461: optimize on a
-//! surrogate, penalize with a second network) and boundary-focused
-//! perturbation (1908.06062's shape-boundary attacks, adapted to the
-//! color-only threat model as a label-boundary mask).
+//! The objective is the one goal vocabulary of the crate: it lives in
+//! [`crate::AttackConfig::objective`], and [`crate::AttackSession`] runs
+//! every variant through the same engine. The robustness matrix and the
+//! `colperd` service *name* attacks with it — the same string keys a
+//! registry, a JSON job spec, and a report row. Besides the paper's two
+//! goals it covers the L2-matched noise baseline of Tables 1 and 3,
+//! AdvPC-style transfer (arXiv 1912.00461: optimize on a surrogate,
+//! penalize with a second network) and boundary-focused perturbation
+//! (1908.06062's shape-boundary attacks, adapted to the color-only
+//! threat model as a label-boundary mask).
 //!
 //! | id | objective |
 //! |----|-----------|
@@ -21,24 +22,24 @@
 //!
 //! `Objective::id()` round-trips through [`Objective::parse`].
 
-use crate::AttackGoal;
-
-/// What the attacker wants, surfaced through the
-/// [`crate::AttackSession`] builder and the `colperd` job spec.
+/// What the attacker wants (Section "Problem Formulation" of the paper,
+/// plus the comparison objectives), carried by
+/// [`crate::AttackConfig::objective`] and the `colperd` job spec.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Objective {
     /// Make every attacked point's prediction differ from its ground
     /// truth (Eq. 3 / Eq. 8).
     NonTargeted,
     /// Drive every attacked point's prediction to `target` (Eq. 2 /
-    /// Eq. 7).
+    /// Eq. 7) — e.g. board → wall in the paper's indoor experiments.
     Targeted {
         /// The class the attacked points should be predicted as.
         target: usize,
     },
     /// The random-noise baseline of Tables 1 and 3: uniform color noise
-    /// matched to a squared-L2 budget instead of an optimized
-    /// perturbation ([`crate::NoiseBaseline`]).
+    /// matched to a squared-L2 budget ([`crate::random_color_noise`])
+    /// instead of an optimized perturbation, evaluated like an attack so
+    /// both fill one table row.
     NoiseBaseline {
         /// Squared-L2 budget of the noise.
         l2_sq: f32,
@@ -129,24 +130,6 @@ impl Objective {
         }
     }
 
-    /// The [`AttackGoal`] driving the CW hinge and convergence test.
-    /// Every objective except [`Objective::Targeted`] optimizes the
-    /// non-targeted hinge.
-    pub fn goal(&self) -> AttackGoal {
-        match *self {
-            Objective::Targeted { target } => AttackGoal::Targeted { target },
-            _ => AttackGoal::NonTargeted,
-        }
-    }
-
-    /// Lifts a legacy [`AttackGoal`] into the objective it names.
-    pub fn from_goal(goal: AttackGoal) -> Objective {
-        match goal {
-            AttackGoal::NonTargeted => Objective::NonTargeted,
-            AttackGoal::Targeted { target } => Objective::Targeted { target },
-        }
-    }
-
     /// Whether the objective requires a penalty model on the session
     /// ([`crate::AttackSession::penalty_model`]).
     pub fn needs_penalty_model(&self) -> bool {
@@ -194,18 +177,6 @@ mod tests {
         ] {
             assert!(Objective::parse(bad).is_err(), "`{bad}` should not parse");
         }
-    }
-
-    #[test]
-    fn goals_map_through() {
-        assert_eq!(Objective::NonTargeted.goal(), AttackGoal::NonTargeted);
-        assert_eq!(Objective::Targeted { target: 2 }.goal(), AttackGoal::Targeted { target: 2 });
-        assert_eq!(Objective::Transfer { gamma: 0.5 }.goal(), AttackGoal::NonTargeted);
-        assert_eq!(Objective::Boundary { k: 8 }.goal(), AttackGoal::NonTargeted);
-        assert_eq!(
-            Objective::from_goal(AttackGoal::Targeted { target: 7 }),
-            Objective::Targeted { target: 7 }
-        );
     }
 
     #[test]

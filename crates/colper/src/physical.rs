@@ -10,11 +10,12 @@
 //!   multiplier, per-point sensor noise;
 //! * [`survival`] replays a degraded adversarial sample many times and
 //!   reports how much of the attack's effect survives;
-//! * [`robust_colper`] hardens the attack itself with expectation over
+//! * [`eot_config`] hardens the attack itself with expectation over
 //!   lighting transforms (EoT) so the optimized perturbation holds up
-//!   under the same degradations.
+//!   under the same degradations; the config runs through
+//!   [`crate::AttackSession`] like any other.
 
-use crate::{AttackConfig, AttackGoal, AttackResult, Colper};
+use crate::{AttackConfig, Objective};
 use colper_metrics::ConfusionMatrix;
 use colper_models::{CloudTensors, SegmentationModel};
 use colper_tensor::Matrix;
@@ -130,43 +131,34 @@ pub fn survival<M: SegmentationModel + ?Sized>(
     }
 }
 
-/// Runs COLPER hardened with expectation over lighting transforms: each
+/// `config` hardened with expectation over lighting transforms: each
 /// gradient sample shows the victim the colors under a random lighting
 /// multiplier drawn from `physical.lighting_jitter`, so the optimizer
 /// finds perturbations whose effect is lighting-invariant (the standard
-/// EoT recipe for physically robust adversarial examples).
+/// EoT recipe for physically robust adversarial examples). Run it
+/// through [`crate::AttackSession`].
 ///
 /// `eot_samples` is the number of lighting draws averaged per
 /// iteration.
-pub fn robust_colper<M: SegmentationModel + Sync + ?Sized>(
-    model: &M,
-    tensors: &CloudTensors,
-    mask: &[bool],
-    config: &AttackConfig,
+///
+/// # Panics
+///
+/// Panics when `eot_samples == 0`.
+pub fn eot_config(
+    mut config: AttackConfig,
     physical: &PhysicalModel,
     eot_samples: usize,
-    rng: &mut StdRng,
-) -> AttackResult {
-    assert!(eot_samples > 0, "robust_colper: eot_samples must be positive");
-    let mut config = config.clone();
+) -> AttackConfig {
+    assert!(eot_samples > 0, "eot_config: eot_samples must be positive");
     config.gradient_samples = config.gradient_samples.max(eot_samples);
     config.lighting_eot = physical.lighting_jitter;
     // Convergence checks under EoT observe a random lighting draw; keep
     // optimizing the full budget instead of stopping on one lucky draw.
-    config.convergence_threshold = Some(match config.goal {
-        AttackGoal::NonTargeted => 0.0,
-        AttackGoal::Targeted { .. } => 1.1,
+    config.convergence_threshold = Some(match config.objective {
+        Objective::Targeted { .. } => 1.1,
+        _ => 0.0,
     });
-    let plan = crate::AttackPlan::build(model, tensors, &config);
-    Colper::new(config).run_planned_obs(
-        model,
-        tensors,
-        mask,
-        &plan,
-        rng,
-        &colper_obs::Observer::disabled(),
-        0,
-    )
+    config
 }
 
 #[cfg(test)]
@@ -246,16 +238,10 @@ mod tests {
     fn robust_attack_returns_feasible_colors() {
         let mut rng = StdRng::seed_from_u64(3);
         let (model, t) = victim(&mut rng);
-        let mask = vec![true; t.len()];
-        let result = robust_colper(
-            &model,
-            &t,
-            &mask,
-            &AttackConfig::non_targeted(10),
-            &PhysicalModel::default(),
-            2,
-            &mut rng,
-        );
+        let config = eot_config(AttackConfig::non_targeted(10), &PhysicalModel::default(), 2);
+        assert_eq!(config.gradient_samples, 2);
+        assert_eq!(config.convergence_threshold, Some(0.0));
+        let result = crate::AttackSession::new(config).run_with_rng(&model, &t, &mut rng);
         assert!(result.adversarial_colors.min().unwrap() >= 0.0);
         assert!(result.adversarial_colors.max().unwrap() <= 1.0);
     }

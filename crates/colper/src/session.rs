@@ -1,11 +1,13 @@
-//! The unified attack entry point: [`AttackSession`].
+//! The attack entry point: [`AttackSession`].
 //!
-//! Historically the crate grew five ways to launch an attack
-//! (`Colper::run`, `run_planned`, `run_batch`, `run_batch_non_targeted`,
-//! `run_batch_targeted`), each threading a different subset of runtime /
-//! plan / seed / mask through its signature. `AttackSession` collapses
-//! them into one builder: a single-cloud attack is simply the 1-element
-//! batch case.
+//! Every run of the COLPER engine (Algorithm 1) starts here: one builder
+//! configures the attack once — an [`AttackConfig`] whose
+//! [`Objective`] names the goal — plus runtime, plan, observer, seed and
+//! mask selector, and runs over one cloud or many. A single-cloud attack
+//! is the 1-element batch case, and the comparison runs built on the
+//! same optimization go through the same door: the L2-matched noise
+//! baseline as [`Objective::NoiseBaseline`], the lighting-EoT attack of
+//! the physical study as a config from [`crate::physical::eot_config`].
 //!
 //! ```no_run
 //! use colper_attack::{AttackConfig, AttackSession};
@@ -31,9 +33,10 @@
 //! ```
 
 use crate::attack::PenaltyRun;
+use crate::baseline::noise_baseline;
 use crate::{
-    AttackConfig, AttackPlan, AttackResult, BatchItem, BatchOutcome, Colper, NoiseBaseline,
-    Objective, SessionError, WarmSeat,
+    AttackConfig, AttackPlan, AttackResult, BatchItem, BatchOutcome, Objective, SessionError,
+    WarmSeat,
 };
 use colper_geom::knn_graph;
 use colper_metrics::ConfusionMatrix;
@@ -57,12 +60,18 @@ enum MaskSelector<'a> {
 /// Builder for attack runs: configure once, run over one cloud or many.
 ///
 /// Defaults: sequential [`Runtime`] (deferring to the ambient one inside
-/// the optimizer, exactly like [`Colper::new`]), no pre-built plan, a
-/// disabled [`Observer`], seed 0, and an all-points mask.
+/// the optimizer), no pre-built plan, a disabled [`Observer`], seed 0,
+/// and an all-points mask. What the attacker optimizes for is the
+/// configuration's [`AttackConfig::objective`]:
+/// [`Objective::Boundary`] intersects the mask selector with the
+/// ground-truth label-boundary mask; [`Objective::NoiseBaseline`] skips
+/// the optimization loop and draws one L2-matched noise sample;
+/// [`Objective::Transfer`] requires a penalty model
+/// ([`AttackSession::penalty_model`]).
 ///
 /// Per-cloud RNGs derive from `seed + cloud_index`, so outcomes are
 /// reproducible and independent of the runtime's thread count and
-/// schedule — matching the former `run_batch` contract.
+/// schedule.
 pub struct AttackSession<'a> {
     config: AttackConfig,
     runtime: Runtime,
@@ -70,7 +79,6 @@ pub struct AttackSession<'a> {
     observer: Observer,
     base_seed: u64,
     mask: MaskSelector<'a>,
-    objective: Option<Objective>,
     penalty_model: Option<&'a dyn SegmentationModel>,
     penalty_view: Option<&'a CloudTensors>,
 }
@@ -85,7 +93,6 @@ impl<'a> AttackSession<'a> {
             observer: Observer::disabled(),
             base_seed: 0,
             mask: MaskSelector::All,
-            objective: None,
             penalty_model: None,
             penalty_view: None,
         }
@@ -100,8 +107,8 @@ impl<'a> AttackSession<'a> {
     }
 
     /// Attaches a pre-built [`AttackPlan`]. Only valid for single-cloud
-    /// runs ([`AttackSession::run`] panics otherwise) — a plan caches one
-    /// cloud's geometry.
+    /// runs ([`AttackSession::try_run`] rejects others) — a plan caches
+    /// one cloud's geometry.
     #[must_use]
     pub fn plan(mut self, plan: &'a AttackPlan) -> Self {
         self.plan = Some(plan);
@@ -144,24 +151,6 @@ impl<'a> AttackSession<'a> {
         self
     }
 
-    /// Selects what the attacker optimizes for (see [`Objective`]). The
-    /// objective's goal overrides the configuration's
-    /// [`crate::AttackGoal`]; a session without an objective behaves
-    /// exactly as before (the configuration's goal stands, RNG streams
-    /// bit-identical).
-    ///
-    /// [`Objective::Boundary`] intersects the session's mask selector
-    /// with the ground-truth label-boundary mask;
-    /// [`Objective::NoiseBaseline`] skips the optimization loop and
-    /// draws one L2-matched noise sample; [`Objective::Transfer`]
-    /// requires a penalty model
-    /// ([`AttackSession::penalty_model`]).
-    #[must_use]
-    pub fn objective(mut self, objective: Objective) -> Self {
-        self.objective = Some(objective);
-        self
-    }
-
     /// Attaches the second network of the [`Objective::Transfer`]
     /// objective (AdvPC's penalty network). Ignored by other objectives.
     #[must_use]
@@ -173,20 +162,12 @@ impl<'a> AttackSession<'a> {
     /// Attaches the penalty network's own normalized view of the
     /// attacked cloud (same point order — views rescale coordinates
     /// only). Without it the penalty network sees the surrogate's view.
+    /// Like a plan, a view describes one cloud, so only single-cloud
+    /// runs accept it.
     #[must_use]
     pub fn penalty_view(mut self, tensors: &'a CloudTensors) -> Self {
         self.penalty_view = Some(tensors);
         self
-    }
-
-    /// The configuration the engine runs under: the objective's goal
-    /// (when one is set) overrides the configured goal.
-    fn effective_config(&self) -> AttackConfig {
-        let mut cfg = self.config.clone();
-        if let Some(objective) = &self.objective {
-            cfg.goal = objective.goal();
-        }
-        cfg
     }
 
     /// The cloud's attacked-point mask: the session's selector,
@@ -198,7 +179,7 @@ impl<'a> AttackSession<'a> {
             MaskSelector::SourceClass(source) => t.labels.iter().map(|l| l == source).collect(),
             MaskSelector::Custom(mask_of) => mask_of(t),
         };
-        if let Some(Objective::Boundary { k }) = self.objective {
+        if let Objective::Boundary { k } = self.config.objective {
             let boundary = boundary_mask(t, k);
             for (m, b) in mask.iter_mut().zip(boundary) {
                 *m = *m && b;
@@ -215,8 +196,8 @@ impl<'a> AttackSession<'a> {
     /// Panics when the transfer objective is set without a penalty
     /// model.
     fn penalty_run(&self) -> Option<PenaltyRun<'a>> {
-        match self.objective {
-            Some(Objective::Transfer { gamma }) => Some(PenaltyRun {
+        match self.config.objective {
+            Objective::Transfer { gamma } => Some(PenaltyRun {
                 model: self
                     .penalty_model
                     .expect("transfer objective requires a penalty model (penalty_model)"),
@@ -227,6 +208,48 @@ impl<'a> AttackSession<'a> {
         }
     }
 
+    /// The one path into the engine, shared by every public entry point:
+    /// derive the cloud's mask, dispatch the noise baseline (no plan and
+    /// no draw before it), else use `plan` or build one and run
+    /// Algorithm 1 on `runtime`, reporting telemetry as cloud `index`.
+    #[allow(clippy::too_many_arguments)]
+    fn attack_cloud<M: SegmentationModel + ?Sized>(
+        &self,
+        model: &M,
+        cloud: &CloudTensors,
+        plan: Option<&AttackPlan>,
+        rng: &mut StdRng,
+        runtime: &Runtime,
+        index: usize,
+        seat: Option<&mut WarmSeat>,
+    ) -> AttackResult {
+        let mask = self.mask_for(cloud);
+        if let Objective::NoiseBaseline { l2_sq } = self.config.objective {
+            return noise_baseline(model, cloud, &mask, l2_sq, rng);
+        }
+        let built;
+        let plan = match plan {
+            Some(plan) => plan,
+            None => {
+                built = AttackPlan::build(model, cloud, &self.config);
+                &built
+            }
+        };
+        crate::attack::run(
+            &self.config,
+            runtime,
+            model,
+            cloud,
+            &mask,
+            plan,
+            rng,
+            &self.observer,
+            index,
+            seat,
+            self.penalty_run().as_ref(),
+        )
+    }
+
     /// Runs the attack on one cloud drawing noise from the caller's RNG,
     /// for callers that thread one RNG stream through a longer procedure
     /// (adversarial training interleaves attacks with weight updates and
@@ -234,8 +257,8 @@ impl<'a> AttackSession<'a> {
     /// and its mask selector; the observer reports the cloud as index 0.
     ///
     /// Unlike [`AttackSession::run`], no clean prediction is made and no
-    /// per-cloud seed is derived — the RNG stream is bit-identical to the
-    /// former `Colper::run` entry point.
+    /// per-cloud seed is derived: the attack's first draw is the caller's
+    /// next one.
     ///
     /// # Panics
     ///
@@ -248,30 +271,7 @@ impl<'a> AttackSession<'a> {
         cloud: &CloudTensors,
         rng: &mut StdRng,
     ) -> AttackResult {
-        let cfg = self.effective_config();
-        let mask = self.mask_for(cloud);
-        if let Some(Objective::NoiseBaseline { l2_sq }) = self.objective {
-            return NoiseBaseline::new(l2_sq).run(model, cloud, &mask, rng);
-        }
-        let built;
-        let plan = match self.plan {
-            Some(plan) => plan,
-            None => {
-                built = AttackPlan::build(model, cloud, &cfg);
-                &built
-            }
-        };
-        Colper::new(cfg).with_runtime(self.runtime.clone()).run_planned_obs_full(
-            model,
-            cloud,
-            &mask,
-            plan,
-            rng,
-            &self.observer,
-            0,
-            None,
-            self.penalty_run().as_ref(),
-        )
+        self.attack_cloud(model, cloud, self.plan, rng, &self.runtime, 0, None)
     }
 
     /// [`AttackSession::run_with_rng`] on a [`WarmSeat`]: the run resumes
@@ -286,30 +286,7 @@ impl<'a> AttackSession<'a> {
         rng: &mut StdRng,
         seat: &mut WarmSeat,
     ) -> AttackResult {
-        let cfg = self.effective_config();
-        let mask = self.mask_for(cloud);
-        if let Some(Objective::NoiseBaseline { l2_sq }) = self.objective {
-            return NoiseBaseline::new(l2_sq).run(model, cloud, &mask, rng);
-        }
-        let built;
-        let plan = match self.plan {
-            Some(plan) => plan,
-            None => {
-                built = AttackPlan::build(model, cloud, &cfg);
-                &built
-            }
-        };
-        Colper::new(cfg).with_runtime(self.runtime.clone()).run_planned_obs_full(
-            model,
-            cloud,
-            &mask,
-            plan,
-            rng,
-            &self.observer,
-            0,
-            Some(seat),
-            self.penalty_run().as_ref(),
-        )
+        self.attack_cloud(model, cloud, self.plan, rng, &self.runtime, 0, Some(seat))
     }
 
     /// Runs the attack over `clouds`, one stealable task per cloud, and
@@ -335,19 +312,28 @@ impl<'a> AttackSession<'a> {
     /// Validates the batch and runs the attack, returning a typed
     /// [`SessionError`] instead of propagating garbage gradients when a
     /// cloud carries NaN/inf coordinates, colors outside `[0, 1]`, or
-    /// out-of-range labels. The service intake maps these errors to
-    /// client faults.
+    /// out-of-range labels, or when a plan or penalty view (each
+    /// describing one cloud) meets a batch of several. The service
+    /// intake maps these errors to client faults.
     pub fn try_run<M: SegmentationModel + ?Sized>(
         &self,
         model: &M,
         clouds: &[CloudTensors],
     ) -> Result<BatchOutcome, SessionError> {
         crate::validate_clouds(clouds, model.num_classes())?;
-        if self.plan.is_some() && clouds.len() != 1 {
-            return Err(SessionError::PlanNeedsSingleCloud { clouds: clouds.len() });
+        if clouds.len() != 1 {
+            let attachment = if self.plan.is_some() {
+                Some("plan")
+            } else if self.penalty_view.is_some() {
+                Some("penalty view")
+            } else {
+                None
+            };
+            if let Some(attachment) = attachment {
+                return Err(SessionError::NeedsSingleCloud { attachment, clouds: clouds.len() });
+            }
         }
         let classes = model.num_classes();
-        let cfg = self.effective_config();
 
         let items: Vec<BatchItem> = self.runtime.par_map_grained(clouds.len(), 1, |index| {
             let _cloud_span = colper_obs::span!(BATCH_CLOUD);
@@ -360,7 +346,7 @@ impl<'a> AttackSession<'a> {
             let plan = match self.plan {
                 Some(plan) => plan,
                 None => {
-                    built = AttackPlan::build(model, t, &cfg);
+                    built = AttackPlan::build(model, t, &self.config);
                     &built
                 }
             };
@@ -369,22 +355,17 @@ impl<'a> AttackSession<'a> {
             cm.update(&clean_preds, &t.labels);
             let clean_accuracy = cm.accuracy();
 
-            let mask = self.mask_for(t);
-            let result = if let Some(Objective::NoiseBaseline { l2_sq }) = self.objective {
-                NoiseBaseline::new(l2_sq).run(model, t, &mask, &mut rng)
-            } else {
-                Colper::new(cfg.clone()).run_planned_obs_full(
-                    model,
-                    t,
-                    &mask,
-                    plan,
-                    &mut rng,
-                    &self.observer,
-                    index,
-                    None,
-                    self.penalty_run().as_ref(),
-                )
-            };
+            // Inside the pool task the engine defers to the ambient
+            // runtime the task runs on.
+            let result = self.attack_cloud(
+                model,
+                t,
+                Some(plan),
+                &mut rng,
+                &Runtime::sequential(),
+                index,
+                None,
+            );
             let mut cm = ConfusionMatrix::new(classes);
             cm.update(&result.predictions, &t.labels);
             BatchItem {
@@ -540,21 +521,9 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    #[test]
-    fn explicit_non_targeted_objective_matches_legacy_path() {
-        let mut rng = StdRng::seed_from_u64(20);
-        let model = PointNet2::new(PointNet2Config::tiny(13), &mut rng);
-        let data = clouds(1);
-        let cfg = AttackConfig::non_targeted(4);
-        let legacy = AttackSession::new(cfg.clone()).run_with_rng(
-            &model,
-            &data[0],
-            &mut StdRng::seed_from_u64(3),
-        );
-        let via_objective = AttackSession::new(cfg)
-            .objective(crate::Objective::NonTargeted)
-            .run_with_rng(&model, &data[0], &mut StdRng::seed_from_u64(3));
-        assert_eq!(legacy, via_objective);
+    /// A configuration whose objective is `objective`.
+    fn config(objective: Objective, steps: usize) -> AttackConfig {
+        AttackConfig { objective, ..AttackConfig::non_targeted(steps) }
     }
 
     #[test]
@@ -562,13 +531,13 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(21);
         let model = PointNet2::new(PointNet2Config::tiny(13), &mut rng);
         let data = clouds(1);
-        let by_objective = AttackSession::new(AttackConfig::non_targeted(4))
-            .objective(crate::Objective::NoiseBaseline { l2_sq: 0.5 })
+        let by_objective = AttackSession::new(config(Objective::NoiseBaseline { l2_sq: 0.5 }, 4))
             .run_with_rng(&model, &data[0], &mut StdRng::seed_from_u64(8));
-        let direct = crate::NoiseBaseline::new(0.5).run(
+        let direct = crate::baseline::noise_baseline(
             &model,
             &data[0],
             &vec![true; data[0].len()],
+            0.5,
             &mut StdRng::seed_from_u64(8),
         );
         assert_eq!(by_objective, direct);
@@ -582,9 +551,11 @@ mod tests {
         let model = PointNet2::new(PointNet2Config::tiny(13), &mut rng);
         let data = clouds(1);
         let t = &data[0];
-        let result = AttackSession::new(AttackConfig::non_targeted(3))
-            .objective(crate::Objective::Boundary { k: 6 })
-            .run_with_rng(&model, t, &mut StdRng::seed_from_u64(1));
+        let result = AttackSession::new(config(Objective::Boundary { k: 6 }, 3)).run_with_rng(
+            &model,
+            t,
+            &mut StdRng::seed_from_u64(1),
+        );
         assert!(result.attacked_points < t.len(), "a boundary mask should exclude interior points");
         // The boundary mask is reproducible: points outside it keep
         // their exact colors.
@@ -620,8 +591,9 @@ mod tests {
             &data[0],
             &mut StdRng::seed_from_u64(5),
         );
-        let transfer = AttackSession::new(cfg.clone())
-            .objective(crate::Objective::Transfer { gamma: 1.0 })
+        let transfer_cfg =
+            AttackConfig { objective: Objective::Transfer { gamma: 1.0 }, ..cfg.clone() };
+        let transfer = AttackSession::new(transfer_cfg.clone())
             .penalty_model(&penalty)
             .run_with_rng(&surrogate, &data[0], &mut StdRng::seed_from_u64(5));
         // The penalty hinge joins the objective, so the gain trajectory
@@ -629,10 +601,11 @@ mod tests {
         assert_ne!(plain.gain_history, transfer.gain_history);
         assert!(transfer.l2_sq > 0.0);
         // Determinism holds run-to-run.
-        let again = AttackSession::new(cfg)
-            .objective(crate::Objective::Transfer { gamma: 1.0 })
-            .penalty_model(&penalty)
-            .run_with_rng(&surrogate, &data[0], &mut StdRng::seed_from_u64(5));
+        let again = AttackSession::new(transfer_cfg).penalty_model(&penalty).run_with_rng(
+            &surrogate,
+            &data[0],
+            &mut StdRng::seed_from_u64(5),
+        );
         assert_eq!(transfer, again);
     }
 
@@ -642,8 +615,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(24);
         let model = PointNet2::new(PointNet2Config::tiny(13), &mut rng);
         let data = clouds(1);
-        let _ = AttackSession::new(AttackConfig::non_targeted(2))
-            .objective(crate::Objective::Transfer { gamma: 0.5 })
+        let _ = AttackSession::new(config(Objective::Transfer { gamma: 0.5 }, 2))
             .run_with_rng(&model, &data[0], &mut rng);
     }
 
@@ -664,5 +636,25 @@ mod tests {
         let cfg = AttackConfig::non_targeted(2);
         let plan = AttackPlan::build(&model, &data[0], &cfg);
         let _ = AttackSession::new(cfg).plan(&plan).run(&model, &data);
+    }
+
+    #[test]
+    fn penalty_view_with_many_clouds_is_a_typed_error() {
+        let mut rng = StdRng::seed_from_u64(25);
+        let model = PointNet2::new(PointNet2Config::tiny(13), &mut rng);
+        let penalty = PointNet2::new(PointNet2Config::tiny(13), &mut rng);
+        let data = clouds(2);
+        let session = AttackSession::new(config(Objective::Transfer { gamma: 0.5 }, 2))
+            .penalty_model(&penalty)
+            .penalty_view(&data[0]);
+        // One view cannot serve two clouds: the batch is rejected before
+        // any cloud runs, so the engine's point-order assertion never
+        // fires.
+        assert_eq!(
+            session.try_run(&model, &data).unwrap_err(),
+            SessionError::NeedsSingleCloud { attachment: "penalty view", clouds: 2 }
+        );
+        // The single-cloud case the view describes still runs.
+        assert!(session.try_run(&model, &data[..1]).is_ok());
     }
 }

@@ -18,9 +18,13 @@ use std::fmt;
 pub enum SessionError {
     /// The batch holds no clouds.
     EmptyBatch,
-    /// A pre-built [`crate::AttackPlan`] was combined with a multi-cloud
-    /// batch; a plan caches exactly one cloud's geometry.
-    PlanNeedsSingleCloud {
+    /// A single-cloud attachment was combined with a batch of another
+    /// size: a pre-built [`crate::AttackPlan`] caches exactly one cloud's
+    /// geometry, and a penalty view
+    /// ([`crate::AttackSession::penalty_view`]) is one cloud's view.
+    NeedsSingleCloud {
+        /// The attachment: `"plan"` or `"penalty view"`.
+        attachment: &'static str,
         /// Number of clouds in the rejected batch.
         clouds: usize,
     },
@@ -63,9 +67,10 @@ impl fmt::Display for SessionError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Self::EmptyBatch => write!(f, "attack session: no clouds"),
-            Self::PlanNeedsSingleCloud { clouds } => write!(
+            Self::NeedsSingleCloud { attachment, clouds } => write!(
                 f,
-                "attack session: a pre-built plan applies to exactly one cloud, got {clouds}"
+                "attack session: an attached {attachment} applies to exactly one cloud, \
+                 got {clouds}"
             ),
             Self::NonFiniteCoordinate { cloud, point, axis, value } => write!(
                 f,

@@ -2,7 +2,7 @@
 //! discipline, metric bounds and reparameterization consistency — for
 //! arbitrary scenes, masks and configurations.
 
-use colper_attack::{random_color_noise, AttackConfig, AttackGoal, AttackSession, TanhReparam};
+use colper_attack::{random_color_noise, AttackConfig, AttackSession, Objective, TanhReparam};
 use colper_models::{CloudTensors, PointNet2, PointNet2Config};
 use colper_scene::{normalize, IndoorSceneConfig, SceneGenerator};
 use colper_tensor::Matrix;
@@ -120,9 +120,6 @@ proptest! {
         prop_assert!((cfg.threshold(classes) - 1.0 / classes as f32).abs() < 1e-6);
         let t = AttackConfig::targeted(10, 0);
         prop_assert!((t.threshold(classes) - 0.95).abs() < 1e-6);
-        match t.goal {
-            AttackGoal::Targeted { target } => prop_assert_eq!(target, 0),
-            AttackGoal::NonTargeted => prop_assert!(false),
-        }
+        prop_assert_eq!(t.objective, Objective::Targeted { target: 0 });
     }
 }

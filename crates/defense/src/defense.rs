@@ -89,7 +89,15 @@ impl Defense for Quantize {
     }
 
     fn apply(&self, cloud: &PointCloud, _rng: &mut StdRng) -> PointCloud {
-        quantize_impl(cloud, self.bits)
+        assert!((1..=8).contains(&self.bits), "Quantize: bits must be 1-8");
+        let levels = (1u32 << self.bits) as f32 - 1.0;
+        let mut out = cloud.clone();
+        for c in &mut out.colors {
+            for v in c {
+                *v = (*v * levels).round() / levels;
+            }
+        }
+        out
     }
 }
 
@@ -120,7 +128,24 @@ impl Defense for Smooth {
     }
 
     fn apply(&self, cloud: &PointCloud, _rng: &mut StdRng) -> PointCloud {
-        smooth_impl(cloud, self.k)
+        assert!(!cloud.is_empty(), "Smooth: empty cloud");
+        assert!(self.k > 0, "Smooth: k must be positive");
+        let k = self.k.min(cloud.len());
+        let graph = knn_graph(&cloud.coords, k);
+        let mut out = cloud.clone();
+        for i in 0..cloud.len() {
+            let mut acc = [0.0f32; 3];
+            for j in 0..k {
+                let nb = graph[i * k + j];
+                for (a, v) in acc.iter_mut().zip(&cloud.colors[nb]) {
+                    *a += v;
+                }
+            }
+            for (o, a) in out.colors[i].iter_mut().zip(acc) {
+                *o = a / k as f32;
+            }
+        }
+        out
     }
 }
 
@@ -146,7 +171,14 @@ impl Defense for Jitter {
     }
 
     fn apply(&self, cloud: &PointCloud, rng: &mut StdRng) -> PointCloud {
-        jitter_impl(cloud, self.sigma, rng)
+        let sigma = self.sigma;
+        let mut out = cloud.clone();
+        for c in &mut out.colors {
+            for v in c {
+                *v = (*v + rng.gen_range(-sigma..=sigma)).clamp(0.0, 1.0);
+            }
+        }
+        out
     }
 
     fn is_randomized(&self) -> bool {
@@ -165,7 +197,12 @@ impl Defense for Grayscale {
     }
 
     fn apply(&self, cloud: &PointCloud, _rng: &mut StdRng) -> PointCloud {
-        grayscale_impl(cloud)
+        let mut out = cloud.clone();
+        for c in &mut out.colors {
+            let y = 0.299 * c[0] + 0.587 * c[1] + 0.114 * c[2];
+            *c = [y, y, y];
+        }
+        out
     }
 }
 
@@ -368,7 +405,7 @@ pub fn parse_defense(token: &str) -> Result<Box<dyn Defense>, String> {
         }
         "quantize" => {
             want(1)?;
-            let bits = int(0)? as u32;
+            let bits = u32::try_from(int(0)?).unwrap_or(0);
             if !(1..=8).contains(&bits) {
                 return Err("defense `quantize`: bits must be 1-8".to_string());
             }
@@ -426,66 +463,6 @@ pub fn parse_defense(token: &str) -> Result<Box<dyn Defense>, String> {
     }
 }
 
-// Shared transform bodies: the deprecated free functions in
-// [`crate::transform`] delegate here so old and new APIs stay
-// bit-identical for the deprecation window.
-
-pub(crate) fn quantize_impl(cloud: &PointCloud, bits: u32) -> PointCloud {
-    assert!((1..=8).contains(&bits), "quantize_colors: bits must be 1-8");
-    let levels = (1u32 << bits) as f32 - 1.0;
-    let mut out = cloud.clone();
-    for c in &mut out.colors {
-        for v in c {
-            *v = (*v * levels).round() / levels;
-        }
-    }
-    out
-}
-
-pub(crate) fn smooth_impl(cloud: &PointCloud, k: usize) -> PointCloud {
-    assert!(!cloud.is_empty(), "smooth_colors: empty cloud");
-    assert!(k > 0, "smooth_colors: k must be positive");
-    let k = k.min(cloud.len());
-    let graph = knn_graph(&cloud.coords, k);
-    let mut out = cloud.clone();
-    for i in 0..cloud.len() {
-        let mut acc = [0.0f32; 3];
-        for j in 0..k {
-            let nb = graph[i * k + j];
-            for (a, v) in acc.iter_mut().zip(&cloud.colors[nb]) {
-                *a += v;
-            }
-        }
-        for (o, a) in out.colors[i].iter_mut().zip(acc) {
-            *o = a / k as f32;
-        }
-    }
-    out
-}
-
-pub(crate) fn jitter_impl<R: Rng + ?Sized>(
-    cloud: &PointCloud,
-    sigma: f32,
-    rng: &mut R,
-) -> PointCloud {
-    let mut out = cloud.clone();
-    for c in &mut out.colors {
-        for v in c {
-            *v = (*v + rng.gen_range(-sigma..=sigma)).clamp(0.0, 1.0);
-        }
-    }
-    out
-}
-
-pub(crate) fn grayscale_impl(cloud: &PointCloud) -> PointCloud {
-    let mut out = cloud.clone();
-    for c in &mut out.colors {
-        let y = 0.299 * c[0] + 0.587 * c[1] + 0.114 * c[2];
-        *c = [y, y, y];
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -530,11 +507,97 @@ mod tests {
 
     #[test]
     fn parse_rejects_unknown_and_malformed() {
-        for bad in
-            ["fog", "quantize", "quantize()", "quantize(0)", "quantize(9)", "drop(1.0)", "sor(8)"]
-        {
+        for bad in [
+            "fog",
+            "quantize",
+            "quantize()",
+            "quantize(0)",
+            "quantize(9)",
+            // 2^32 + 1 must not narrow to `quantize(1)`.
+            "quantize(4294967297)",
+            "drop(1.0)",
+            "sor(8)",
+        ] {
             assert!(parse_defense(bad).is_err(), "`{bad}` should not parse");
         }
+    }
+
+    #[test]
+    fn quantize_reduces_distinct_values() {
+        let cloud = sample();
+        let q = Quantize::new(2).apply(&cloud, &mut rng());
+        let mut distinct: Vec<u32> =
+            q.colors.iter().flatten().map(|v| (v * 1000.0).round() as u32).collect();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert!(distinct.len() <= 4, "2 bits -> at most 4 levels, got {}", distinct.len());
+    }
+
+    #[test]
+    fn quantize_is_idempotent() {
+        let cloud = sample();
+        let once = Quantize::new(3).apply(&cloud, &mut rng());
+        let twice = Quantize::new(3).apply(&once, &mut rng());
+        assert_eq!(once.colors, twice.colors);
+    }
+
+    #[test]
+    fn smooth_reduces_neighborhood_contrast() {
+        let cloud = sample();
+        let smoothed = Smooth::new(8).apply(&cloud, &mut rng());
+        let contrast = |c: &PointCloud| -> f32 {
+            let g = knn_graph(&c.coords, 4);
+            let mut total = 0.0;
+            for i in 0..c.len() {
+                for j in 0..4 {
+                    let nb = g[i * 4 + j];
+                    for ch in 0..3 {
+                        total += (c.colors[i][ch] - c.colors[nb][ch]).abs();
+                    }
+                }
+            }
+            total
+        };
+        assert!(contrast(&smoothed) < contrast(&cloud));
+    }
+
+    #[test]
+    fn jitter_stays_in_unit_box() {
+        let cloud = sample();
+        let j = Jitter::new(0.3).apply(&cloud, &mut rng());
+        assert!(j.colors.iter().flatten().all(|&v| (0.0..=1.0).contains(&v)));
+        assert_ne!(j.colors, cloud.colors);
+    }
+
+    #[test]
+    fn grayscale_equalizes_channels() {
+        let cloud = sample();
+        for c in &Grayscale.apply(&cloud, &mut rng()).colors {
+            assert_eq!(c[0], c[1]);
+            assert_eq!(c[1], c[2]);
+        }
+    }
+
+    #[test]
+    fn transforms_preserve_geometry_and_labels() {
+        let cloud = sample();
+        let stages: Vec<Box<dyn Defense>> = vec![
+            Box::new(Quantize::new(4)),
+            Box::new(Smooth::new(5)),
+            Box::new(Jitter::new(0.1)),
+            Box::new(Grayscale),
+        ];
+        for stage in stages {
+            let d = stage.apply(&cloud, &mut rng());
+            assert_eq!(d.coords, cloud.coords, "{}", stage.id());
+            assert_eq!(d.labels, cloud.labels, "{}", stage.id());
+        }
+    }
+
+    #[test]
+    fn labels_are_informative() {
+        assert!(Quantize::new(3).id().contains('3'));
+        assert!(Smooth::new(7).id().contains('7'));
     }
 
     #[test]

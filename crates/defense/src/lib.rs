@@ -22,10 +22,6 @@
 //!   color contrast is anomalously high — adversarial colors must buy
 //!   margin somewhere, and the smoothness penalty can only hide so much.
 //!
-//! The pre-trait surface ([`transform`]: `ColorTransform` + free
-//! functions) is deprecated and shimmed over the new stages for one
-//! release.
-//!
 //! Each defense exposes the measurements needed for a
 //! robustness-vs-clean-accuracy table (regenerated by
 //! `cargo run -p colper-bench --bin defenses`) and for the attack ×
@@ -53,7 +49,6 @@ pub mod advtrain;
 pub mod defense;
 pub mod detect;
 pub mod pipeline;
-pub mod transform;
 
 pub use advtrain::{adversarial_training, AdvTrainConfig, AdvTrainReport};
 pub use defense::{
@@ -62,7 +57,3 @@ pub use defense::{
 };
 pub use detect::{DetectorReport, SmoothnessDetector};
 pub use pipeline::DefensePipeline;
-#[allow(deprecated)]
-pub use transform::{
-    grayscale_colors, jitter_colors, quantize_colors, smooth_colors, ColorTransform,
-};

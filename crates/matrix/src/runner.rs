@@ -305,9 +305,7 @@ fn run_validated(registry: &Registry, cfg: &MatrixConfig, runtime: &Runtime) -> 
 
 /// The attack configuration an entry optimizes under.
 fn attack_config(entry: &AttackEntry, cfg: &MatrixConfig) -> AttackConfig {
-    let mut a = AttackConfig::non_targeted(cfg.steps);
-    a.goal = entry.objective.goal();
-    a
+    AttackConfig { objective: entry.objective.clone(), ..AttackConfig::non_targeted(cfg.steps) }
 }
 
 /// Phase-1 white-box unit: optimize one attack against one model over
@@ -336,7 +334,6 @@ fn run_white_box_unit(
             let seed = stable_seed(&["attack", &entry.id, model_id, &scene.id]);
             let mut rng = StdRng::seed_from_u64(seed);
             let result = AttackSession::new(a_cfg)
-                .objective(entry.objective.clone())
                 .plan(&plan)
                 .run_with_rng_seated(model, &tensors, &mut rng, &mut seat);
             colper_obs::counters::MATRIX_ATTACK_RUNS.incr();
@@ -378,7 +375,6 @@ fn run_transfer_unit(
             let seed = stable_seed(&["attack", &entry.id, surrogate_id, &scene.id]);
             let mut rng = StdRng::seed_from_u64(seed);
             let result = AttackSession::new(a_cfg)
-                .objective(entry.objective.clone())
                 .plan(&plan)
                 .penalty_model(penalty)
                 .penalty_view(&penalty_tensors)

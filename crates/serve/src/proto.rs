@@ -1,7 +1,6 @@
 //! The `POST /attack` job vocabulary.
 //!
-//! A job spec is a small JSON object; every field is optional except
-//! that a `"targeted"` goal requires `"target"`:
+//! A job spec is a small JSON object; every field is optional:
 //!
 //! ```json
 //! {
@@ -11,8 +10,6 @@
 //!   "steps": 5,                   // optimization iterations (≤ 1000)
 //!   "objective": "non_targeted",  // attack objective id: "targeted(3)",
 //!                                 // "noise(4)", "transfer(0.5)", "boundary(4)"
-//!   "goal": "non_targeted",       // legacy alternative to "objective":
-//!                                 // "targeted" with "target": <class>
 //!   "priority": "interactive",    // or "batch"
 //!   "threads": 1,                 // per-job runtime budget
 //!   "stream": false,              // true → per-step JSONL instead of a result object
@@ -29,11 +26,14 @@
 //! module runs), while a well-formed object that names an unknown model,
 //! blows a limit, or inlines an inconsistent cloud is a `422` — the
 //! distinction tells a client whether to fix its encoder or its request.
+//! The removed `"goal"`/`"target"` fields are a `422` naming
+//! `"objective"`, so an old targeted request never runs as a
+//! non-targeted job.
 
 use crate::json::Json;
 use crate::pool::ModelKind;
 use crate::queue::Priority;
-use colper_attack::{AttackConfig, AttackGoal, Objective};
+use colper_attack::{AttackConfig, Objective};
 use colper_geom::Point3;
 use colper_models::CloudTensors;
 use colper_tensor::Matrix;
@@ -60,8 +60,7 @@ pub struct JobSpec {
     pub points: usize,
     /// Scene + attack seed.
     pub seed: u64,
-    /// The attack objective ([`Objective::id`] names it in responses;
-    /// the legacy `goal`/`target` fields lift into it).
+    /// The attack objective ([`Objective::id`] names it in responses).
     pub objective: Objective,
     /// Optimization iterations.
     pub steps: usize,
@@ -84,10 +83,7 @@ impl JobSpec {
 
     /// The attack configuration this job resolves to.
     pub fn attack_config(&self) -> AttackConfig {
-        match self.objective.goal() {
-            AttackGoal::NonTargeted => AttackConfig::non_targeted(self.steps),
-            AttackGoal::Targeted { target } => AttackConfig::targeted(self.steps, target),
-        }
+        AttackConfig { objective: self.objective.clone(), ..AttackConfig::non_targeted(self.steps) }
     }
 
     /// Parses and validates a job spec from a decoded JSON value.
@@ -113,37 +109,18 @@ impl JobSpec {
         if steps == 0 || steps > MAX_STEPS {
             return Err(format!("\"steps\" must be in 1..={MAX_STEPS}, got {steps}"));
         }
-        let objective = match (value.get("objective"), value.get("goal")) {
-            (Some(_), Some(_)) => {
-                return Err(
-                    "give either \"objective\" or the legacy \"goal\", not both".to_string()
-                );
-            }
-            // The one vocabulary the matrix runner and service clients
-            // share: an `Objective` id string, e.g. "targeted(3)" or
-            // "transfer(0.5)". Unknown ids and malformed parameters map
-            // to 422 with the parser's reason.
-            (Some(o), None) => {
-                let s = o.as_str().ok_or("\"objective\" must be a string")?;
-                Objective::parse(s)?
-            }
-            (None, goal) => {
-                let goal = match goal {
-                    None => AttackGoal::NonTargeted,
-                    Some(g) => match g.as_str().ok_or("\"goal\" must be a string")? {
-                        "non_targeted" => AttackGoal::NonTargeted,
-                        "targeted" => {
-                            let target = value
-                                .get("target")
-                                .and_then(Json::as_usize)
-                                .ok_or("a targeted goal requires an integer \"target\"")?;
-                            AttackGoal::Targeted { target }
-                        }
-                        other => return Err(format!("unknown goal {other:?}")),
-                    },
-                };
-                Objective::from_goal(goal)
-            }
+        if value.get("goal").is_some() || value.get("target").is_some() {
+            return Err("\"goal\" and \"target\" were removed: name the attack with \
+                        \"objective\", e.g. \"objective\":\"targeted(3)\""
+                .to_string());
+        }
+        // The one vocabulary the matrix runner and service clients share:
+        // an `Objective` id string, e.g. "targeted(3)" or "transfer(0.5)".
+        // Unknown ids and malformed parameters map to 422 with the
+        // parser's reason.
+        let objective = match value.get("objective") {
+            None => Objective::NonTargeted,
+            Some(o) => Objective::parse(o.as_str().ok_or("\"objective\" must be a string")?)?,
         };
         if let Objective::Targeted { target } = objective {
             if target >= NUM_CLASSES {
@@ -296,7 +273,7 @@ mod tests {
     fn explicit_fields_parse() {
         let job = spec(
             r#"{"model":"resgcn","points":128,"seed":9,"steps":20,
-                "goal":"targeted","target":3,"priority":"batch","threads":4,"stream":true}"#,
+                "objective":"targeted(3)","priority":"batch","threads":4,"stream":true}"#,
         )
         .unwrap();
         assert_eq!(job.model, ModelKind::ResGcn);
@@ -316,8 +293,6 @@ mod tests {
         assert!(spec(r#"{"steps":5000}"#).unwrap_err().contains("steps"));
         assert!(spec(r#"{"points":4}"#).unwrap_err().contains("point count"));
         assert!(spec(r#"{"points":100000}"#).unwrap_err().contains("point count"));
-        assert!(spec(r#"{"goal":"targeted"}"#).unwrap_err().contains("target"));
-        assert!(spec(r#"{"goal":"targeted","target":99}"#).unwrap_err().contains("classes"));
         assert!(spec(r#"{"priority":"urgent"}"#).unwrap_err().contains("unknown priority"));
         assert!(spec(r#"{"seed":-1}"#).unwrap_err().contains("seed"));
         assert!(spec(r#"[1,2,3]"#).unwrap_err().contains("object"));
@@ -341,21 +316,28 @@ mod tests {
             spec(r#"{"objective":"noise(4)"}"#).unwrap().objective,
             Objective::NoiseBaseline { l2_sq: 4.0 }
         );
-        // Targeted objectives hit the same class-count guard as the
-        // legacy fields, and attack_config carries the goal through.
+        // Targeted objectives hit the class-count guard, and
+        // attack_config carries the objective through.
         assert!(spec(r#"{"objective":"targeted(99)"}"#).unwrap_err().contains("classes"));
         let cfg = spec(r#"{"objective":"targeted(3)","steps":7}"#).unwrap().attack_config();
-        assert_eq!(cfg.goal, AttackGoal::Targeted { target: 3 });
-        assert_eq!(cfg.steps, 7);
+        assert_eq!(cfg, AttackConfig::targeted(7, 3));
     }
 
     #[test]
-    fn unknown_or_conflicting_objectives_are_422() {
+    fn unknown_objectives_and_removed_goal_fields_are_422() {
         assert!(spec(r#"{"objective":"warp(2)"}"#).unwrap_err().contains("warp"));
         assert!(spec(r#"{"objective":"transfer("}"#).is_err());
-        assert!(spec(r#"{"objective":"non_targeted","goal":"non_targeted"}"#)
-            .unwrap_err()
-            .contains("not both"));
+        // The removed goal vocabulary never runs as a non-targeted job:
+        // every body carrying it is refused with the field to use.
+        for body in [
+            r#"{"goal":"targeted","target":3}"#,
+            r#"{"goal":"targeted"}"#,
+            r#"{"goal":"non_targeted"}"#,
+            r#"{"target":3}"#,
+            r#"{"objective":"non_targeted","goal":"non_targeted"}"#,
+        ] {
+            assert!(spec(body).unwrap_err().contains("\"objective\""), "{body}");
+        }
     }
 
     #[test]

@@ -16,13 +16,17 @@
 //!    attack on the shared
 //!    work-stealing [`Runtime`] under the job's thread budget, and
 //!    write the response themselves — streamed jobs get per-step
-//!    `colper-trace-v1` JSONL lines live via a [`StepSink`].
+//!    `colper-trace-v1` JSONL lines live via a [`StepSink`]. A job that
+//!    panics is contained: its client gets a `500` (or, mid-stream, a
+//!    closed connection), `/stats` counts it, and the worker moves on.
 //!
 //! `workers: 0` is supported and deliberate: nothing drains the queue,
 //! which makes backpressure deterministic to test.
 
+use std::cell::Cell;
 use std::io::{BufReader, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::{self, JoinHandle};
@@ -117,6 +121,24 @@ struct Ctx {
     shutdown: AtomicBool,
 }
 
+impl Ctx {
+    fn new(config: &ServeConfig) -> Self {
+        Self {
+            queue: JobQueue::new(config.queue_capacity),
+            stats: ServiceStats::default(),
+            seats: SeatPool::new(config.seat_cap),
+            zoo: Zoo::new(),
+            runtime: Runtime::new(config.threads.max(1)),
+            shutdown: AtomicBool::new(false),
+        }
+    }
+}
+
+/// Runs one dequeued job. `replied` is set before the job writes its
+/// first response byte, so a panic handler knows whether a `500` can
+/// still go out.
+type JobRunner = fn(Job, &Ctx, &Cell<bool>);
+
 /// A [`StepSink`] that writes each record to the client's socket as a
 /// `colper-trace-v1` `step` line, flushed per line so the client sees
 /// progress while the attack runs.
@@ -149,21 +171,14 @@ impl Server {
     pub fn start(config: &ServeConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
-        let ctx = Arc::new(Ctx {
-            queue: JobQueue::new(config.queue_capacity),
-            stats: ServiceStats::default(),
-            seats: SeatPool::new(config.seat_cap),
-            zoo: Zoo::new(),
-            runtime: Runtime::new(config.threads.max(1)),
-            shutdown: AtomicBool::new(false),
-        });
+        let ctx = Arc::new(Ctx::new(config));
 
         let workers = (0..config.workers)
             .map(|i| {
                 let ctx = Arc::clone(&ctx);
                 thread::Builder::new()
                     .name(format!("colperd-worker-{i}"))
-                    .spawn(move || worker_loop(&ctx))
+                    .spawn(move || worker_loop(&ctx, run_job))
                     .expect("spawn worker thread")
             })
             .collect();
@@ -329,17 +344,34 @@ fn enqueue(job: Job, priority: Priority, ctx: &Ctx) {
     }
 }
 
-fn worker_loop(ctx: &Ctx) {
+fn worker_loop(ctx: &Ctx, run: JobRunner) {
     while let Some(job) = ctx.queue.pop() {
-        run_job(job, ctx);
+        serve_job(job, ctx, run);
     }
 }
 
-fn run_job(job: Job, ctx: &Ctx) {
+/// Runs one job behind a panic boundary, so a panicking job cannot end
+/// the worker that runs it. The panic is counted in `/stats`
+/// (`panicked`); the client gets a `500` when no response byte went out
+/// yet, while a streamed job that already started just sees its
+/// connection close. The job's seat is dropped, not returned to the
+/// pool.
+fn serve_job(job: Job, ctx: &Ctx, run: JobRunner) {
+    let reply = job.stream.try_clone();
+    let replied = Cell::new(false);
+    if catch_unwind(AssertUnwindSafe(|| run(job, ctx, &replied))).is_err() {
+        ServiceStats::incr(&ctx.stats.panicked);
+        if let (false, Ok(mut stream)) = (replied.get(), reply) {
+            let _ = respond_json(&mut stream, 500, &error_body("the job panicked"));
+        }
+    }
+}
+
+fn run_job(job: Job, ctx: &Ctx, replied: &Cell<bool>) {
     let Job { spec, stream, queued_at } = job;
     match spec {
-        Spec::Attack(spec) => run_attack_job(spec, stream, queued_at, ctx),
-        Spec::Stream(spec) => run_stream_job(&spec, stream, queued_at, ctx),
+        Spec::Attack(spec) => run_attack_job(spec, stream, queued_at, ctx, replied),
+        Spec::Stream(spec) => run_stream_job(&spec, stream, queued_at, ctx, replied),
     }
 }
 
@@ -347,7 +379,13 @@ fn run_job(job: Job, ctx: &Ctx) {
 /// scratch directory, attacked window by window on the shared pool
 /// under the job's thread budget, and the scratch removed before the
 /// summary goes out.
-fn run_stream_job(spec: &StreamSpec, mut stream: TcpStream, queued_at: Instant, ctx: &Ctx) {
+fn run_stream_job(
+    spec: &StreamSpec,
+    mut stream: TcpStream,
+    queued_at: Instant,
+    ctx: &Ctx,
+    replied: &Cell<bool>,
+) {
     let queue_ms = queued_at.elapsed().as_secs_f64() * 1e3;
     let budget = spec.threads.clamp(1, ctx.runtime.threads().max(1));
     let rt = ctx.runtime.clone().with_budget(budget);
@@ -356,7 +394,9 @@ fn run_stream_job(spec: &StreamSpec, mut stream: TcpStream, queued_at: Instant, 
         ModelKind::ResGcn => &ctx.zoo.resgcn,
     };
     let run_started = Instant::now();
-    match run_stream(spec, model, &rt) {
+    let outcome = run_stream(spec, model, &rt);
+    replied.set(true);
+    match outcome {
         Ok(body) => {
             ServiceStats::incr(&ctx.stats.completed);
             ServiceStats::incr(&ctx.stats.stream_completed);
@@ -374,7 +414,13 @@ fn run_stream_job(spec: &StreamSpec, mut stream: TcpStream, queued_at: Instant, 
     }
 }
 
-fn run_attack_job(spec: JobSpec, mut stream: TcpStream, queued_at: Instant, ctx: &Ctx) {
+fn run_attack_job(
+    spec: JobSpec,
+    mut stream: TcpStream,
+    queued_at: Instant,
+    ctx: &Ctx,
+    replied: &Cell<bool>,
+) {
     let queue_ms = queued_at.elapsed().as_secs_f64() * 1e3;
 
     // Materialize the cloud: inline if supplied, else a synthetic indoor
@@ -414,6 +460,7 @@ fn run_attack_job(spec: JobSpec, mut stream: TcpStream, queued_at: Instant, ctx:
         Some(sink) => {
             // A failed write means the client left; run anyway so the
             // seat still warms up.
+            replied.set(true);
             let _ = begin_jsonl_stream(&mut stream);
             let meta = format!(
                 "{{\"type\":\"meta\",\"schema\":\"colper-trace-v1\",\"attacks\":1,\
@@ -430,10 +477,7 @@ fn run_attack_job(spec: JobSpec, mut stream: TcpStream, queued_at: Instant, ctx:
     };
 
     let run_started = Instant::now();
-    let mut session = AttackSession::new(spec.attack_config())
-        .runtime(&rt)
-        .observer(&observer)
-        .objective(spec.objective.clone());
+    let mut session = AttackSession::new(spec.attack_config()).runtime(&rt).observer(&observer);
     if spec.objective.needs_penalty_model() {
         let penalty: &dyn colper_models::SegmentationModel = match spec.model.other() {
             ModelKind::PointNet => &ctx.zoo.pointnet,
@@ -461,6 +505,7 @@ fn run_attack_job(spec: JobSpec, mut stream: TcpStream, queued_at: Instant, ctx:
     }
 
     let body = result_json(&spec, &result, was_warm, queue_ms, run_ms);
+    replied.set(true);
     if spec.stream {
         // The head already went out; append the result as the final
         // JSONL line and let Connection: close end the stream.
@@ -498,4 +543,52 @@ fn result_json(
         queue_ms,
         run_ms,
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Read as _;
+
+    /// A job runner that panics on seed 13 and runs every other job.
+    fn panics_on_seed_13(job: Job, ctx: &Ctx, replied: &Cell<bool>) {
+        if matches!(&job.spec, Spec::Attack(spec) if spec.seed == 13) {
+            panic!("injected job panic");
+        }
+        run_job(job, ctx, replied)
+    }
+
+    #[test]
+    fn a_panicking_job_gets_a_500_and_its_worker_serves_the_next() {
+        let ctx = Ctx::new(&ServeConfig { threads: 1, ..ServeConfig::default() });
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let mut clients = Vec::new();
+        for seed in [13, 1] {
+            clients.push(TcpStream::connect(addr).unwrap());
+            let (stream, _) = listener.accept().unwrap();
+            let body = format!(r#"{{"points":32,"steps":1,"seed":{seed}}}"#);
+            let spec = JobSpec::from_json(&Json::parse(&body).unwrap()).unwrap();
+            let job = Job { spec: Spec::Attack(spec), stream, queued_at: Instant::now() };
+            assert!(ctx.queue.push(Priority::Interactive, job).is_ok());
+        }
+        ctx.queue.close();
+
+        // One worker drains both jobs: the first panics, the second runs.
+        worker_loop(&ctx, panics_on_seed_13);
+
+        let mut answers = clients.into_iter().map(|mut client| {
+            let mut answer = String::new();
+            client.read_to_string(&mut answer).unwrap();
+            answer
+        });
+        let panicked = answers.next().unwrap();
+        assert!(panicked.starts_with("HTTP/1.1 500"), "{panicked}");
+        assert!(panicked.contains("panicked"), "{panicked}");
+        let served = answers.next().unwrap();
+        assert!(served.starts_with("HTTP/1.1 200"), "{served}");
+        assert!(served.contains("\"steps_run\":1"), "{served}");
+        assert_eq!(ctx.stats.panicked.load(Ordering::Relaxed), 1);
+        assert_eq!(ctx.stats.completed.load(Ordering::Relaxed), 1);
+    }
 }

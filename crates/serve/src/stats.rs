@@ -26,6 +26,9 @@ pub struct ServiceStats {
     pub stream_completed: AtomicU64,
     /// Completed jobs that started on a warm (donated-tape) seat.
     pub warm_starts: AtomicU64,
+    /// Jobs that panicked; each was contained and its worker kept
+    /// serving.
+    pub panicked: AtomicU64,
 }
 
 impl ServiceStats {
@@ -45,7 +48,7 @@ impl ServiceStats {
             concat!(
                 "{{\"accepted\":{},\"rejected_full\":{},\"rejected_malformed\":{},",
                 "\"rejected_invalid\":{},\"completed\":{},\"stream_completed\":{},",
-                "\"warm_starts\":{},",
+                "\"warm_starts\":{},\"panicked\":{},",
                 "\"queue_interactive\":{},\"queue_batch\":{},\"idle_seats\":{}}}"
             ),
             self.accepted.load(Ordering::Relaxed),
@@ -55,6 +58,7 @@ impl ServiceStats {
             self.completed.load(Ordering::Relaxed),
             self.stream_completed.load(Ordering::Relaxed),
             self.warm_starts.load(Ordering::Relaxed),
+            self.panicked.load(Ordering::Relaxed),
             interactive_depth,
             batch_depth,
             idle_seats,
@@ -77,6 +81,7 @@ mod tests {
         assert_eq!(parsed.get("accepted").and_then(Json::as_u64), Some(2));
         assert_eq!(parsed.get("completed").and_then(Json::as_u64), Some(1));
         assert_eq!(parsed.get("rejected_full").and_then(Json::as_u64), Some(0));
+        assert_eq!(parsed.get("panicked").and_then(Json::as_u64), Some(0));
         assert_eq!(parsed.get("queue_interactive").and_then(Json::as_u64), Some(3));
         assert_eq!(parsed.get("queue_batch").and_then(Json::as_u64), Some(1));
         assert_eq!(parsed.get("idle_seats").and_then(Json::as_u64), Some(2));

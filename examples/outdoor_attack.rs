@@ -8,7 +8,7 @@
 //! cargo run --release --example outdoor_attack
 //! ```
 
-use colper_repro::attack::{AttackConfig, AttackSession, NoiseBaseline};
+use colper_repro::attack::{AttackConfig, AttackSession, Objective};
 use colper_repro::metrics::success_rate;
 use colper_repro::models::{
     evaluate_on, train_model, CloudTensors, RandLaNet, RandLaNetConfig, TrainConfig,
@@ -51,12 +51,15 @@ fn main() {
     // Non-targeted attack over the whole scene, plus the matched-L2
     // noise baseline of Table 3.
     println!("running non-targeted COLPER...");
-    let mask = vec![true; scene.len()];
     let outcome = AttackSession::new(AttackConfig::non_targeted(80))
         .seed(29)
         .run(&model, std::slice::from_ref(&scene));
     let result = &outcome.items[0].result;
-    let baseline = NoiseBaseline::new(result.l2_sq).run(&model, &scene, &mask, &mut rng);
+    let noise = AttackConfig {
+        objective: Objective::NoiseBaseline { l2_sq: result.l2_sq },
+        ..AttackConfig::non_targeted(80)
+    };
+    let baseline = AttackSession::new(noise).run_with_rng(&model, &scene, &mut rng);
     println!("  COLPER:   L2 {:.2}, accuracy {:.1}%", result.l2(), result.success_metric * 100.0);
     println!(
         "  baseline: L2 {:.2}, accuracy {:.1}% (same noise budget, no optimization)",

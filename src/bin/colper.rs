@@ -22,7 +22,7 @@
 //! pool (default: `COLPER_THREADS`, else the host parallelism); every
 //! thread count produces bit-identical results.
 
-use colper_repro::attack::{AttackConfig, AttackSession, NoiseBaseline};
+use colper_repro::attack::{AttackConfig, AttackSession, Objective};
 use colper_repro::metrics::ConfusionMatrix;
 use colper_repro::models::{
     train_model, CloudTensors, PointNet2, PointNet2Config, RandLaNet, RandLaNetConfig, ResGcn,
@@ -554,7 +554,15 @@ fn cmd_attack(flags: &Flags) -> Result<(), String> {
         println!("trace: {} + {} + {report_path}", jsonl.display(), summary.display());
     }
 
-    let baseline = NoiseBaseline::new(result.l2_sq).run(model.as_dyn(), &tensors, &mask, &mut rng);
+    let noise = AttackConfig {
+        objective: Objective::NoiseBaseline { l2_sq: result.l2_sq },
+        ..AttackConfig::non_targeted(steps)
+    };
+    let baseline = AttackSession::new(noise).mask_with(&mask_of).run_with_rng(
+        model.as_dyn(),
+        &tensors,
+        &mut rng,
+    );
     let mut cm = ConfusionMatrix::new(13);
     cm.update(&baseline.predictions, &tensors.labels);
     println!(

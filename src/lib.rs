@@ -1,7 +1,7 @@
 //! # COLPER reproduction — umbrella crate
 //!
 //! This crate re-exports the whole workspace behind one dependency, so a
-//! downstream user can write `colper_repro::attack::Colper` instead of
+//! downstream user can write `colper_repro::attack::AttackSession` instead of
 //! depending on eight crates. See the README for a tour and `examples/`
 //! for runnable end-to-end scenarios.
 //!

@@ -1,7 +1,7 @@
 //! End-to-end integration: synthetic data -> trained victim -> attack ->
 //! metrics, spanning every crate of the workspace.
 
-use colper_repro::attack::{AttackConfig, AttackSession, NoiseBaseline};
+use colper_repro::attack::{AttackConfig, AttackSession, Objective};
 use colper_repro::metrics::success_rate;
 use colper_repro::models::{
     evaluate_on, train_model, CloudTensors, PointNet2, PointNet2Config, SegmentationModel,
@@ -41,9 +41,12 @@ fn full_pipeline_nontargeted_attack_beats_noise_baseline() {
 
     let clean = evaluate_on(&model, victim, &mut rng);
     let attack = AttackSession::new(AttackConfig::non_targeted(60));
-    let mask = vec![true; victim.len()];
     let result = attack.run_with_rng(&model, victim, &mut rng);
-    let baseline = NoiseBaseline::new(result.l2_sq).run(&model, victim, &mask, &mut rng);
+    let noise = AttackConfig {
+        objective: Objective::NoiseBaseline { l2_sq: result.l2_sq },
+        ..AttackConfig::non_targeted(60)
+    };
+    let baseline = AttackSession::new(noise).run_with_rng(&model, victim, &mut rng);
 
     // The paper's core claim, in miniature: at matched L2, the optimized
     // color perturbation hurts far more than random noise.

@@ -92,10 +92,7 @@ fn a_cell_reproduces_from_a_standalone_attack_session() {
     let plan = AttackPlan::build(model, &tensors, &a_cfg);
     let mut rng =
         StdRng::seed_from_u64(stable_seed(&["attack", "non_targeted", "pointnet", &scene.id]));
-    let result = AttackSession::new(a_cfg)
-        .objective(Objective::NonTargeted)
-        .plan(&plan)
-        .run_with_rng(model, &tensors, &mut rng);
+    let result = AttackSession::new(a_cfg).plan(&plan).run_with_rng(model, &tensors, &mut rng);
     let adv = apply_adversarial_colors(&view, &result.adversarial_colors);
 
     let identity = DefensePipeline::parse("identity").unwrap();

@@ -139,15 +139,14 @@ fn objective_ids_run_and_unknown_ones_get_422() {
     assert_eq!(status, 422, "{payload}");
     assert!(payload.contains("warp"));
 
-    let (status, payload) = http_request(
-        &addr,
-        "POST",
-        "/attack",
-        r#"{"objective":"non_targeted","goal":"non_targeted"}"#,
-    )
-    .unwrap();
-    assert_eq!(status, 422, "{payload}");
-    assert!(payload.contains("not both"));
+    // The removed "goal"/"target" fields are refused, never run as a
+    // non-targeted job; the reason names the field to use instead.
+    for body in [r#"{"goal":"targeted","target":3}"#, r#"{"objective":"non_targeted","goal":"x"}"#]
+    {
+        let (status, payload) = http_request(&addr, "POST", "/attack", body).unwrap();
+        assert_eq!(status, 422, "{payload}");
+        assert!(payload.contains("goal") && payload.contains("objective"), "{payload}");
+    }
 
     server.stop();
 }
