@@ -47,6 +47,6 @@ mod tape;
 
 pub use grad_check::{check_gradient, GradCheckReport};
 pub use schedule::{
-    schedule_enabled, set_schedule_enabled, CompileSpec, HingeSpec, ScheduleError, TapeSchedule,
+    schedule_enabled, set_schedule_enabled, CompileSpec, ScheduleError, TapeSchedule,
 };
 pub use tape::{Tape, Var};

@@ -5,7 +5,7 @@
 //! in steady state.
 
 use crate::tape::{Op, Tape, Value, Var};
-use colper_tensor::{kernels, Matrix};
+use colper_tensor::Matrix;
 use std::sync::Arc;
 
 impl Tape {
@@ -15,11 +15,7 @@ impl Tape {
     ///
     /// Panics when the shapes differ.
     pub fn add(&mut self, a: Var, b: Var) -> Var {
-        let (r, c) = self.value(a).shape();
-        let mut out = self.alloc(r, c);
-        self.value(a).add_into(self.value(b), &mut out).expect("add: shape mismatch");
-        let rg = self.any_requires_grad(&[a, b]);
-        self.push(out, Op::Add(a, b), rg)
+        self.record(self.same_shape("add", a, b), Op::Add(a, b))
     }
 
     /// Elementwise `a - b` (equal shapes).
@@ -28,11 +24,7 @@ impl Tape {
     ///
     /// Panics when the shapes differ.
     pub fn sub(&mut self, a: Var, b: Var) -> Var {
-        let (r, c) = self.value(a).shape();
-        let mut out = self.alloc(r, c);
-        self.value(a).sub_into(self.value(b), &mut out).expect("sub: shape mismatch");
-        let rg = self.any_requires_grad(&[a, b]);
-        self.push(out, Op::Sub(a, b), rg)
+        self.record(self.same_shape("sub", a, b), Op::Sub(a, b))
     }
 
     /// Elementwise `a * b` (equal shapes).
@@ -41,11 +33,13 @@ impl Tape {
     ///
     /// Panics when the shapes differ.
     pub fn mul(&mut self, a: Var, b: Var) -> Var {
-        let (r, c) = self.value(a).shape();
-        let mut out = self.alloc(r, c);
-        self.value(a).mul_into(self.value(b), &mut out).expect("mul: shape mismatch");
-        let rg = self.any_requires_grad(&[a, b]);
-        self.push(out, Op::Mul(a, b), rg)
+        self.record(self.same_shape("mul", a, b), Op::Mul(a, b))
+    }
+
+    fn same_shape(&self, name: &str, a: Var, b: Var) -> (usize, usize) {
+        let shape = self.value(a).shape();
+        assert_eq!(shape, self.value(b).shape(), "{name}: shape mismatch");
+        shape
     }
 
     /// Row-broadcast `x + row` where `x` is `[N,C]` and `row` is `[1,C]`.
@@ -54,16 +48,7 @@ impl Tape {
     ///
     /// Panics when `row` is not a single row of matching width.
     pub fn add_row(&mut self, x: Var, row: Var) -> Var {
-        self.row_broadcast("add_row", x, row, kernels::add, Op::AddRow(x, row))
-    }
-
-    /// Row-broadcast `x - row`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `row` is not a single row of matching width.
-    pub fn sub_row(&mut self, x: Var, row: Var) -> Var {
-        self.row_broadcast("sub_row", x, row, kernels::sub, Op::SubRow(x, row))
+        self.record(self.row_shape("add_row", x, row), Op::AddRow(x, row))
     }
 
     /// Row-broadcast `x * row`.
@@ -72,57 +57,24 @@ impl Tape {
     ///
     /// Panics when `row` is not a single row of matching width.
     pub fn mul_row(&mut self, x: Var, row: Var) -> Var {
-        self.row_broadcast("mul_row", x, row, kernels::mul, Op::MulRow(x, row))
+        self.record(self.row_shape("mul_row", x, row), Op::MulRow(x, row))
     }
 
-    /// Row-broadcast `x / row`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `row` is not a single row of matching width.
-    pub fn div_row(&mut self, x: Var, row: Var) -> Var {
-        self.row_broadcast("div_row", x, row, kernels::div, Op::DivRow(x, row))
-    }
-
-    fn row_broadcast(
-        &mut self,
-        name: &str,
-        x: Var,
-        row: Var,
-        k: fn(&[f32], &[f32], &mut [f32]),
-        op: Op,
-    ) -> Var {
-        let (xr, xc) = self.value(x).shape();
-        {
-            let rv = self.value(row);
-            assert_eq!(rv.rows(), 1, "{name}: broadcast operand must have one row");
-            assert_eq!(xc, rv.cols(), "{name}: column mismatch {} vs {}", xc, rv.cols());
-        }
-        let mut out = self.alloc(xr, xc);
-        self.value(x).broadcast_row_into(self.value(row).row(0), k, &mut out);
-        let rg = self.any_requires_grad(&[x, row]);
-        self.push(out, op, rg)
+    fn row_shape(&self, name: &str, x: Var, row: Var) -> (usize, usize) {
+        let (shape, rv) = (self.value(x).shape(), self.value(row));
+        assert_eq!(rv.rows(), 1, "{name}: broadcast operand must have one row");
+        assert_eq!(shape.1, rv.cols(), "{name}: column mismatch {} vs {}", shape.1, rv.cols());
+        shape
     }
 
     /// `x * s` for a scalar `s`.
     pub fn scale(&mut self, x: Var, s: f32) -> Var {
-        let (r, c) = self.value(x).shape();
-        let mut out = self.alloc(r, c);
-        self.value(x).scale_into(s, &mut out);
-        let rg = self.node(x).requires_grad;
-        self.push(out, Op::Scale(x, s), rg)
+        self.record(self.value(x).shape(), Op::Scale(x, s))
     }
 
     /// `x + s` for a scalar `s`.
     pub fn add_scalar(&mut self, x: Var, s: f32) -> Var {
-        let v = self.unary_map(x, |t| t + s);
-        let rg = self.node(x).requires_grad;
-        self.push(v, Op::AddScalar(x, s), rg)
-    }
-
-    /// `-x`.
-    pub fn neg(&mut self, x: Var) -> Var {
-        self.scale(x, -1.0)
+        self.record(self.value(x).shape(), Op::AddScalar(x, s))
     }
 
     /// Matrix product `a[m,k] * b[k,n]`.
@@ -131,28 +83,19 @@ impl Tape {
     ///
     /// Panics when the inner dimensions disagree.
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
-        let m = self.value(a).rows();
-        let n = self.value(b).cols();
-        let mut out = self.alloc(m, n);
-        self.value(a)
-            .matmul_into(self.value(b), &mut out)
-            .expect("matmul: inner dimension mismatch");
-        let rg = self.any_requires_grad(&[a, b]);
-        self.push(out, Op::Matmul(a, b), rg)
+        let ((m, k), (kb, n)) = (self.value(a).shape(), self.value(b).shape());
+        assert_eq!(k, kb, "matmul: inner dimension mismatch");
+        self.record((m, n), Op::Matmul(a, b))
     }
 
     /// Rectified linear unit, `max(x, 0)`.
     pub fn relu(&mut self, x: Var) -> Var {
-        let v = self.unary_map(x, |t| t.max(0.0));
-        let rg = self.node(x).requires_grad;
-        self.push(v, Op::Relu(x), rg)
+        self.record(self.value(x).shape(), Op::Relu(x))
     }
 
     /// Leaky ReLU with negative slope `alpha`.
     pub fn leaky_relu(&mut self, x: Var, alpha: f32) -> Var {
-        let v = self.unary_map(x, |t| if t > 0.0 { t } else { alpha * t });
-        let rg = self.node(x).requires_grad;
-        self.push(v, Op::LeakyRelu(x, alpha), rg)
+        self.record(self.value(x).shape(), Op::LeakyRelu(x, alpha))
     }
 
     /// Hyperbolic tangent (the reparameterization of Eq. 5 in the paper).
@@ -160,57 +103,17 @@ impl Tape {
     /// Routed through the dispatched [`Matrix::tanh_into`] kernel, whose
     /// scalar and SIMD paths are bit-identical.
     pub fn tanh(&mut self, x: Var) -> Var {
-        let (r, c) = self.value(x).shape();
-        let mut out = self.alloc(r, c);
-        self.value(x).tanh_into(&mut out);
-        let rg = self.node(x).requires_grad;
-        self.push(out, Op::Tanh(x), rg)
-    }
-
-    /// Logistic sigmoid.
-    pub fn sigmoid(&mut self, x: Var) -> Var {
-        let v = self.unary_map(x, |t| 1.0 / (1.0 + (-t).exp()));
-        let rg = self.node(x).requires_grad;
-        self.push(v, Op::Sigmoid(x), rg)
-    }
-
-    /// Elementwise exponential.
-    pub fn exp(&mut self, x: Var) -> Var {
-        let v = self.unary_map(x, f32::exp);
-        let rg = self.node(x).requires_grad;
-        self.push(v, Op::Exp(x), rg)
-    }
-
-    /// Elementwise natural logarithm.
-    ///
-    /// The caller is responsible for keeping inputs positive.
-    pub fn ln(&mut self, x: Var) -> Var {
-        let v = self.unary_map(x, f32::ln);
-        let rg = self.node(x).requires_grad;
-        self.push(v, Op::Ln(x), rg)
+        self.record(self.value(x).shape(), Op::Tanh(x))
     }
 
     /// Elementwise square root.
     pub fn sqrt(&mut self, x: Var) -> Var {
-        let v = self.unary_map(x, f32::sqrt);
-        let rg = self.node(x).requires_grad;
-        self.push(v, Op::Sqrt(x), rg)
+        self.record(self.value(x).shape(), Op::Sqrt(x))
     }
 
     /// Elementwise square.
     pub fn square(&mut self, x: Var) -> Var {
-        let v = self.unary_map(x, |t| t * t);
-        let rg = self.node(x).requires_grad;
-        self.push(v, Op::Square(x), rg)
-    }
-
-    /// `map(x, f)` in pooled storage: the shared body of the elementwise
-    /// unary ops.
-    fn unary_map(&mut self, x: Var, f: impl Fn(f32) -> f32 + Sync) -> Matrix {
-        let (r, c) = self.value(x).shape();
-        let mut out = self.alloc(r, c);
-        self.value(x).map_into(&mut out, f);
-        out
+        self.record(self.value(x).shape(), Op::Square(x))
     }
 
     /// Elementwise product with a constant mask (dropout, fixed masks).
@@ -219,11 +122,7 @@ impl Tape {
     ///
     /// Panics when the mask shape differs from `x`.
     pub fn mul_const(&mut self, x: Var, mask: Matrix) -> Var {
-        let (r, c) = self.value(x).shape();
-        let mut out = self.alloc(r, c);
-        self.value(x).mul_into(&mask, &mut out).expect("mul_const: shape mismatch");
-        let rg = self.node(x).requires_grad;
-        self.push(out, Op::MulConst(x, Value::Owned(mask)), rg)
+        self.mul_const_value(x, Value::Owned(mask))
     }
 
     /// [`Tape::mul_const`] with an interned (`Arc`-shared) mask — the mask
@@ -233,56 +132,28 @@ impl Tape {
     ///
     /// Panics when the mask shape differs from `x`.
     pub fn mul_const_shared(&mut self, x: Var, mask: Arc<Matrix>) -> Var {
-        let (r, c) = self.value(x).shape();
-        let mut out = self.alloc(r, c);
-        self.value(x).mul_into(&mask, &mut out).expect("mul_const: shape mismatch");
-        let rg = self.node(x).requires_grad;
-        self.push(out, Op::MulConst(x, Value::Shared(mask)), rg)
+        self.mul_const_value(x, Value::Shared(mask))
+    }
+
+    fn mul_const_value(&mut self, x: Var, mask: Value) -> Var {
+        let shape = self.value(x).shape();
+        assert_eq!(shape, mask.shape(), "mul_const: shape mismatch");
+        self.record(shape, Op::MulConst(x, mask))
     }
 
     /// Sum of all elements, producing a `1x1` scalar.
     pub fn sum(&mut self, x: Var) -> Var {
-        let s = self.value(x).sum();
-        let mut v = self.alloc(1, 1);
-        v[(0, 0)] = s;
-        let rg = self.node(x).requires_grad;
-        self.push(v, Op::Sum(x), rg)
-    }
-
-    /// Mean of all elements, producing a `1x1` scalar.
-    pub fn mean(&mut self, x: Var) -> Var {
-        let s = self.value(x).mean();
-        let mut v = self.alloc(1, 1);
-        v[(0, 0)] = s;
-        let rg = self.node(x).requires_grad;
-        self.push(v, Op::Mean(x), rg)
-    }
-
-    /// Column-wise sums: `[N,C] -> [1,C]`.
-    pub fn sum_rows(&mut self, x: Var) -> Var {
-        let c = self.value(x).cols();
-        let mut out = self.alloc(1, c);
-        self.value(x).sum_rows_into(&mut out);
-        let rg = self.node(x).requires_grad;
-        self.push(out, Op::SumRows(x), rg)
+        self.record((1, 1), Op::Sum(x))
     }
 
     /// Column-wise means: `[N,C] -> [1,C]`.
     pub fn mean_rows(&mut self, x: Var) -> Var {
-        let c = self.value(x).cols();
-        let mut out = self.alloc(1, c);
-        self.value(x).mean_rows_into(&mut out);
-        let rg = self.node(x).requires_grad;
-        self.push(out, Op::MeanRows(x), rg)
+        self.record((1, self.value(x).cols()), Op::MeanRows(x))
     }
 
     /// Row-wise sums: `[N,C] -> [N,1]`.
     pub fn sum_cols(&mut self, x: Var) -> Var {
-        let r = self.value(x).rows();
-        let mut out = self.alloc(r, 1);
-        self.value(x).sum_cols_into(&mut out);
-        let rg = self.node(x).requires_grad;
-        self.push(out, Op::SumCols(x), rg)
+        self.record((self.value(x).rows(), 1), Op::SumCols(x))
     }
 }
 
@@ -335,14 +206,12 @@ mod tests {
     #[test]
     fn activation_gradients_match_numeric() {
         let x0 = mat(&[&[0.5, -1.5, 0.2, 2.0]]);
-        for op in ["relu", "leaky", "tanh", "sigmoid", "exp", "square"] {
+        for op in ["relu", "leaky", "tanh", "square"] {
             let report = check_gradient(&x0, |t, x| {
                 let y = match op {
                     "relu" => t.relu(x),
                     "leaky" => t.leaky_relu(x, 0.2),
                     "tanh" => t.tanh(x),
-                    "sigmoid" => t.sigmoid(x),
-                    "exp" => t.exp(x),
                     _ => t.square(x),
                 };
                 t.sum(y)
@@ -352,29 +221,22 @@ mod tests {
     }
 
     #[test]
-    fn ln_sqrt_gradients_on_positive_domain() {
+    fn sqrt_gradient_on_positive_domain() {
         let x0 = mat(&[&[0.5, 1.5, 3.0]]);
-        for op in ["ln", "sqrt"] {
-            let report = check_gradient(&x0, |t, x| {
-                let y = if op == "ln" { t.ln(x) } else { t.sqrt(x) };
-                t.sum(y)
-            });
-            assert!(report.max_abs_err < 2e-2, "{op}: {report:?}");
-        }
+        let report = check_gradient(&x0, |t, x| {
+            let y = t.sqrt(x);
+            t.sum(y)
+        });
+        assert!(report.max_abs_err < 2e-2, "{report:?}");
     }
 
     #[test]
     fn row_broadcast_ops_match_numeric() {
         let x0 = mat(&[&[0.5, -1.5], &[2.0, 0.25], &[1.0, 1.0]]);
-        for op in ["add", "sub", "mul", "div"] {
+        for op in ["add", "mul"] {
             let report = check_gradient(&x0, |t, x| {
                 let row = t.constant(mat(&[&[2.0, 0.5]]));
-                let y = match op {
-                    "add" => t.add_row(x, row),
-                    "sub" => t.sub_row(x, row),
-                    "mul" => t.mul_row(x, row),
-                    _ => t.div_row(x, row),
-                };
+                let y = if op == "add" { t.add_row(x, row) } else { t.mul_row(x, row) };
                 t.sum(y)
             });
             assert!(report.max_abs_err < 2e-2, "{op}: {report:?}");
@@ -397,12 +259,10 @@ mod tests {
     #[test]
     fn reductions_match_numeric() {
         let x0 = mat(&[&[0.5, -1.5], &[2.0, 0.25]]);
-        for op in ["sum", "mean", "sum_rows", "mean_rows", "sum_cols"] {
+        for op in ["sum", "mean_rows", "sum_cols"] {
             let report = check_gradient(&x0, |t, x| {
                 let y = match op {
                     "sum" => t.sum(x),
-                    "mean" => t.mean(x),
-                    "sum_rows" => t.sum_rows(x),
                     "mean_rows" => t.mean_rows(x),
                     _ => t.sum_cols(x),
                 };
@@ -441,14 +301,6 @@ mod tests {
 
         assert_eq!(t1.value(y1), t2.value(y2));
         assert_eq!(t1.grad(x1), t2.grad(x2));
-    }
-
-    #[test]
-    fn neg_is_scale_minus_one() {
-        let mut t = Tape::new();
-        let x = t.leaf(mat(&[&[3.0]]));
-        let y = t.neg(x);
-        assert_eq!(t.value(y)[(0, 0)], -3.0);
     }
 
     #[test]

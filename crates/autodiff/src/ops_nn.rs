@@ -66,8 +66,7 @@ impl Tape {
                 kernels::mul_add(xhat.row(r), gammav.row(0), betav.row(0), out.row_mut(r));
             }
         }
-        let rg = self.any_requires_grad(&[x, gamma, beta]);
-        let v = self.push(out, Op::BatchNorm { x, gamma, beta, xhat, inv_std }, rg);
+        let v = self.push(out, Op::BatchNorm { x, gamma, beta, xhat, inv_std });
         (v, mean, var)
     }
 
@@ -96,11 +95,7 @@ impl Tape {
         if let Act::LeakyRelu(alpha) = act {
             assert!(alpha > 0.0, "affine_act: leaky slope must be positive, got {alpha}");
         }
-        let mut out = self.alloc(rows, cols);
-        let (sv, bv) = (self.value(scale).row(0), self.value(shift).row(0));
-        self.value(x).affine_act_into(sv, bv, act, &mut out);
-        let rg = self.any_requires_grad(&[x, scale, shift]);
-        self.push(out, Op::AffineAct { x, scale, shift, act }, rg)
+        self.record((rows, cols), Op::AffineAct { x, scale, shift, act })
     }
 
     /// Mean softmax cross-entropy over rows: `logits` is `[N,C]`, `labels`
@@ -114,31 +109,9 @@ impl Tape {
         assert_eq!(labels.len(), n, "softmax_cross_entropy: {n} rows vs {} labels", labels.len());
         assert!(labels.iter().all(|&y| y < c), "softmax_cross_entropy: label out of range");
 
-        let mut softmax = self.alloc(n, c);
-        let mut loss = 0.0f32;
-        {
-            let z = self.value(logits);
-            for r in 0..n {
-                let row = z.row(r);
-                let maxv = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-                let mut denom = 0.0f32;
-                for (cc, &v) in row.iter().enumerate() {
-                    let e = (v - maxv).exp();
-                    softmax[(r, cc)] = e;
-                    denom += e;
-                }
-                for cc in 0..c {
-                    softmax[(r, cc)] /= denom;
-                }
-                loss -= softmax[(r, labels[r])].max(1e-12).ln();
-            }
-        }
-        loss /= n.max(1) as f32;
+        let softmax = self.alloc(n, c);
         let labels = self.pooled_idx_copy(labels);
-        let rg = self.node(logits).requires_grad;
-        let mut lv = self.alloc(1, 1);
-        lv[(0, 0)] = loss;
-        self.push(lv, Op::SoftmaxCrossEntropy { logits, labels, softmax }, rg)
+        self.record((1, 1), Op::SoftmaxCrossEntropy { logits, labels, softmax })
     }
 
     /// The paper's targeted adversarial loss (Eq. 7):
@@ -172,41 +145,10 @@ impl Tape {
         assert!(labels.iter().all(|&y| y < c), "cw_hinge: label out of range");
         assert!(c >= 2, "cw_hinge: needs at least two classes");
 
-        let mut active = self.take_tri();
-        let mut loss = 0.0f32;
-        {
-            let z = self.value(logits);
-            for r in 0..n {
-                if !mask[r] {
-                    continue;
-                }
-                let y = labels[r];
-                let row = z.row(r);
-                let (jmax, zmax) = row.iter().enumerate().filter(|&(j, _)| j != y).fold(
-                    (usize::MAX, f32::NEG_INFINITY),
-                    |(bj, bv), (j, &v)| {
-                        if v > bv {
-                            (j, v)
-                        } else {
-                            (bj, bv)
-                        }
-                    },
-                );
-                let zy = row[y];
-                // targeted: want z_y to win -> penalize (zmax - zy)_+, grads +jmax, -y
-                // non-targeted: want z_y to lose -> penalize (zy - zmax)_+, grads +y, -jmax
-                let (v, plus, minus) =
-                    if targeted { (zmax - zy, jmax, y) } else { (zy - zmax, y, jmax) };
-                if v > 0.0 {
-                    loss += v;
-                    active.push((r, plus, minus));
-                }
-            }
-        }
-        let rg = self.node(logits).requires_grad;
-        let mut lv = self.alloc(1, 1);
-        lv[(0, 0)] = loss;
-        self.push(lv, Op::CwHinge { logits, active }, rg)
+        let labels = self.pooled_idx_copy(labels);
+        let mask = self.pooled_mask_copy(mask);
+        let active = self.take_tri();
+        self.record((1, 1), Op::CwHinge { logits, labels, mask, targeted, active })
     }
 
     /// The paper's smoothness penalty (Eq. 6):
@@ -227,13 +169,10 @@ impl Tape {
         neighbors: &[usize],
         k: usize,
     ) -> Var {
-        let total = self.smoothness_value(colors, coords, neighbors, k);
+        self.check_smoothness(colors, coords, neighbors, k);
         let coords = Value::Owned(self.alloc_copy(coords));
         let neighbors = Ix::Owned(self.pooled_idx_copy(neighbors));
-        let rg = self.node(colors).requires_grad;
-        let mut lv = self.alloc(1, 1);
-        lv[(0, 0)] = total;
-        self.push(lv, Op::Smoothness { colors, coords, neighbors, k }, rg)
+        self.record((1, 1), Op::Smoothness { colors, coords, neighbors, k })
     }
 
     /// [`Tape::smoothness`] with interned (`Arc`-shared) coordinates and
@@ -250,30 +189,17 @@ impl Tape {
         neighbors: Arc<[usize]>,
         k: usize,
     ) -> Var {
-        let total = self.smoothness_value(colors, &coords, &neighbors, k);
-        let rg = self.node(colors).requires_grad;
-        let mut lv = self.alloc(1, 1);
-        lv[(0, 0)] = total;
-        self.push(
-            lv,
-            Op::Smoothness {
-                colors,
-                coords: Value::Shared(coords),
-                neighbors: Ix::Shared(neighbors),
-                k,
-            },
-            rg,
-        )
+        self.check_smoothness(colors, &coords, &neighbors, k);
+        let (coords, neighbors) = (Value::Shared(coords), Ix::Shared(neighbors));
+        self.record((1, 1), Op::Smoothness { colors, coords, neighbors, k })
     }
 
-    fn smoothness_value(&self, colors: Var, coords: &Matrix, neighbors: &[usize], k: usize) -> f32 {
+    fn check_smoothness(&self, colors: Var, coords: &Matrix, neighbors: &[usize], k: usize) {
         assert!(k > 0, "smoothness: k must be positive");
-        let cv = self.value(colors);
-        let n = cv.rows();
+        let n = self.value(colors).rows();
         assert_eq!(coords.rows(), n, "smoothness: coords/colors row mismatch");
         assert_eq!(neighbors.len(), n * k, "smoothness: neighbor list must be N*k");
         assert!(neighbors.iter().all(|&i| i < n), "smoothness: neighbor index out of bounds");
-        smoothness_total(cv, coords, neighbors, k)
     }
 }
 
@@ -295,8 +221,7 @@ pub(crate) fn edge_dist_sq(coords: &Matrix, colors: &Matrix, i: usize, nb: usize
 }
 
 /// The smoothness penalty (Eq. 6): the sum of every edge's joint
-/// distance, in ascending `(point, neighbor)` order. Shared by the
-/// recording constructor and the schedule replay.
+/// distance, in ascending `(point, neighbor)` order.
 pub(crate) fn smoothness_total(
     colors: &Matrix,
     coords: &Matrix,

@@ -14,7 +14,7 @@
 //! shared across steps with no copy at all.
 
 use crate::tape::{Ix, Op, Tape, Var, Wts};
-use colper_tensor::{kernels, GatherIndex, Matrix};
+use colper_tensor::GatherIndex;
 use std::sync::Arc;
 
 impl Tape {
@@ -24,10 +24,9 @@ impl Tape {
     ///
     /// Panics when any index is out of bounds.
     pub fn gather_rows(&mut self, x: Var, idx: &[usize]) -> Var {
-        let out = self.gather_rows_value(x, idx);
-        let payload = self.pooled_idx_copy(idx);
-        let rg = self.node(x).requires_grad;
-        self.push(out, Op::GatherRows(x, Ix::Owned(payload)), rg)
+        let shape = self.gather_shape(x, idx);
+        let idx = Ix::Owned(self.pooled_idx_copy(idx));
+        self.record(shape, Op::GatherRows(x, idx))
     }
 
     /// [`Tape::gather_rows`] with an interned (`Arc`-shared) index list.
@@ -36,17 +35,13 @@ impl Tape {
     ///
     /// Panics when any index is out of bounds.
     pub fn gather_rows_shared(&mut self, x: Var, idx: Arc<[usize]>) -> Var {
-        let out = self.gather_rows_value(x, &idx);
-        let rg = self.node(x).requires_grad;
-        self.push(out, Op::GatherRows(x, Ix::Shared(idx)), rg)
+        self.record(self.gather_shape(x, &idx), Op::GatherRows(x, Ix::Shared(idx)))
     }
 
-    fn gather_rows_value(&mut self, x: Var, idx: &[usize]) -> Matrix {
+    fn gather_shape(&self, x: Var, idx: &[usize]) -> (usize, usize) {
         let (bound, cols) = self.value(x).shape();
         assert!(idx.iter().all(|&i| i < bound), "gather_rows: index out of bounds (rows={bound})");
-        let mut out = self.alloc(idx.len(), cols);
-        self.value(x).select_rows_into(idx, &mut out);
-        out
+        (idx.len(), cols)
     }
 
     /// Max-pool over consecutive groups of `k` rows: `[G*k, C] -> [G, C]`.
@@ -62,12 +57,9 @@ impl Tape {
         let (rows, cols) = self.value(x).shape();
         assert_eq!(rows % k, 0, "group_max: {rows} rows not divisible by k={k}");
         let groups = rows / k;
-        let mut out = self.alloc(groups, cols);
         let mut argmax = self.take_idx();
         argmax.resize(groups * cols, 0);
-        self.value(x).group_max_into(k, &mut out, &mut argmax);
-        let rg = self.node(x).requires_grad;
-        self.push(out, Op::GroupMax { x, argmax }, rg)
+        self.record((groups, cols), Op::GroupMax { x, k, argmax })
     }
 
     /// Mean-pool over consecutive groups of `k` rows: `[G*k, C] -> [G, C]`.
@@ -79,18 +71,7 @@ impl Tape {
         assert!(k > 0, "group_mean: k must be positive");
         let (rows, cols) = self.value(x).shape();
         assert_eq!(rows % k, 0, "group_mean: {rows} rows not divisible by k={k}");
-        let groups = rows / k;
-        let mut out = self.alloc(groups, cols);
-        let xv = self.value(x);
-        kernels::count_dispatch(rows);
-        for g in 0..groups {
-            for j in 0..k {
-                kernels::add_assign(out.row_mut(g), xv.row(g * k + j));
-            }
-        }
-        out.map_inplace(|v| v / k as f32);
-        let rg = self.node(x).requires_grad;
-        self.push(out, Op::GroupMean(x, k), rg)
+        self.record((rows / k, cols), Op::GroupMean(x, k))
     }
 
     /// Softmax over each consecutive group of `k` rows, computed per
@@ -105,11 +86,8 @@ impl Tape {
         assert!(k > 0, "group_softmax: k must be positive");
         let (rows, cols) = self.value(x).shape();
         assert_eq!(rows % k, 0, "group_softmax: {rows} rows not divisible by k={k}");
-        let mut out = self.alloc(rows, cols);
-        self.value(x).group_softmax_into(k, &mut out);
-        let rg = self.node(x).requires_grad;
-        let softmax = self.alloc_copy(&out);
-        self.push(out, Op::GroupSoftmax { x, k, softmax }, rg)
+        let softmax = self.alloc(rows, cols);
+        self.record((rows, cols), Op::GroupSoftmax { x, k, softmax })
     }
 
     /// Weighted interpolation: `out[i] = sum_{j<k} w[i*k+j] * x[idx[i*k+j]]`.
@@ -122,11 +100,10 @@ impl Tape {
     /// Panics when `idx.len() != w.len()`, the length is not a multiple of
     /// `k`, or any index is out of bounds.
     pub fn weighted_gather(&mut self, x: Var, idx: &[usize], w: &[f32], k: usize) -> Var {
-        let out = self.weighted_gather_value(x, idx, w, k);
-        let idx = self.pooled_idx_copy(idx);
-        let w = self.pooled_w_copy(w);
-        let rg = self.node(x).requires_grad;
-        self.push(out, Op::WeightedGather { x, idx: Ix::Owned(idx), w: Wts::Owned(w), k }, rg)
+        let shape = self.weighted_gather_shape(x, idx, w, k);
+        let idx = Ix::Owned(self.pooled_idx_copy(idx));
+        let w = Wts::Owned(self.pooled_w_copy(w));
+        self.record(shape, Op::WeightedGather { x, idx, w, k })
     }
 
     /// [`Tape::weighted_gather`] with interned (`Arc`-shared) index and
@@ -143,28 +120,17 @@ impl Tape {
         w: Arc<[f32]>,
         k: usize,
     ) -> Var {
-        let out = self.weighted_gather_value(x, &idx, &w, k);
-        let rg = self.node(x).requires_grad;
-        self.push(out, Op::WeightedGather { x, idx: Ix::Shared(idx), w: Wts::Shared(w), k }, rg)
+        let shape = self.weighted_gather_shape(x, &idx, &w, k);
+        self.record(shape, Op::WeightedGather { x, idx: Ix::Shared(idx), w: Wts::Shared(w), k })
     }
 
-    fn weighted_gather_value(&mut self, x: Var, idx: &[usize], w: &[f32], k: usize) -> Matrix {
+    fn weighted_gather_shape(&self, x: Var, idx: &[usize], w: &[f32], k: usize) -> (usize, usize) {
         assert!(k > 0, "weighted_gather: k must be positive");
         assert_eq!(idx.len(), w.len(), "weighted_gather: idx and w must have equal length");
         assert_eq!(idx.len() % k, 0, "weighted_gather: length not divisible by k");
         let (bound, cols) = self.value(x).shape();
         assert!(idx.iter().all(|&i| i < bound), "weighted_gather: index out of bounds");
-        let out_rows = idx.len() / k;
-        let mut out = self.alloc(out_rows, cols);
-        let xv = self.value(x);
-        kernels::count_dispatch(idx.len());
-        for i in 0..out_rows {
-            for j in 0..k {
-                let flat = i * k + j;
-                kernels::axpy(out.row_mut(i), w[flat], xv.row(idx[flat]));
-            }
-        }
-        out
+        (idx.len() / k, cols)
     }
 
     /// Edge features of a graph convolution: `[E, 2C]` rows
@@ -196,10 +162,7 @@ impl Tape {
             "edge_features: index built for another row count than {rows}"
         );
         assert_eq!(center.len(), nbr.len(), "edge_features: index length mismatch");
-        let mut out = self.alloc(center.len(), 2 * cols);
-        self.value(x).edge_features_into(&center, &nbr, &mut out);
-        let rg = self.node(x).requires_grad;
-        self.push(out, Op::EdgeFeatures { x, center, nbr }, rg)
+        self.record((center.len(), 2 * cols), Op::EdgeFeatures { x, center, nbr })
     }
 
     /// Concatenates columns: `[N,C1] ++ [N,C2] -> [N,C1+C2]`.
@@ -208,14 +171,9 @@ impl Tape {
     ///
     /// Panics when the row counts differ.
     pub fn concat_cols(&mut self, a: Var, b: Var) -> Var {
-        let rows = self.value(a).rows();
-        let cols = self.value(a).cols() + self.value(b).cols();
-        let mut out = self.alloc(rows, cols);
-        self.value(a)
-            .hstack_into(self.value(b), &mut out)
-            .expect("concat_cols: row count mismatch");
-        let rg = self.any_requires_grad(&[a, b]);
-        self.push(out, Op::ConcatCols(a, b), rg)
+        let ((rows, ca), (rb, cb)) = (self.value(a).shape(), self.value(b).shape());
+        assert_eq!(rows, rb, "concat_cols: row count mismatch");
+        self.record((rows, ca + cb), Op::ConcatCols(a, b))
     }
 
     /// Concatenates several column blocks left to right.
@@ -231,26 +189,13 @@ impl Tape {
         }
         acc
     }
-
-    /// Extracts columns `[c0, c1)`: `[N,C] -> [N, c1-c0]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the bounds are invalid.
-    pub fn slice_cols(&mut self, x: Var, c0: usize, c1: usize) -> Var {
-        let (rows, cols) = self.value(x).shape();
-        assert!(c0 <= c1 && c1 <= cols, "slice_cols: range {c0}..{c1} invalid for {cols} cols");
-        let mut out = self.alloc(rows, c1 - c0);
-        self.value(x).block_into(0, rows, c0, c1, &mut out);
-        let rg = self.node(x).requires_grad;
-        self.push(out, Op::SliceCols(x, c0, c1), rg)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::check_gradient;
+    use colper_tensor::Matrix;
 
     fn mat(rows: &[&[f32]]) -> Matrix {
         Matrix::from_rows(rows).unwrap()
@@ -382,17 +327,18 @@ mod tests {
     }
 
     #[test]
-    fn concat_and_slice_round_trip_gradients() {
+    fn concat_cols_splits_gradients_between_operands() {
         let mut t = Tape::new();
         let a = t.leaf(mat(&[&[1.0, 2.0]]));
         let b = t.leaf(mat(&[&[3.0]]));
         let y = t.concat_cols(a, b);
         assert_eq!(t.value(y).as_slice(), &[1.0, 2.0, 3.0]);
-        let s = t.slice_cols(y, 1, 3);
+        let weights = t.constant(mat(&[&[0.0, 1.0, 2.0]]));
+        let s = t.mul_row(y, weights);
         let loss = t.sum(s);
         t.backward(loss);
         assert_eq!(t.grad(a).unwrap().as_slice(), &[0.0, 1.0]);
-        assert_eq!(t.grad(b).unwrap().as_slice(), &[1.0]);
+        assert_eq!(t.grad(b).unwrap().as_slice(), &[2.0]);
     }
 
     #[test]

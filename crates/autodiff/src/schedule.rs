@@ -19,23 +19,27 @@
 //!   runs as an epilogue over each finished slab of rows — and recycles the
 //!   product's buffer. `affine_act`, `edge_features` and
 //!   `weighted_gather` are themselves fused tape ops, so the dynamic tape
-//!   gains from them too. Independent matmuls that share one weight
-//!   operand and one input shape are additionally grouped into a single
-//!   strided batched GEMM step (see [`TapeSchedule::batched_groups`]).
+//!   gains from them too.
+//!
+//! Every other dynamic node replays through the tape's own `step_forward`,
+//! the function that computed its value while the graph was recorded, and
+//! the backward pass through the tape's own `step_backward`: each op has
+//! one forward and one backward, shared by recording and replay. Ops keep
+//! every input their forward reads (gather indices, labels, the hinge's
+//! mask and direction) in their own payloads, so replay needs no side
+//! channel.
 //!
 //! The backward candidate list (reachability mark pass over `requires_grad
 //! && live`) is also frozen at compile time, so replay skips graph
 //! construction, the per-step reset walk, the mark pass, and every
-//! dispatch decision. Replay reuses the tape's own `step_backward` in
-//! compiled mode, which hands out dirty scratch to kernels that fully
-//! overwrite their output; like the dynamic tape, it never computes
-//! operand gradients flowing into eval-mode constants. Neither can
-//! change a live value: replayed values and gradients stay
-//! bit-identical to a dynamic rebuild on both SIMD legs and at any
-//! thread count — and touch no allocator in steady state.
+//! dispatch decision. `step_backward` runs in compiled mode, which hands
+//! out dirty scratch to kernels that fully overwrite their output; like
+//! the dynamic tape, it never computes operand gradients flowing into
+//! eval-mode constants. Neither can change a live value: replayed values
+//! and gradients stay bit-identical to a dynamic rebuild on both SIMD legs
+//! and at any thread count — and touch no allocator in steady state.
 
-use crate::ops_nn::smoothness_total;
-use crate::tape::{step_backward, Node, Op, Tape, Value, Var};
+use crate::tape::{step_backward, step_forward, Node, Op, Tape, Value, Var};
 use colper_tensor::{kernels, Matrix};
 use std::fmt;
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -97,15 +101,6 @@ pub enum ScheduleError {
     NotScalarOutput,
     /// The output does not depend on the input leaf.
     NoGradPath,
-    /// The dynamic subgraph contains a CW hinge but no [`HingeSpec`] was
-    /// supplied (the op payload stores only the active set, not the
-    /// labels/mask needed to recompute it).
-    MissingHingeSpec,
-    /// The supplied [`HingeSpec`] does not match the logits shape.
-    HingeSpecMismatch,
-    /// More than one dynamic CW hinge; a single [`HingeSpec`] cannot
-    /// disambiguate them.
-    MultipleHinges,
 }
 
 impl fmt::Display for ScheduleError {
@@ -127,37 +122,11 @@ impl fmt::Display for ScheduleError {
             ScheduleError::NoGradPath => {
                 write!(f, "schedule: output does not depend on the input leaf")
             }
-            ScheduleError::MissingHingeSpec => {
-                write!(f, "schedule: graph contains a CW hinge but no HingeSpec was given")
-            }
-            ScheduleError::HingeSpecMismatch => {
-                write!(f, "schedule: HingeSpec does not match the logits shape")
-            }
-            ScheduleError::MultipleHinges => {
-                write!(f, "schedule: more than one dynamic CW hinge")
-            }
         }
     }
 }
 
 impl std::error::Error for ScheduleError {}
-
-/// The recompute context for a scheduled CW hinge (Eq. 7/8).
-///
-/// The recorded `CwHinge` op saves only the active set; replay needs the
-/// labels, point mask and direction to rebuild it. Must describe the same
-/// loss the captured graph recorded — the attack passes the exact
-/// arguments it gave `cw_targeted`/`cw_nontargeted`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HingeSpec {
-    /// Per-row class labels (ground truth or attack target).
-    pub labels: Vec<usize>,
-    /// Per-row attack mask; unmasked rows contribute no loss.
-    pub mask: Vec<bool>,
-    /// `true` for the targeted hinge (Eq. 7), `false` for non-targeted
-    /// (Eq. 8).
-    pub targeted: bool,
-}
 
 /// What to compile out of a freshly recorded tape.
 pub struct CompileSpec<'a> {
@@ -169,14 +138,12 @@ pub struct CompileSpec<'a> {
     /// terms, the reparameterized colors). Fusion never recycles these
     /// buffers.
     pub keep: &'a [Var],
-    /// Recompute context for the CW hinge, when the graph has one.
-    pub hinge: Option<HingeSpec>,
 }
 
 /// One forward replay step: a dynamic node, or a peephole-fused group.
 #[derive(Debug, Clone, Copy)]
 enum Step {
-    /// Recompute node `i` with the standard op arm.
+    /// Recompute node `i` with its `step_forward` arm.
     Node(u32),
     /// `matmul → add_row (→ activation)` or `matmul → affine_act`: the
     /// matmul writes straight into the epilogue node's slot (its own
@@ -185,10 +152,6 @@ enum Step {
     /// slab of rows; the optional activation after an `add_row` fills its
     /// own slot.
     FusedLinear { mm: u32, epi: u32, act: Option<u32> },
-    /// A compile-time group of independent matmuls sharing one B operand,
-    /// executed as a single strided batched GEMM (`mm_groups[group]`
-    /// holds the member node indices in execution order).
-    BatchedMatmul { group: u32 },
 }
 
 /// A compiled, replayable attack step: the frozen op program for one
@@ -205,9 +168,6 @@ pub struct TapeSchedule {
     n_nodes: u32,
     steps: Vec<Step>,
     bwd_order: Vec<u32>,
-    /// Member node indices per batched-matmul step, in execution order.
-    mm_groups: Vec<Vec<u32>>,
-    hinge: Option<HingeSpec>,
     fused_groups: u64,
     arena_bytes: u64,
 }
@@ -221,9 +181,7 @@ impl TapeSchedule {
     /// recycled into the tape's pool here, which is the one-time "liveness
     /// coloring": every surviving dynamic node keeps its slot for good.
     ///
-    /// On error the tape is left fully usable by the dynamic path (at most
-    /// some hinge capacity was pre-reserved).
-    #[allow(clippy::too_many_lines)]
+    /// On error the tape is left fully usable by the dynamic path.
     pub fn compile(tape: &mut Tape, spec: &CompileSpec<'_>) -> Result<Self, ScheduleError> {
         let n = tape.nodes.len();
         let input = spec.input.0;
@@ -258,8 +216,7 @@ impl TapeSchedule {
             return Err(ScheduleError::NoGradPath);
         }
 
-        // Validate the dynamic subgraph and locate the hinge.
-        let mut hinge_node = None;
+        // Validate the dynamic subgraph.
         for (i, node) in tape.nodes.iter().enumerate() {
             if matches!(node.op, Op::Leaf) && node.requires_grad && i != input {
                 // A second differentiable leaf would be frozen at its
@@ -271,27 +228,14 @@ impl TapeSchedule {
             }
             match &node.op {
                 Op::BatchNorm { .. } => {
-                    // Training-mode BN emits running-statistic matrices
-                    // that escape the tape; eval-mode BN records as a
-                    // constant scale/shift chain and schedules fine.
+                    // Training-mode BN computes its value (and running
+                    // statistics that escape the tape) in its constructor;
+                    // eval-mode BN records as `affine_act` and schedules
+                    // fine.
                     return Err(ScheduleError::UnsupportedOp("batch_norm_train"));
                 }
                 Op::Leaf | Op::Constant => {
                     unreachable!("leaves and constants have no operands")
-                }
-                Op::CwHinge { logits, .. } => {
-                    if hinge_node.replace(i).is_some() {
-                        return Err(ScheduleError::MultipleHinges);
-                    }
-                    let spec_h = spec.hinge.as_ref().ok_or(ScheduleError::MissingHingeSpec)?;
-                    let (rows, cols) = tape.nodes[logits.0].value.shape();
-                    let labels_ok = spec_h.labels.len() == rows
-                        && spec_h.mask.len() == rows
-                        && cols >= 2
-                        && spec_h.labels.iter().all(|&y| y < cols);
-                    if !labels_ok {
-                        return Err(ScheduleError::HingeSpecMismatch);
-                    }
                 }
                 _ => {}
             }
@@ -299,7 +243,6 @@ impl TapeSchedule {
                 return Err(ScheduleError::SharedDynamicValue(i));
             }
         }
-        let hinge = hinge_node.and_then(|_| spec.hinge.clone());
 
         // Freeze the backward candidate list: the same reachability mark
         // pass `Tape::backward` runs per step, done once here.
@@ -339,133 +282,6 @@ impl TapeSchedule {
             keep[v.0] = true;
         }
 
-        // Strided batched-matmul grouping: dynamic matmuls that share one
-        // B operand and one A shape can run as a single batched GEMM
-        // (`Matrix::matmul_batched_with`), which is bit-identical to the
-        // per-node loop by construction. Members must be mutually
-        // independent (the filter below), and the replay order is then
-        // re-sorted so members become adjacent: a priority topological
-        // sort that sinks every member to its group's anchor (the last
-        // member's recorded position). Groups are re-derived from actual
-        // adjacency afterwards — a consumer forced between members splits
-        // the run, degrading gracefully to smaller runs or plain nodes.
-        // Single-branch production graphs have one matmul per weight and
-        // compile exactly as before (the pass is a no-op without groups).
-        let mut by_key: std::collections::HashMap<(usize, (usize, usize)), Vec<u32>> =
-            std::collections::HashMap::new();
-        for (i, &is_dynamic) in dynamic.iter().enumerate() {
-            if !is_dynamic || i == input {
-                continue;
-            }
-            if let Op::Matmul(a, b) = &tape.nodes[i].op {
-                by_key.entry((b.0, tape.nodes[a.0].value.shape())).or_default().push(i as u32);
-            }
-        }
-        let mut groups_pre: Vec<Vec<u32>> = Vec::new();
-        for members in by_key.into_values() {
-            if members.len() < 2 {
-                continue;
-            }
-            // Independence filter: drop a member whose operands
-            // transitively depend on an already-accepted member.
-            let mut dep = vec![false; n];
-            let mut kept_members: Vec<u32> = Vec::new();
-            let mut mi = 0;
-            for i in 0..n {
-                let mut d = false;
-                tape.nodes[i].op.for_each_operand(|v| d |= dep[v.0]);
-                if mi < members.len() && members[mi] as usize == i {
-                    mi += 1;
-                    if d {
-                        continue;
-                    }
-                    kept_members.push(i as u32);
-                    dep[i] = true;
-                } else {
-                    dep[i] = d;
-                }
-            }
-            if kept_members.len() >= 2 {
-                groups_pre.push(kept_members);
-            }
-        }
-        // HashMap iteration order is arbitrary; anchor keys must not be.
-        groups_pre.sort_by_key(|g| g[0]);
-
-        let mut order: Vec<u32> =
-            (0..n).filter(|&i| dynamic[i] && i != input).map(|i| i as u32).collect();
-        let mut member_of: Vec<Option<u32>> = vec![None; n];
-        let mut mm_groups: Vec<Vec<u32>> = Vec::new();
-        if !groups_pre.is_empty() {
-            let mut key: Vec<u32> = (0..n as u32).collect();
-            let mut pre_of: Vec<Option<u32>> = vec![None; n];
-            for (g, members) in groups_pre.iter().enumerate() {
-                let anchor = *members.last().expect("group is non-empty");
-                for &m in members {
-                    key[m as usize] = anchor;
-                    pre_of[m as usize] = Some(g as u32);
-                }
-            }
-            // Priority topological sort (Kahn): among ready nodes, run the
-            // smallest (key, index). Non-members keep their own index as
-            // key, so without groups this reproduces the recorded order.
-            let mut indeg = vec![0u32; n];
-            let mut succs: Vec<Vec<u32>> = vec![Vec::new(); n];
-            for &i in &order {
-                tape.nodes[i as usize].op.for_each_operand(|v| {
-                    if dynamic[v.0] && v.0 != input {
-                        indeg[i as usize] += 1;
-                        succs[v.0].push(i);
-                    }
-                });
-            }
-            let mut heap = std::collections::BinaryHeap::new();
-            for &i in &order {
-                if indeg[i as usize] == 0 {
-                    heap.push(std::cmp::Reverse((key[i as usize], i)));
-                }
-            }
-            let mut sorted: Vec<u32> = Vec::with_capacity(order.len());
-            while let Some(std::cmp::Reverse((_, i))) = heap.pop() {
-                sorted.push(i);
-                for &s in &succs[i as usize] {
-                    indeg[s as usize] -= 1;
-                    if indeg[s as usize] == 0 {
-                        heap.push(std::cmp::Reverse((key[s as usize], s)));
-                    }
-                }
-            }
-            debug_assert_eq!(sorted.len(), order.len(), "dynamic subgraph must be acyclic");
-            order = sorted;
-
-            // Re-derive groups from adjacency in the sorted order: only
-            // maximal runs of two or more same-group members batch.
-            let mut flush = |run: &mut Vec<u32>, member_of: &mut Vec<Option<u32>>| {
-                if run.len() >= 2 {
-                    let gid = mm_groups.len() as u32;
-                    for &m in run.iter() {
-                        member_of[m as usize] = Some(gid);
-                    }
-                    mm_groups.push(std::mem::take(run));
-                } else {
-                    run.clear();
-                }
-            };
-            let mut run: Vec<u32> = Vec::new();
-            let mut run_g: Option<u32> = None;
-            for &i in &order {
-                let g = pre_of[i as usize];
-                if g != run_g {
-                    flush(&mut run, &mut member_of);
-                    run_g = g;
-                }
-                if g.is_some() {
-                    run.push(i);
-                }
-            }
-            flush(&mut run, &mut member_of);
-        }
-
         // Peephole fusion over the recorded order. Soundness of stealing a
         // matmul's buffer: the Matmul backward arm reads only its operand
         // values, never its own output, and its sole consumer's backward
@@ -499,19 +315,8 @@ impl TapeSchedule {
         let mut pending: Vec<Option<Step>> = vec![None; n];
         let mut stolen: Vec<usize> = Vec::new();
         let mut fused_groups = 0u64;
-        let mut emitted_group = vec![false; mm_groups.len()];
-        for &i in &order {
-            let i = i as usize;
+        for i in (0..n).filter(|&i| dynamic[i] && i != input) {
             if fused[i] {
-                continue;
-            }
-            // Batched members run together at the run's first slot; their
-            // buffers are never stolen, so `keep` members are allowed.
-            if let Some(g) = member_of[i] {
-                if !emitted_group[g as usize] {
-                    emitted_group[g as usize] = true;
-                    steps.push(Step::BatchedMatmul { group: g });
-                }
                 continue;
             }
             if let Some(step) = pending[i].take() {
@@ -524,8 +329,7 @@ impl TapeSchedule {
                     Op::AddRow(x, r) if x.0 == i && r.0 != i => Some(sole[j].filter(|&k2| {
                         matches!(
                             tape.nodes[k2].op,
-                            Op::Relu(v) | Op::LeakyRelu(v, _) | Op::Tanh(v) | Op::Sigmoid(v)
-                            if v.0 == j
+                            Op::Relu(v) | Op::LeakyRelu(v, _) | Op::Tanh(v) if v.0 == j
                         )
                     })),
                     Op::AffineAct { x, scale, shift, .. }
@@ -573,20 +377,17 @@ impl TapeSchedule {
             }
         }
 
-        // Pre-size the hinge's active list so replay never grows it: at
-        // most every masked row goes active.
-        if let (Some(i), Some(spec_h)) = (hinge_node, hinge.as_ref()) {
-            if let Op::CwHinge { active, .. } = &mut tape.nodes[i].op {
-                let masked = spec_h.mask.iter().filter(|&&m| m).count();
-                if active.capacity() < masked {
-                    active.reserve(masked - active.len());
-                }
+        // Pre-size each dynamic hinge's active list so replay never grows
+        // it: at most every masked row goes active.
+        for (i, node) in tape.nodes.iter_mut().enumerate() {
+            if let (true, Op::CwHinge { mask, active, .. }) = (dynamic[i], &mut node.op) {
+                let masked = mask.iter().filter(|&&m| m).count();
+                active.reserve(masked.saturating_sub(active.len()));
             }
         }
 
         colper_obs::counters::SCHED_CAPTURES.incr();
         colper_obs::counters::SCHED_FUSED_OPS.add(fused_groups);
-        colper_obs::counters::SCHED_BATCHED_MMS.add(mm_groups.iter().map(|g| g.len() as u64).sum());
         colper_obs::gauges::SCHED_ARENA_BYTES.record(arena_bytes);
 
         Ok(TapeSchedule {
@@ -595,8 +396,6 @@ impl TapeSchedule {
             n_nodes: n as u32,
             steps,
             bwd_order,
-            mm_groups,
-            hinge,
             fused_groups,
             arena_bytes,
         })
@@ -624,15 +423,12 @@ impl TapeSchedule {
         tape.nodes[self.input as usize].value.owned_mut().fill_from(input_value);
         for step in &self.steps {
             match *step {
-                Step::Node(i) => exec_node(&mut tape.nodes, i as usize, self.hinge.as_ref()),
+                Step::Node(i) => step_forward(&mut tape.nodes, i as usize),
                 Step::FusedLinear { mm, epi, act } => {
                     exec_fused_linear(&mut tape.nodes, mm as usize, epi as usize);
                     if let Some(act) = act {
-                        exec_node(&mut tape.nodes, act as usize, None);
+                        step_forward(&mut tape.nodes, act as usize);
                     }
-                }
-                Step::BatchedMatmul { group } => {
-                    exec_batched_matmul(tape, &self.mm_groups[group as usize]);
                 }
             }
         }
@@ -683,232 +479,11 @@ impl TapeSchedule {
         self.fused_groups
     }
 
-    /// Batched-matmul groups discovered at compile time: runs of two or
-    /// more independent matmuls sharing a B operand that replay as one
-    /// strided batched GEMM each.
-    pub fn batched_groups(&self) -> usize {
-        self.mm_groups.len()
-    }
-
     /// Bytes of value storage the replay writes per step (after fusion
     /// recycled the eliminated slots).
     pub fn arena_bytes(&self) -> u64 {
         self.arena_bytes
     }
-}
-
-/// Recomputes node `i` in place with the exact scalar recipe of its
-/// recording constructor. Zero-accumulating ops (`group_mean`,
-/// `weighted_gather`) clear their slot first — every other op fully
-/// overwrites it (`matmul_into` self-zeroes).
-#[allow(clippy::too_many_lines)]
-fn exec_node(nodes: &mut [Node], i: usize, hinge: Option<&HingeSpec>) {
-    // Operands precede their consumer in topological order, so split at
-    // `i`: `head` holds every operand immutably, `tail[0]` is the node
-    // being written.
-    let (head, tail) = nodes.split_at_mut(i);
-    let Node { value, op, .. } = &mut tail[0];
-    match op {
-        Op::Leaf | Op::Constant | Op::BatchNorm { .. } => {
-            unreachable!("unschedulable op survived compilation")
-        }
-        Op::Add(a, b) => {
-            let (a, b) = (*a, *b);
-            head[a.0].value.add_into(&head[b.0].value, value.owned_mut()).expect("replay add");
-        }
-        Op::Sub(a, b) => {
-            let (a, b) = (*a, *b);
-            head[a.0].value.sub_into(&head[b.0].value, value.owned_mut()).expect("replay sub");
-        }
-        Op::Mul(a, b) => {
-            let (a, b) = (*a, *b);
-            head[a.0].value.mul_into(&head[b.0].value, value.owned_mut()).expect("replay mul");
-        }
-        Op::AddRow(x, r) => row_broadcast(head, *x, *r, value.owned_mut(), kernels::add),
-        Op::SubRow(x, r) => row_broadcast(head, *x, *r, value.owned_mut(), kernels::sub),
-        Op::MulRow(x, r) => row_broadcast(head, *x, *r, value.owned_mut(), kernels::mul),
-        Op::DivRow(x, r) => row_broadcast(head, *x, *r, value.owned_mut(), kernels::div),
-        Op::Scale(x, s) => {
-            let (x, s) = (*x, *s);
-            head[x.0].value.scale_into(s, value.owned_mut());
-        }
-        Op::AddScalar(x, s) => {
-            let (x, s) = (*x, *s);
-            head[x.0].value.map_into(value.owned_mut(), |t| t + s);
-        }
-        Op::Matmul(a, b) => {
-            let (a, b) = (*a, *b);
-            head[a.0]
-                .value
-                .matmul_into(&head[b.0].value, value.owned_mut())
-                .expect("replay matmul");
-        }
-        Op::Relu(x) => head[x.0].value.map_into(value.owned_mut(), |t| t.max(0.0)),
-        Op::LeakyRelu(x, alpha) => {
-            let (x, alpha) = (*x, *alpha);
-            head[x.0]
-                .value
-                .map_into(value.owned_mut(), move |t| if t > 0.0 { t } else { alpha * t });
-        }
-        Op::Tanh(x) => head[x.0].value.tanh_into(value.owned_mut()),
-        Op::Sigmoid(x) => {
-            head[x.0].value.map_into(value.owned_mut(), |t| 1.0 / (1.0 + (-t).exp()));
-        }
-        Op::Exp(x) => head[x.0].value.map_into(value.owned_mut(), f32::exp),
-        Op::Ln(x) => head[x.0].value.map_into(value.owned_mut(), f32::ln),
-        Op::Sqrt(x) => head[x.0].value.map_into(value.owned_mut(), f32::sqrt),
-        Op::Square(x) => head[x.0].value.map_into(value.owned_mut(), |t| t * t),
-        Op::MulConst(x, mask) => {
-            let x = *x;
-            head[x.0].value.mul_into(mask, value.owned_mut()).expect("replay mul_const");
-        }
-        Op::Sum(x) => {
-            let s = head[x.0].value.sum();
-            value.owned_mut()[(0, 0)] = s;
-        }
-        Op::Mean(x) => {
-            let s = head[x.0].value.mean();
-            value.owned_mut()[(0, 0)] = s;
-        }
-        Op::SumRows(x) => head[x.0].value.sum_rows_into(value.owned_mut()),
-        Op::MeanRows(x) => head[x.0].value.mean_rows_into(value.owned_mut()),
-        Op::SumCols(x) => head[x.0].value.sum_cols_into(value.owned_mut()),
-        Op::GatherRows(x, idx) => {
-            let x = *x;
-            head[x.0].value.select_rows_into(idx, value.owned_mut());
-        }
-        Op::GroupMax { x, argmax } => {
-            let x = *x;
-            let xv: &Matrix = &head[x.0].value;
-            let out = value.owned_mut();
-            let groups = out.rows();
-            if groups == 0 {
-                return;
-            }
-            xv.group_max_into(xv.rows() / groups, out, argmax);
-        }
-        Op::GroupMean(x, k) => {
-            let (x, k) = (*x, *k);
-            let out = value.owned_mut();
-            out.as_mut_slice().fill(0.0);
-            let xv: &Matrix = &head[x.0].value;
-            kernels::count_dispatch(xv.rows());
-            for g in 0..out.rows() {
-                for j in 0..k {
-                    kernels::add_assign(out.row_mut(g), xv.row(g * k + j));
-                }
-            }
-            out.map_inplace(|v| v / k as f32);
-        }
-        Op::GroupSoftmax { x, k, softmax } => {
-            let (x, k) = (*x, *k);
-            let out = value.owned_mut();
-            head[x.0].value.group_softmax_into(k, out);
-            softmax.as_mut_slice().copy_from_slice(out.as_slice());
-        }
-        Op::WeightedGather { x, idx, w, k } => {
-            let (x, k) = (*x, *k);
-            let out = value.owned_mut();
-            out.as_mut_slice().fill(0.0);
-            let xv: &Matrix = &head[x.0].value;
-            kernels::count_dispatch(idx.len());
-            for r in 0..out.rows() {
-                for j in 0..k {
-                    let flat = r * k + j;
-                    kernels::axpy(out.row_mut(r), w[flat], xv.row(idx[flat]));
-                }
-            }
-        }
-        Op::ConcatCols(a, b) => {
-            let (a, b) = (*a, *b);
-            head[a.0]
-                .value
-                .hstack_into(&head[b.0].value, value.owned_mut())
-                .expect("replay concat_cols");
-        }
-        Op::SliceCols(x, c0, c1) => {
-            let (x, c0, c1) = (*x, *c0, *c1);
-            let rows = head[x.0].value.rows();
-            head[x.0].value.block_into(0, rows, c0, c1, value.owned_mut());
-        }
-        Op::AffineAct { x, scale, shift, act } => {
-            let (sv, bv) = (head[scale.0].value.row(0), head[shift.0].value.row(0));
-            head[x.0].value.affine_act_into(sv, bv, *act, value.owned_mut());
-        }
-        Op::EdgeFeatures { x, center, nbr } => {
-            head[x.0].value.edge_features_into(center, nbr, value.owned_mut());
-        }
-        Op::SoftmaxCrossEntropy { logits, labels, softmax } => {
-            let lg = *logits;
-            let z: &Matrix = &head[lg.0].value;
-            let (n, c) = z.shape();
-            let mut loss = 0.0f32;
-            for r in 0..n {
-                let row = z.row(r);
-                let maxv = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-                let mut denom = 0.0f32;
-                for (cc, &v) in row.iter().enumerate() {
-                    let e = (v - maxv).exp();
-                    softmax[(r, cc)] = e;
-                    denom += e;
-                }
-                for cc in 0..c {
-                    softmax[(r, cc)] /= denom;
-                }
-                loss -= softmax[(r, labels[r])].max(1e-12).ln();
-            }
-            loss /= n.max(1) as f32;
-            value.owned_mut()[(0, 0)] = loss;
-        }
-        Op::CwHinge { logits, active } => {
-            let spec = hinge.expect("scheduled CwHinge requires a HingeSpec");
-            let lg = *logits;
-            let z: &Matrix = &head[lg.0].value;
-            active.clear();
-            let mut loss = 0.0f32;
-            for r in 0..z.rows() {
-                if !spec.mask[r] {
-                    continue;
-                }
-                let y = spec.labels[r];
-                let row = z.row(r);
-                let (jmax, zmax) = row.iter().enumerate().filter(|&(j, _)| j != y).fold(
-                    (usize::MAX, f32::NEG_INFINITY),
-                    |(bj, bv), (j, &v)| {
-                        if v > bv {
-                            (j, v)
-                        } else {
-                            (bj, bv)
-                        }
-                    },
-                );
-                let zy = row[y];
-                let (v, plus, minus) =
-                    if spec.targeted { (zmax - zy, jmax, y) } else { (zy - zmax, y, jmax) };
-                if v > 0.0 {
-                    loss += v;
-                    active.push((r, plus, minus));
-                }
-            }
-            value.owned_mut()[(0, 0)] = loss;
-        }
-        Op::Smoothness { colors, coords, neighbors, k } => {
-            let total = smoothness_total(&head[colors.0].value, coords, neighbors, *k);
-            value.owned_mut()[(0, 0)] = total;
-        }
-    }
-}
-
-/// Shared body of the row-broadcast replay arms, executing the same
-/// per-row kernel calls as the recording `row_broadcast`.
-fn row_broadcast(
-    head: &[Node],
-    x: Var,
-    row: Var,
-    out: &mut Matrix,
-    k: fn(&[f32], &[f32], &mut [f32]),
-) {
-    head[x.0].value.broadcast_row_into(head[row.0].value.row(0), k, out);
 }
 
 /// Fused `matmul → add_row` or `matmul → affine_act`: the product lands
@@ -941,39 +516,6 @@ fn exec_fused_linear(nodes: &mut [Node], mm: usize, epi: usize) {
         _ => unreachable!("fused linear without an AddRow or AffineAct"),
     }
     .expect("replay fused matmul");
-}
-
-/// One strided batched GEMM over a compile-time group of independent
-/// matmul nodes sharing a B operand: the member output buffers are moved
-/// into the tape's `batch_vals` scratch, overwritten by
-/// [`Matrix::matmul_batched_with`] (bit-identical to the per-node loop by
-/// construction), and moved back. Both moves are `mem::replace` with
-/// empty placeholders and the `Vec` keeps its capacity, so steady-state
-/// replays stay allocation-free.
-fn exec_batched_matmul(tape: &mut Tape, members: &[u32]) {
-    tape.batch_vals.clear();
-    let mut b_idx = usize::MAX;
-    for &gi in members {
-        let gi = gi as usize;
-        let out = std::mem::replace(tape.nodes[gi].value.owned_mut(), Matrix::zeros(0, 0));
-        tape.batch_vals.push(out);
-        if let Op::Matmul(_, b) = &tape.nodes[gi].op {
-            b_idx = b.0;
-        }
-    }
-    let nodes = &tape.nodes;
-    let a_of = |j: usize| -> &Matrix {
-        match &nodes[members[j] as usize].op {
-            Op::Matmul(a, _) => &nodes[a.0].value,
-            _ => unreachable!("batched group member is not a matmul"),
-        }
-    };
-    Matrix::matmul_batched_with(members.len(), a_of, &nodes[b_idx].value, &mut tape.batch_vals)
-        .expect("replay batched matmul");
-    for (j, &gi) in members.iter().enumerate() {
-        let out = std::mem::replace(&mut tape.batch_vals[j], Matrix::zeros(0, 0));
-        *tape.nodes[gi as usize].value.owned_mut() = out;
-    }
 }
 
 #[cfg(test)]
@@ -1024,7 +566,26 @@ mod tests {
         );
         let gm = t.group_max(up, 2);
         let wide = t.concat_cols(up, up);
-        let logits = t.slice_cols(wide, 0, 6);
+        let pick = t.constant(Matrix::from_fn(12, 6, |r, c| {
+            if r == c {
+                1.0
+            } else {
+                ((r * 6 + c) as f32 * 0.37).sin() * 0.1
+            }
+        }));
+        let logits = t.matmul(wide, pick);
+
+        // Row gathers, the unfused activations, masks and reductions.
+        let shifted_rows = t.gather_rows(logits, &[3, 3, 0, 1]);
+        let diff = t.sub(shifted_rows, logits);
+        let rect = t.relu(diff);
+        let masked = t.mul_const(rect, Matrix::from_fn(4, 6, |r, c| ((r + c) % 3) as f32));
+        let col_means = t.mean_rows(masked);
+        let row_sums = t.sum_cols(col_means);
+        let sq_sums = t.square(row_sums);
+        let lifted = t.add_scalar(sq_sums, 1.0);
+        let root = t.sqrt(lifted);
+        let ce = t.softmax_cross_entropy(logits, &[1, 2, 0, 3]);
 
         let hinge = t.cw_nontargeted(logits, &[0, 1, 2, 3], &[true, true, false, true]);
         let coords = mat(&[&[0.0, 0.0], &[1.0, 0.0], &[0.0, 1.0], &[1.0, 1.0]]);
@@ -1035,20 +596,45 @@ mod tests {
         let s2 = t.scale(smooth, 0.05);
         let partial = t.add(dist, s1);
         let shifted = t.add_scalar(partial, 0.0);
-        let loss = t.add(shifted, s2);
+        let with_smooth = t.add(shifted, s2);
+        let with_ce = t.add(with_smooth, ce);
+        let loss = t.add(with_ce, root);
         t.backward(loss);
         (loss, w, logits)
     }
 
-    fn spec_for(loss: Var, w: Var, logits: Var) -> (Vec<Var>, HingeSpec) {
-        let keep = vec![logits];
-        let hinge = HingeSpec {
-            labels: vec![0, 1, 2, 3],
-            mask: vec![true, true, false, true],
-            targeted: false,
-        };
-        let _ = (loss, w);
-        (keep, hinge)
+    /// Replays `schedule` twice per input — the second replay runs over
+    /// dirty buffers, which is what catches missing zero-fills — and
+    /// compares `vars` (loss first, then the values a caller reads) and
+    /// the input gradient with a dynamic rebuild.
+    fn assert_replays_like_rebuild<const N: usize>(
+        schedule: &TapeSchedule,
+        tape: &mut Tape,
+        (input, vars): (Var, [Var; N]),
+        build: impl Fn(&mut Tape, &Matrix) -> (Var, [Var; N]),
+        inputs: &[&Matrix],
+    ) {
+        for wi in inputs {
+            schedule.replay(tape, wi);
+            schedule.replay(tape, wi);
+
+            let mut fresh = Tape::new();
+            let (f_input, f_vars) = build(&mut fresh, wi);
+            for (v, f_v) in vars.iter().zip(&f_vars) {
+                assert_eq!(
+                    tape.value(*v).as_slice(),
+                    fresh.value(*f_v).as_slice(),
+                    "replayed value of node {} diverged",
+                    v.0
+                );
+            }
+            assert_eq!(
+                tape.grad(input).unwrap().as_slice(),
+                fresh.grad(f_input).unwrap().as_slice(),
+                "replayed gradient diverged"
+            );
+            assert_eq!(tape.backward_visited(), fresh.backward_visited());
+        }
     }
 
     #[test]
@@ -1059,40 +645,59 @@ mod tests {
 
         let mut sched_tape = Tape::new();
         let (loss, w, logits) = build(&mut sched_tape, &w0);
-        let (keep, hinge) = spec_for(loss, w, logits);
         let schedule = TapeSchedule::compile(
             &mut sched_tape,
-            &CompileSpec { input: w, output: loss, keep: &keep, hinge: Some(hinge) },
+            &CompileSpec { input: w, output: loss, keep: &[logits] },
         )
         .expect("graph must compile");
         assert_eq!(schedule.fused_groups(), 2, "both fused-linear forms must fire");
         assert!(schedule.arena_bytes() > 0);
 
-        // Replay twice per input: the second replay runs over dirty
-        // buffers, which is what catches missing zero-fills.
-        for wi in [&w1, &w2, &w1] {
-            schedule.replay(&mut sched_tape, wi);
-            schedule.replay(&mut sched_tape, wi);
+        let rebuild = |t: &mut Tape, wi: &Matrix| {
+            let (loss, w, logits) = build(t, wi);
+            (w, [loss, logits])
+        };
+        assert_replays_like_rebuild(
+            &schedule,
+            &mut sched_tape,
+            (w, [loss, logits]),
+            rebuild,
+            &[&w1, &w2, &w1],
+        );
+    }
 
-            let mut fresh = Tape::new();
-            let (f_loss, f_w, f_logits) = build(&mut fresh, wi);
-            assert_eq!(
-                sched_tape.value(loss).as_slice(),
-                fresh.value(f_loss).as_slice(),
-                "replayed loss diverged"
-            );
-            assert_eq!(
-                sched_tape.value(logits).as_slice(),
-                fresh.value(f_logits).as_slice(),
-                "replayed logits diverged"
-            );
-            assert_eq!(
-                sched_tape.grad(w).unwrap().as_slice(),
-                fresh.grad(f_w).unwrap().as_slice(),
-                "replayed gradient diverged"
-            );
-            assert_eq!(sched_tape.backward_visited(), fresh.backward_visited());
-        }
+    #[test]
+    fn two_hinges_with_their_own_labels_and_masks_replay_bit_identically() {
+        // Two logits branches, each with its own CW hinge: one targeted,
+        // one not, with different labels and masks. Each hinge keeps its
+        // inputs in its own payload, so the graph compiles with no
+        // further context.
+        let build_two = |t: &mut Tape, w0: &Matrix| {
+            let w = t.leaf_from(w0);
+            let wa = t.constant(mat(&[&[0.6, -0.3, 0.2], &[-0.4, 0.8, 0.5]]));
+            let wb = t.constant(mat(&[&[-0.2, 0.7, -0.6], &[0.9, 0.1, -0.3]]));
+            let za = t.matmul(w, wa);
+            let zb = t.matmul(w, wb);
+            let ha = t.cw_targeted(za, &[2, 2, 0, 1], &[true, false, true, true]);
+            let hb = t.cw_nontargeted(zb, &[0, 1, 1, 2], &[true, true, true, false]);
+            let loss = t.add(ha, hb);
+            t.backward(loss);
+            (w, [loss, ha, hb, za, zb])
+        };
+        let w0 = mat(&[&[0.1, -0.3], &[0.7, 0.2], &[-0.5, 0.4], &[0.9, -0.8]]);
+        let mut t = Tape::new();
+        let (w, vars) = build_two(&mut t, &w0);
+        let [loss, ..] = vars;
+        let schedule = TapeSchedule::compile(
+            &mut t,
+            &CompileSpec { input: w, output: loss, keep: &vars[1..] },
+        )
+        .expect("a graph with two hinges must compile");
+        assert_eq!(schedule.num_steps(), 5, "two matmuls, two hinges and their sum");
+
+        let w1 = mat(&[&[-1.0, 0.5], &[2.0, -2.0], &[0.3, 0.9], &[-0.6, 0.1]]);
+        let w2 = mat(&[&[0.8, 0.8], &[-0.2, 1.5], &[1.2, -0.7], &[0.05, -0.4]]);
+        assert_replays_like_rebuild(&schedule, &mut t, (w, vars), build_two, &[&w1, &w0, &w2]);
     }
 
     #[test]
@@ -1104,11 +709,9 @@ mod tests {
         let y = t.mul(w, c2);
         let loss = t.sum(y);
         t.backward(loss);
-        let schedule = TapeSchedule::compile(
-            &mut t,
-            &CompileSpec { input: w, output: loss, keep: &[], hinge: None },
-        )
-        .unwrap();
+        let schedule =
+            TapeSchedule::compile(&mut t, &CompileSpec { input: w, output: loss, keep: &[] })
+                .unwrap();
         // Only mul + sum are dynamic.
         assert_eq!(schedule.num_steps(), 2);
         schedule.replay(&mut t, &mat(&[&[-1.0, 0.5]]));
@@ -1125,11 +728,8 @@ mod tests {
         let (y, _mean, _var) = t.batch_norm_train(w, gamma, beta, 1e-5);
         let loss = t.sum(y);
         t.backward(loss);
-        let err = TapeSchedule::compile(
-            &mut t,
-            &CompileSpec { input: w, output: loss, keep: &[], hinge: None },
-        )
-        .unwrap_err();
+        let err = TapeSchedule::compile(&mut t, &CompileSpec { input: w, output: loss, keep: &[] })
+            .unwrap_err();
         assert_eq!(err, ScheduleError::UnsupportedOp("batch_norm_train"));
     }
 
@@ -1141,26 +741,9 @@ mod tests {
         let y = t.mul(w, other);
         let loss = t.sum(y);
         t.backward(loss);
-        let err = TapeSchedule::compile(
-            &mut t,
-            &CompileSpec { input: w, output: loss, keep: &[], hinge: None },
-        )
-        .unwrap_err();
+        let err = TapeSchedule::compile(&mut t, &CompileSpec { input: w, output: loss, keep: &[] })
+            .unwrap_err();
         assert_eq!(err, ScheduleError::MultipleLeaves);
-    }
-
-    #[test]
-    fn hinge_without_spec_is_rejected() {
-        let mut t = Tape::new();
-        let w = t.leaf(mat(&[&[1.0, -1.0], &[0.5, 2.0]]));
-        let hinge = t.cw_nontargeted(w, &[0, 1], &[true, true]);
-        t.backward(hinge);
-        let err = TapeSchedule::compile(
-            &mut t,
-            &CompileSpec { input: w, output: hinge, keep: &[], hinge: None },
-        )
-        .unwrap_err();
-        assert_eq!(err, ScheduleError::MissingHingeSpec);
     }
 
     #[test]
@@ -1178,12 +761,9 @@ mod tests {
         let w0 = mat(&[&[1.0, 2.0], &[3.0, 4.0]]);
         let mut t = Tape::new();
         let (loss, w, h0) = build_small(&mut t, &w0);
-        let keep = [h0];
-        let schedule = TapeSchedule::compile(
-            &mut t,
-            &CompileSpec { input: w, output: loss, keep: &keep, hinge: None },
-        )
-        .unwrap();
+        let schedule =
+            TapeSchedule::compile(&mut t, &CompileSpec { input: w, output: loss, keep: &[h0] })
+                .unwrap();
         assert_eq!(schedule.fused_groups(), 0, "kept matmul must not be fused away");
         let w1 = mat(&[&[-1.0, 0.5], &[2.0, -2.0]]);
         schedule.replay(&mut t, &w1);
@@ -1191,81 +771,6 @@ mod tests {
         let (f_loss, _f_w, f_h0) = build_small(&mut fresh, &w1);
         assert_eq!(t.value(loss).as_slice(), fresh.value(f_loss).as_slice());
         assert_eq!(t.value(h0).as_slice(), fresh.value(f_h0).as_slice());
-    }
-
-    #[test]
-    fn independent_same_weight_matmuls_batch_into_one_gemm() {
-        // Two branches multiply by the same weight with the same input
-        // shape and are mutually independent — exactly the shape-bucket
-        // condition, so compile must group them into one batched GEMM
-        // step and replay must stay bit-identical to a dynamic rebuild.
-        let build_two = |t: &mut Tape, w0: &Matrix| {
-            let w = t.leaf_from(w0);
-            let b = t.constant(mat(&[&[0.4, -0.2], &[0.3, 0.9]]));
-            let mm1 = t.matmul(w, b);
-            let a2 = t.square(w);
-            let mm2 = t.matmul(a2, b);
-            let s1 = t.sum(mm1);
-            let s2 = t.sum(mm2);
-            let loss = t.add(s1, s2);
-            t.backward(loss);
-            (loss, w, mm1)
-        };
-        let w0 = mat(&[&[0.1, -0.3], &[0.7, 0.2]]);
-        let mut t = Tape::new();
-        let (loss, w, mm1) = build_two(&mut t, &w0);
-        let keep = [mm1]; // batched members keep their buffers: `keep` is allowed
-        let schedule = TapeSchedule::compile(
-            &mut t,
-            &CompileSpec { input: w, output: loss, keep: &keep, hinge: None },
-        )
-        .unwrap();
-        assert_eq!(schedule.batched_groups(), 1, "the two independent matmuls must batch");
-        let w1 = mat(&[&[-1.0, 0.5], &[2.0, -2.0]]);
-        for wi in [&w1, &w0, &w1] {
-            // Twice per input: the second replay runs over dirty buffers.
-            schedule.replay(&mut t, wi);
-            schedule.replay(&mut t, wi);
-            let mut fresh = Tape::new();
-            let (f_loss, f_w, f_mm1) = build_two(&mut fresh, wi);
-            assert_eq!(t.value(loss).as_slice(), fresh.value(f_loss).as_slice());
-            assert_eq!(t.value(mm1).as_slice(), fresh.value(f_mm1).as_slice());
-            assert_eq!(
-                t.grad(w).unwrap().as_slice(),
-                fresh.grad(f_w).unwrap().as_slice(),
-                "batched replay gradient diverged"
-            );
-        }
-    }
-
-    #[test]
-    fn dependent_matmuls_do_not_batch() {
-        // mm2 consumes mm1's output: same B operand, same A shape, but
-        // serial — the independence filter must reject the pair.
-        let build_chain = |t: &mut Tape, w0: &Matrix| {
-            let w = t.leaf_from(w0);
-            let b = t.constant(mat(&[&[0.5, 0.3], &[-0.2, 0.8]]));
-            let mm1 = t.matmul(w, b);
-            let mm2 = t.matmul(mm1, b);
-            let loss = t.sum(mm2);
-            t.backward(loss);
-            (loss, w)
-        };
-        let w0 = mat(&[&[0.2, -0.4], &[0.6, 0.1]]);
-        let mut t = Tape::new();
-        let (loss, w) = build_chain(&mut t, &w0);
-        let schedule = TapeSchedule::compile(
-            &mut t,
-            &CompileSpec { input: w, output: loss, keep: &[], hinge: None },
-        )
-        .unwrap();
-        assert_eq!(schedule.batched_groups(), 0, "serial matmuls must not batch");
-        let w1 = mat(&[&[1.0, 0.5], &[-0.7, 2.0]]);
-        schedule.replay(&mut t, &w1);
-        let mut fresh = Tape::new();
-        let (f_loss, f_w) = build_chain(&mut fresh, &w1);
-        assert_eq!(t.value(loss).as_slice(), fresh.value(f_loss).as_slice());
-        assert_eq!(t.grad(w).unwrap().as_slice(), fresh.grad(f_w).unwrap().as_slice());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The [`Tape`]: a linear record of primitive operations and its reverse
 //! (backward) pass.
 
-use crate::ops_nn::edge_dist_sq;
+use crate::ops_nn::{edge_dist_sq, smoothness_total};
 use colper_tensor::{kernels, Act, BufferPool, GatherIndex, Matrix};
 use std::collections::VecDeque;
 use std::ops::Deref;
@@ -25,13 +25,14 @@ pub(crate) enum Value {
 }
 
 impl Value {
-    /// Mutable access to an owned value — the schedule replay writes node
+    /// Mutable access to an owned value — [`step_forward`] writes node
     /// outputs in place.
     ///
     /// # Panics
     ///
-    /// Panics on a shared value; the schedule compiler verifies every
-    /// dynamic node owns its storage before a schedule is built.
+    /// Panics on a shared value. Recording gives every computed node a
+    /// pooled slot, and the schedule compiler verifies every dynamic node
+    /// owns its storage before a schedule is built.
     pub(crate) fn owned_mut(&mut self) -> &mut Matrix {
         match self {
             Value::Owned(m) => m,
@@ -87,9 +88,11 @@ impl Deref for Wts {
 
 /// The primitive operations the tape can record.
 ///
-/// Each variant stores the operand handles plus whatever forward-pass
-/// context the backward pass needs (e.g. argmax indices for grouped max
-/// pooling, the saved softmax for cross-entropy).
+/// Each variant stores the operand handles, every other input its
+/// forward reads (gather indices, labels, masks), and whatever
+/// forward-pass context the backward pass needs (e.g. argmax indices for
+/// grouped max pooling, the saved softmax for cross-entropy), so
+/// [`step_forward`] and [`step_backward`] need nothing but the nodes.
 #[derive(Debug)]
 pub(crate) enum Op {
     /// A differentiable input (weights, adversarial variables).
@@ -101,30 +104,21 @@ pub(crate) enum Op {
     Mul(Var, Var),
     /// `[N,C] + [1,C]` row broadcast (bias add).
     AddRow(Var, Var),
-    /// `[N,C] - [1,C]` row broadcast.
-    SubRow(Var, Var),
     /// `[N,C] * [1,C]` row broadcast.
     MulRow(Var, Var),
-    /// `[N,C] / [1,C]` row broadcast.
-    DivRow(Var, Var),
     Scale(Var, f32),
-    // The scalar is only needed in the forward pass (the schedule replay
-    // re-applies it); the backward pass ignores it.
+    // The scalar is only needed in the forward pass; the backward pass
+    // ignores it.
     AddScalar(Var, f32),
     Matmul(Var, Var),
     Relu(Var),
     LeakyRelu(Var, f32),
     Tanh(Var),
-    Sigmoid(Var),
-    Exp(Var),
-    Ln(Var),
     Sqrt(Var),
     Square(Var),
     /// Elementwise product with a constant matrix (dropout masks etc.).
     MulConst(Var, Value),
     Sum(Var),
-    Mean(Var),
-    SumRows(Var),
     MeanRows(Var),
     SumCols(Var),
     /// Row gather: `out[i] = x[idx[i]]`.
@@ -133,6 +127,7 @@ pub(crate) enum Op {
     /// source rows for the backward scatter.
     GroupMax {
         x: Var,
+        k: usize,
         argmax: Vec<usize>,
     },
     /// Mean over consecutive groups of `k` rows.
@@ -153,7 +148,6 @@ pub(crate) enum Op {
         k: usize,
     },
     ConcatCols(Var, Var),
-    SliceCols(Var, usize, usize),
     /// Eval-mode batch norm fused with its activation:
     /// `act(x * scale + shift)` with `[1,C]` scale and shift rows.
     AffineAct {
@@ -171,7 +165,9 @@ pub(crate) enum Op {
         nbr: Arc<GatherIndex>,
     },
     /// Fused batch normalization (training mode): saves normalized
-    /// activations and the inverse standard deviation.
+    /// activations and the inverse standard deviation. Its constructor
+    /// computes the value (the batch statistics leave the tape with it),
+    /// so it has no forward arm, and the schedule compiler rejects it.
     BatchNorm {
         x: Var,
         gamma: Var,
@@ -185,11 +181,15 @@ pub(crate) enum Op {
         labels: Vec<usize>,
         softmax: Matrix,
     },
-    /// The paper's CW-style hinge (Eq. 7 targeted / Eq. 8 non-targeted).
-    /// Saves, for every active (hinge > 0) row, the logit index that
+    /// The paper's CW-style hinge (Eq. 7 targeted / Eq. 8 non-targeted)
+    /// over the rows `mask` selects. Keeps its labels, mask and direction,
+    /// and saves, for every active (hinge > 0) row, the logit index that
     /// receives +1 and the one that receives -1.
     CwHinge {
         logits: Var,
+        labels: Vec<usize>,
+        mask: Vec<bool>,
+        targeted: bool,
         active: Vec<(usize, usize, usize)>, // (row, plus_col, minus_col)
     },
     /// The paper's smoothness penalty (Eq. 6) over a fixed neighbor graph,
@@ -213,9 +213,7 @@ impl Op {
             | Op::Sub(a, b)
             | Op::Mul(a, b)
             | Op::AddRow(a, b)
-            | Op::SubRow(a, b)
             | Op::MulRow(a, b)
-            | Op::DivRow(a, b)
             | Op::Matmul(a, b)
             | Op::ConcatCols(a, b) => {
                 f(*a);
@@ -226,18 +224,12 @@ impl Op {
             | Op::LeakyRelu(x, _)
             | Op::Relu(x)
             | Op::Tanh(x)
-            | Op::Sigmoid(x)
-            | Op::Exp(x)
-            | Op::Ln(x)
             | Op::Sqrt(x)
             | Op::Square(x)
             | Op::Sum(x)
-            | Op::Mean(x)
-            | Op::SumRows(x)
             | Op::MeanRows(x)
             | Op::SumCols(x)
             | Op::GroupMean(x, _)
-            | Op::SliceCols(x, _, _)
             | Op::MulConst(x, _)
             | Op::GatherRows(x, _)
             | Op::GroupMax { x, .. }
@@ -287,14 +279,9 @@ pub struct Tape {
     idx_pool: VecDeque<Vec<usize>>,
     w_pool: VecDeque<Vec<f32>>,
     tri_pool: VecDeque<Vec<(usize, usize, usize)>>,
+    mask_pool: VecDeque<Vec<bool>>,
     live: Vec<bool>,
     pub(crate) visited: usize,
-    /// Scratch used by the schedule replay's batched-matmul step: member
-    /// node values are moved here, overwritten by one strided batched GEMM,
-    /// and moved back. Holds empty placeholder matrices between replays;
-    /// the `Vec` keeps its capacity, so steady-state replays do not
-    /// allocate for it.
-    pub(crate) batch_vals: Vec<Matrix>,
 }
 
 impl Tape {
@@ -351,7 +338,11 @@ impl Tape {
                     self.idx_pool.push_back(labels);
                     self.pool.recycle(softmax);
                 }
-                Op::CwHinge { active, .. } => self.tri_pool.push_back(active),
+                Op::CwHinge { labels, mask, active, .. } => {
+                    self.idx_pool.push_back(labels);
+                    self.mask_pool.push_back(mask);
+                    self.tri_pool.push_back(active);
+                }
                 Op::Smoothness { coords, neighbors, .. } => {
                     if let Value::Owned(m) = coords {
                         self.pool.recycle(m);
@@ -386,32 +377,32 @@ impl Tape {
     /// Records a differentiable leaf (a gradient will be available after
     /// [`Tape::backward`]).
     pub fn leaf(&mut self, value: Matrix) -> Var {
-        self.push(value, Op::Leaf, true)
+        self.push(value, Op::Leaf)
     }
 
     /// Records a differentiable leaf by copying `value` into recycled
     /// storage (the allocation-free variant of [`Tape::leaf`]).
     pub fn leaf_from(&mut self, value: &Matrix) -> Var {
         let m = self.pool.copy_of(value);
-        self.push(m, Op::Leaf, true)
+        self.push(m, Op::Leaf)
     }
 
     /// Records a constant (no gradient is tracked through it).
     pub fn constant(&mut self, value: Matrix) -> Var {
-        self.push(value, Op::Constant, false)
+        self.push(value, Op::Constant)
     }
 
     /// Records a constant by copying `value` into recycled storage.
     pub fn constant_from(&mut self, value: &Matrix) -> Var {
         let m = self.pool.copy_of(value);
-        self.push(m, Op::Constant, false)
+        self.push(m, Op::Constant)
     }
 
     /// Records an interned constant shared via `Arc` — no copy at all.
     /// The backing matrix can be shared across steps (and tapes), which is
     /// how attack plans intern coordinates, masks and frozen channels.
     pub fn constant_shared(&mut self, value: Arc<Matrix>) -> Var {
-        self.push_value(Value::Shared(value), Op::Constant, false)
+        self.push_value(Value::Shared(value), Op::Constant)
     }
 
     /// Records a constant computed elementwise from `src` into recycled
@@ -419,12 +410,7 @@ impl Tape {
     pub fn constant_map(&mut self, src: &Matrix, f: impl Fn(f32) -> f32 + Sync) -> Var {
         let mut m = self.pool.zeros_like(src);
         src.map_into(&mut m, f);
-        self.push(m, Op::Constant, false)
-    }
-
-    /// Records a scalar constant as a `1x1` matrix.
-    pub fn scalar(&mut self, value: f32) -> Var {
-        self.constant(Matrix::filled(1, 1, value))
+        self.push(m, Op::Constant)
     }
 
     /// The forward value of `v`.
@@ -498,22 +484,49 @@ impl Tape {
         v
     }
 
-    pub(crate) fn push(&mut self, value: Matrix, op: Op, requires_grad: bool) -> Var {
-        self.push_value(Value::Owned(value), op, requires_grad)
+    /// A pooled copy of a row mask.
+    pub(crate) fn pooled_mask_copy(&mut self, src: &[bool]) -> Vec<bool> {
+        let mut v = self.mask_pool.pop_front().unwrap_or_default();
+        v.clear();
+        v.extend_from_slice(src);
+        v
     }
 
-    pub(crate) fn push_value(&mut self, value: Value, op: Op, requires_grad: bool) -> Var {
-        debug_assert!(
-            value.all_finite() || matches!(op, Op::Leaf | Op::Constant),
-            "non-finite value produced by {op:?}"
-        );
+    /// Records `op` with a pooled, zero-filled `rows x cols` output slot
+    /// and evaluates it there: the one door of every computed op.
+    pub(crate) fn record(&mut self, (rows, cols): (usize, usize), op: Op) -> Var {
+        let out = self.alloc(rows, cols);
+        self.push(out, op)
+    }
+
+    pub(crate) fn push(&mut self, value: Matrix, op: Op) -> Var {
+        self.push_value(Value::Owned(value), op)
+    }
+
+    /// Appends a node and runs [`step_forward`] on it, so recording
+    /// computes each value with the very function the schedule replay
+    /// calls. A leaf requires a gradient, a constant does not, and any
+    /// other op does when one of its operands does.
+    pub(crate) fn push_value(&mut self, value: Value, op: Op) -> Var {
+        let requires_grad = match op {
+            Op::Leaf => true,
+            Op::Constant => false,
+            _ => {
+                let mut rg = false;
+                op.for_each_operand(|v| rg |= self.node(v).requires_grad);
+                rg
+            }
+        };
         self.nodes.push(Node { value, op, requires_grad });
-        Var(self.nodes.len() - 1)
-    }
-
-    /// Convenience: whether any of `vars` requires a gradient.
-    pub(crate) fn any_requires_grad(&self, vars: &[Var]) -> bool {
-        vars.iter().any(|&v| self.node(v).requires_grad)
+        let i = self.nodes.len() - 1;
+        step_forward(&mut self.nodes, i);
+        let node = &self.nodes[i];
+        debug_assert!(
+            node.value.all_finite() || matches!(node.op, Op::Leaf | Op::Constant),
+            "non-finite value produced by {:?}",
+            node.op
+        );
+        Var(i)
     }
 
     /// Runs the reverse pass from the scalar output `out`, accumulating
@@ -614,6 +627,152 @@ fn accumulate_copy(
     }
 }
 
+/// One forward step for node `i`: computes its value in place from its
+/// operands, the twin of [`step_backward`]. Recording calls it on every
+/// node it pushes, and the schedule replay calls it on every dynamic node,
+/// so a replayed value is the recorded one by construction.
+///
+/// Every arm fully overwrites the node's slot or clears it first
+/// (`group_mean`, `weighted_gather` accumulate into zeros), so the replay
+/// may run it over the dirty slot of the previous step. Leaves, constants
+/// and training-mode batch norm hold the value their constructor wrote.
+#[allow(clippy::too_many_lines)]
+pub(crate) fn step_forward(nodes: &mut [Node], i: usize) {
+    // Operands precede their consumer in topological order, so split at
+    // `i`: `head` holds every operand immutably, `tail[0]` is the node
+    // being written.
+    let (head, tail) = nodes.split_at_mut(i);
+    let Node { value, op, .. } = &mut tail[0];
+    let val = |v: Var| &head[v.0].value;
+    match op {
+        Op::Leaf | Op::Constant | Op::BatchNorm { .. } => {}
+        Op::Add(a, b) => val(*a).add_into(val(*b), value.owned_mut()).expect("add: shape"),
+        Op::Sub(a, b) => val(*a).sub_into(val(*b), value.owned_mut()).expect("sub: shape"),
+        Op::Mul(a, b) => val(*a).mul_into(val(*b), value.owned_mut()).expect("mul: shape"),
+        Op::AddRow(x, r) => {
+            val(*x).broadcast_row_into(val(*r).row(0), kernels::add, value.owned_mut())
+        }
+        Op::MulRow(x, r) => {
+            val(*x).broadcast_row_into(val(*r).row(0), kernels::mul, value.owned_mut())
+        }
+        Op::Scale(x, s) => val(*x).scale_into(*s, value.owned_mut()),
+        Op::AddScalar(x, s) => {
+            let s = *s;
+            val(*x).map_into(value.owned_mut(), |t| t + s);
+        }
+        Op::Matmul(a, b) => val(*a).matmul_into(val(*b), value.owned_mut()).expect("matmul: shape"),
+        Op::Relu(x) => val(*x).map_into(value.owned_mut(), |t| t.max(0.0)),
+        Op::LeakyRelu(x, alpha) => {
+            let alpha = *alpha;
+            val(*x).map_into(value.owned_mut(), move |t| if t > 0.0 { t } else { alpha * t });
+        }
+        Op::Tanh(x) => val(*x).tanh_into(value.owned_mut()),
+        Op::Sqrt(x) => val(*x).map_into(value.owned_mut(), f32::sqrt),
+        Op::Square(x) => val(*x).map_into(value.owned_mut(), |t| t * t),
+        Op::MulConst(x, mask) => {
+            val(*x).mul_into(mask, value.owned_mut()).expect("mul_const: shape")
+        }
+        Op::Sum(x) => value.owned_mut()[(0, 0)] = val(*x).sum(),
+        Op::MeanRows(x) => val(*x).mean_rows_into(value.owned_mut()),
+        Op::SumCols(x) => val(*x).sum_cols_into(value.owned_mut()),
+        Op::GatherRows(x, idx) => val(*x).select_rows_into(idx, value.owned_mut()),
+        Op::GroupMax { x, k, argmax } => val(*x).group_max_into(*k, value.owned_mut(), argmax),
+        Op::GroupMean(x, k) => {
+            let (xv, k, out) = (val(*x), *k, value.owned_mut());
+            out.as_mut_slice().fill(0.0);
+            kernels::count_dispatch(xv.rows());
+            for g in 0..out.rows() {
+                for j in 0..k {
+                    kernels::add_assign(out.row_mut(g), xv.row(g * k + j));
+                }
+            }
+            out.map_inplace(|v| v / k as f32);
+        }
+        Op::GroupSoftmax { x, k, softmax } => {
+            let out = value.owned_mut();
+            val(*x).group_softmax_into(*k, out);
+            softmax.as_mut_slice().copy_from_slice(out.as_slice());
+        }
+        Op::WeightedGather { x, idx, w, k } => {
+            let (xv, k, out) = (val(*x), *k, value.owned_mut());
+            out.as_mut_slice().fill(0.0);
+            kernels::count_dispatch(idx.len());
+            for r in 0..out.rows() {
+                for j in 0..k {
+                    let flat = r * k + j;
+                    kernels::axpy(out.row_mut(r), w[flat], xv.row(idx[flat]));
+                }
+            }
+        }
+        Op::ConcatCols(a, b) => {
+            val(*a).hstack_into(val(*b), value.owned_mut()).expect("concat_cols: rows");
+        }
+        Op::AffineAct { x, scale, shift, act } => {
+            let (sv, bv) = (val(*scale).row(0), val(*shift).row(0));
+            val(*x).affine_act_into(sv, bv, *act, value.owned_mut());
+        }
+        Op::EdgeFeatures { x, center, nbr } => {
+            val(*x).edge_features_into(center, nbr, value.owned_mut());
+        }
+        Op::SoftmaxCrossEntropy { logits, labels, softmax } => {
+            let z = val(*logits);
+            let (n, c) = z.shape();
+            let mut loss = 0.0f32;
+            for r in 0..n {
+                let row = z.row(r);
+                let maxv = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+                let mut denom = 0.0f32;
+                for (cc, &v) in row.iter().enumerate() {
+                    let e = (v - maxv).exp();
+                    softmax[(r, cc)] = e;
+                    denom += e;
+                }
+                for cc in 0..c {
+                    softmax[(r, cc)] /= denom;
+                }
+                loss -= softmax[(r, labels[r])].max(1e-12).ln();
+            }
+            loss /= n.max(1) as f32;
+            value.owned_mut()[(0, 0)] = loss;
+        }
+        Op::CwHinge { logits, labels, mask, targeted, active } => {
+            let z = val(*logits);
+            active.clear();
+            let mut loss = 0.0f32;
+            for r in 0..z.rows() {
+                if !mask[r] {
+                    continue;
+                }
+                let y = labels[r];
+                let row = z.row(r);
+                let (jmax, zmax) = row.iter().enumerate().filter(|&(j, _)| j != y).fold(
+                    (usize::MAX, f32::NEG_INFINITY),
+                    |(bj, bv), (j, &v)| {
+                        if v > bv {
+                            (j, v)
+                        } else {
+                            (bj, bv)
+                        }
+                    },
+                );
+                let zy = row[y];
+                // targeted: want z_y to win -> penalize (zmax - zy)_+, grads +jmax, -y
+                // non-targeted: want z_y to lose -> penalize (zy - zmax)_+, grads +y, -jmax
+                let (v, plus, minus) =
+                    if *targeted { (zmax - zy, jmax, y) } else { (zy - zmax, y, jmax) };
+                if v > 0.0 {
+                    loss += v;
+                    active.push((r, plus, minus));
+                }
+            }
+            value.owned_mut()[(0, 0)] = loss;
+        }
+        Op::Smoothness { colors, coords, neighbors, k } => {
+            value.owned_mut()[(0, 0)] = smoothness_total(val(*colors), coords, neighbors, *k);
+        }
+    }
+}
+
 /// One backward step for node `i`. Dispatches on a borrowed `&Op` — no op
 /// payload is cloned — and builds every produced gradient in pooled
 /// storage. All arithmetic keeps the exact scalar expressions and
@@ -630,9 +789,8 @@ fn accumulate_copy(
 /// `compiled` selects the schedule replay's **dirty scratch buffers**:
 /// gradient storage whose kernel fully overwrites every element (see
 /// [`grad_buf`]) skips the `zeros` memset. Buffers that are accumulated
-/// into (`Smoothness`, `WeightedGather`, …) or partially written
-/// (`SliceCols`) keep `zeros`. The dynamic tape passes `false` and keeps
-/// its zeroing allocation pattern.
+/// into (`Smoothness`, `WeightedGather`, …) keep `zeros`. The dynamic
+/// tape passes `false` and keeps its zeroing allocation pattern.
 #[allow(clippy::too_many_lines)]
 pub(crate) fn step_backward(
     nodes: &[Node],
@@ -686,15 +844,6 @@ pub(crate) fn step_backward(
                 accumulate(nodes, grads, pool, *r, gr);
             }
         }
-        Op::SubRow(x, r) => {
-            accumulate_copy(nodes, grads, pool, *x, gy);
-            if wants(*r) {
-                let mut gr = grad_buf(pool, compiled, 1, gy.cols());
-                gy.sum_rows_into(&mut gr);
-                gr.map_inplace(|v| -v);
-                accumulate(nodes, grads, pool, *r, gr);
-            }
-        }
         Op::MulRow(x, r) => {
             let rv: &Matrix = &nodes[r.0].value;
             let xv: &Matrix = &nodes[x.0].value;
@@ -711,31 +860,6 @@ pub(crate) fn step_backward(
                 pool.recycle(tmp);
                 accumulate(nodes, grads, pool, *r, gr);
             }
-        }
-        Op::DivRow(x, r) => {
-            let rv: &Matrix = &nodes[r.0].value;
-            let xv: &Matrix = &nodes[x.0].value;
-            let mut inv = grad_buf(pool, compiled, rv.rows(), rv.cols());
-            if wants(*x) {
-                rv.map_into(&mut inv, |v| 1.0 / v);
-                let mut gx = grad_buf(pool, compiled, gy.rows(), gy.cols());
-                gy.broadcast_row_into(inv.row(0), kernels::mul, &mut gx);
-                accumulate(nodes, grads, pool, *x, gx);
-            }
-            if wants(*r) {
-                // d/dr (x/r) = -x / r^2
-                rv.map_into(&mut inv, |v| -1.0 / (v * v));
-                let mut tmp = grad_buf(pool, compiled, gy.rows(), gy.cols());
-                gy.mul_into(xv, &mut tmp).expect("shape");
-                let mut bm = grad_buf(pool, compiled, gy.rows(), gy.cols());
-                tmp.broadcast_row_into(inv.row(0), kernels::mul, &mut bm);
-                let mut gr = grad_buf(pool, compiled, 1, gy.cols());
-                bm.sum_rows_into(&mut gr);
-                pool.recycle(tmp);
-                pool.recycle(bm);
-                accumulate(nodes, grads, pool, *r, gr);
-            }
-            pool.recycle(inv);
         }
         Op::Scale(x, s) => {
             let mut g = grad_buf(pool, compiled, gy.rows(), gy.cols());
@@ -783,19 +907,6 @@ pub(crate) fn step_backward(
             let g = elementwise_grad(pool, compiled, gy, &nodes[i].value, |t| 1.0 - t * t);
             accumulate(nodes, grads, pool, *x, g);
         }
-        Op::Sigmoid(x) => {
-            let g = elementwise_grad(pool, compiled, gy, &nodes[i].value, |s| s * (1.0 - s));
-            accumulate(nodes, grads, pool, *x, g);
-        }
-        Op::Exp(x) => {
-            let mut g = grad_buf(pool, compiled, gy.rows(), gy.cols());
-            gy.mul_into(&nodes[i].value, &mut g).expect("shape");
-            accumulate(nodes, grads, pool, *x, g);
-        }
-        Op::Ln(x) => {
-            let g = elementwise_grad(pool, compiled, gy, &nodes[x.0].value, |v| 1.0 / v);
-            accumulate(nodes, grads, pool, *x, g);
-        }
         Op::Sqrt(x) => {
             let g = elementwise_grad(pool, compiled, gy, &nodes[i].value, |s| 0.5 / s.max(1e-12));
             accumulate(nodes, grads, pool, *x, g);
@@ -813,22 +924,6 @@ pub(crate) fn step_backward(
             let (r, c) = nodes[x.0].value.shape();
             let mut g = grad_buf(pool, compiled, r, c);
             g.as_mut_slice().fill(gy[(0, 0)]);
-            accumulate(nodes, grads, pool, *x, g);
-        }
-        Op::Mean(x) => {
-            let (r, c) = nodes[x.0].value.shape();
-            let denom = (r * c).max(1) as f32;
-            let mut g = grad_buf(pool, compiled, r, c);
-            g.as_mut_slice().fill(gy[(0, 0)] / denom);
-            accumulate(nodes, grads, pool, *x, g);
-        }
-        Op::SumRows(x) => {
-            let (r, c) = nodes[x.0].value.shape();
-            let mut g = grad_buf(pool, compiled, r, c);
-            for rr in 0..r {
-                g.row_mut(rr).copy_from_slice(gy.row(0));
-            }
-            debug_assert_eq!(gy.cols(), c);
             accumulate(nodes, grads, pool, *x, g);
         }
         Op::MeanRows(x) => {
@@ -857,7 +952,7 @@ pub(crate) fn step_backward(
             gy.scatter_add_rows_into(idx, &mut g);
             accumulate(nodes, grads, pool, *x, g);
         }
-        Op::GroupMax { x, argmax } => {
+        Op::GroupMax { x, argmax, .. } => {
             let (r, c) = nodes[x.0].value.shape();
             let mut g = grad_buf(pool, compiled, r, c);
             gy.group_max_grad_into(argmax, &mut g);
@@ -908,17 +1003,6 @@ pub(crate) fn step_backward(
                 gy.block_into(0, gy.rows(), ca, ca + cb, &mut gb);
                 accumulate(nodes, grads, pool, *b, gb);
             }
-        }
-        Op::SliceCols(x, c0, _c1) => {
-            let c0 = *c0;
-            let (r, c) = nodes[x.0].value.shape();
-            let mut g = pool.zeros(r, c);
-            for rr in 0..gy.rows() {
-                for cc in 0..gy.cols() {
-                    g[(rr, c0 + cc)] = gy[(rr, cc)];
-                }
-            }
-            accumulate(nodes, grads, pool, *x, g);
         }
         Op::AffineAct { x, scale, shift, act } => {
             // The unfused `mul_row → add_row → activation` arms, in their
@@ -1038,7 +1122,7 @@ pub(crate) fn step_backward(
             g.map_inplace(|v| v * scale);
             accumulate(nodes, grads, pool, *logits, g);
         }
-        Op::CwHinge { logits, active } => {
+        Op::CwHinge { logits, active, .. } => {
             let (r, c) = nodes[logits.0].value.shape();
             let s = gy[(0, 0)];
             let mut g = pool.zeros(r, c);

@@ -588,12 +588,11 @@ fn bench_alloc(points: usize, model_scale: &str) {
 /// matmul speedup floor on hosts where the AVX2+FMA path is active, and
 /// verifies outputs are bit-identical across paths while it is at it.
 ///
-/// Two further blocks cover the GEMM rework: `tiled` times the packed
-/// register-blocked kernel against the row kernel at large shapes
-/// (single-threaded and on a `--threads`-sized pool) and asserts the
-/// committed 2x single-threaded floor; `batched` times the strided
-/// batch-of-clouds GEMM against the per-cloud loop. Every timed variant
-/// is bit-checked against the pinned scalar reference.
+/// A further block, `tiled`, times the packed register-blocked kernel
+/// against the row kernel at large shapes (single-threaded and on a
+/// `--threads`-sized pool) and asserts the committed 2x single-threaded
+/// floor. Every timed variant is bit-checked against the pinned scalar
+/// reference.
 fn bench_simd(samples: usize, threads: usize) {
     use colper_tensor::{gemm_mode, kernels, set_gemm_mode, GemmMode};
 
@@ -721,44 +720,6 @@ fn bench_simd(samples: usize, threads: usize) {
         );
     }
 
-    // Strided batch-of-clouds GEMM vs the per-cloud loop, at one seat
-    // pool's worth of same-bucket clouds. Both legs run the production
-    // (`Auto`) routing, so the delta isolates the shared-B packing win.
-    let (bcount, bm, bk, bn) = (12, 96, 256, 256);
-    let clouds: Vec<Matrix> = (0..bcount)
-        .map(|i| Matrix::from_fn(bm, bk, |r, c| ((r * 29 + c * 7 + i) as f32 * 0.13).sin()))
-        .collect();
-    let bmat = Matrix::from_fn(bk, bn, |r, c| ((r * 17 + c) as f32 * 0.23).cos());
-    let mut outs = vec![Matrix::zeros(bm, bn); bcount];
-    set_gemm_mode(GemmMode::Auto);
-    kernels::set_simd_enabled(was);
-    let looped_ns = seq.install(|| {
-        time_median_ns(samples, || {
-            for (cloud, out) in clouds.iter().zip(&mut outs) {
-                cloud.matmul_into(&bmat, out).expect("shape");
-            }
-            black_box(outs[0].as_slice().first().copied());
-        })
-    });
-    let looped_bits: Vec<u32> =
-        outs.iter().flat_map(|o| o.as_slice().iter().map(|v| v.to_bits())).collect();
-    let refs: Vec<&Matrix> = clouds.iter().collect();
-    let batched_ns = seq.install(|| {
-        time_median_ns(samples, || {
-            Matrix::matmul_batched_into(&refs, &bmat, &mut outs).expect("shape");
-            black_box(outs[0].as_slice().first().copied());
-        })
-    });
-    let batched_bits: Vec<u32> =
-        outs.iter().flat_map(|o| o.as_slice().iter().map(|v| v.to_bits())).collect();
-    assert_eq!(looped_bits, batched_bits, "batched GEMM diverges from the per-cloud loop");
-    let batched_speedup = looped_ns as f64 / batched_ns.max(1) as f64;
-    let batched_flops = 2.0 * (bcount * bm * bk * bn) as f64;
-    let batched_gflops = batched_flops / batched_ns.max(1) as f64;
-    println!(
-        "bench attack_step/batched: {bcount} clouds {bm}x{bk}x{bn} looped {looped_ns} ns, \
-         batched {batched_ns} ns ({batched_speedup:.2}x, {batched_gflops:.2} GF/s)"
-    );
     set_gemm_mode(was_mode);
 
     let json = format!(
@@ -767,12 +728,7 @@ fn bench_simd(samples: usize, threads: usize) {
          \"host_parallelism\": {host},\n  \
          \"best_matmul_speedup\": {headline_speedup:.4},\n  \"matmul\": [\n{}\n  ],\n  \
          \"tiled\": {{\n    \"isa\": \"{}\",\n    \"threads\": {threads},\n    \
-         \"best_tiled_speedup\": {best_tiled_speedup:.4},\n    \"shapes\": [\n{}\n    ]\n  }},\n  \
-         \"batched\": {{\n    \"clouds\": {bcount},\n    \
-         \"m\": {bm}, \"k\": {bk}, \"n\": {bn},\n    \
-         \"looped_median_ns\": {looped_ns},\n    \"batched_median_ns\": {batched_ns},\n    \
-         \"speedup\": {batched_speedup:.4},\n    \
-         \"batched_gflops\": {batched_gflops:.4}\n  }}\n}}\n",
+         \"best_tiled_speedup\": {best_tiled_speedup:.4},\n    \"shapes\": [\n{}\n    ]\n  }}\n}}\n",
         kernels::features(),
         kernels::simd_supported(),
         rows.join(",\n"),

@@ -2,7 +2,7 @@
 
 use crate::seat::{CapturedSchedule, ScheduleKey, SeatTape};
 use crate::{AttackConfig, AttackResult, Objective, TanhReparam, WarmSeat};
-use colper_autodiff::{CompileSpec, HingeSpec, TapeSchedule, Var};
+use colper_autodiff::{CompileSpec, TapeSchedule, Var};
 use colper_geom::knn_graph;
 use colper_metrics::success_rate;
 use colper_models::{CaptureShapes, CloudTensors, GeometryPlan, ModelInput, SegmentationModel};
@@ -437,11 +437,6 @@ fn optimize<M: SegmentationModel + ?Sized>(
                             input: w_var,
                             output: gain,
                             keep: &[color, logits, dist, adv_loss, smooth],
-                            hinge: Some(HingeSpec {
-                                labels: labels_for_loss.clone(),
-                                mask: mask.to_vec(),
-                                targeted,
-                            }),
                         };
                         match TapeSchedule::compile(&mut session.tape, &spec) {
                             Ok(schedule) => {

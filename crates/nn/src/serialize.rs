@@ -134,17 +134,27 @@ fn read_records<R: Read>(r: &mut R) -> Result<Vec<Named>, SerializeError> {
         if rows.saturating_mul(cols) > 256 * 1024 * 1024 {
             return Err(SerializeError::Corrupt("matrix too large"));
         }
-        let mut data = vec![0f32; rows * cols];
-        let mut buf = [0u8; 4];
-        for v in &mut data {
-            r.read_exact(&mut buf)?;
-            *v = f32::from_le_bytes(buf);
-        }
+        let data = read_f32s(r, rows * cols)?;
         let value = Matrix::from_vec(rows, cols, data)
             .map_err(|_| SerializeError::Corrupt("shape/data mismatch"))?;
         out.push(Named { name, value: std::sync::Arc::new(value) });
     }
     Ok(out)
+}
+
+/// Reads `len` little-endian `f32`s in bounded chunks, growing the buffer
+/// only as bytes arrive: a record whose declared shape outruns a
+/// truncated stream costs what the stream holds, not what it claims.
+fn read_f32s<R: Read>(r: &mut R, len: usize) -> Result<Vec<f32>, SerializeError> {
+    const CHUNK: usize = 16 * 1024;
+    let mut data = Vec::new();
+    let mut bytes = vec![0u8; 4 * CHUNK.min(len)];
+    while data.len() < len {
+        let chunk = &mut bytes[..4 * CHUNK.min(len - data.len())];
+        r.read_exact(chunk)?;
+        data.extend(chunk.chunks_exact(4).map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]])));
+    }
+    Ok(data)
 }
 
 fn read_u32<R: Read>(r: &mut R) -> Result<u32, SerializeError> {
@@ -201,6 +211,24 @@ mod tests {
         buf.truncate(buf.len() - 3);
         let err = load_params(buf.as_slice()).unwrap_err();
         assert!(matches!(err, SerializeError::Io(_)));
+    }
+
+    #[test]
+    fn oversized_shape_on_a_truncated_stream_is_an_io_error() {
+        // One record claiming 16384 x 16384 floats (1 GiB) backed by eight
+        // bytes: the reader must fail on the missing bytes without first
+        // zero-filling the declared size.
+        let mut buf = Vec::new();
+        buf.extend_from_slice(b"CLPR");
+        buf.extend_from_slice(&VERSION.to_le_bytes());
+        buf.extend_from_slice(&1u32.to_le_bytes());
+        buf.extend_from_slice(&1u32.to_le_bytes());
+        buf.push(b'w');
+        buf.extend_from_slice(&16384u32.to_le_bytes());
+        buf.extend_from_slice(&16384u32.to_le_bytes());
+        buf.extend_from_slice(&[0u8; 8]);
+        let err = load_params(buf.as_slice()).unwrap_err();
+        assert!(matches!(err, SerializeError::Io(_)), "{err}");
     }
 
     #[test]

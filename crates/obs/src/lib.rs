@@ -341,7 +341,7 @@ pub mod counters {
     /// graph.
     pub static SCHED_REPLAYS: Counter = Counter::new("schedule.replays");
     /// Peephole-fused step groups baked into compiled schedules
-    /// (matmul+bias+activation, gather+sub).
+    /// (matmul → add_row (→ activation), matmul → affine_act).
     pub static SCHED_FUSED_OPS: Counter = Counter::new("schedule.fused_ops");
     /// Micro-tile kernel invocations scheduled by the tiled GEMM driver.
     pub static GEMM_TILE_TASKS: Counter = Counter::new("gemm.tile.tasks");
@@ -349,19 +349,13 @@ pub mod counters {
     pub static GEMM_PACK_HIT: Counter = Counter::new("gemm.pack.hit");
     /// GEMM packing-panel requests that had to allocate.
     pub static GEMM_PACK_MISS: Counter = Counter::new("gemm.pack.miss");
-    /// Batched matmul calls executed as one fused shared-B GEMM.
-    pub static GEMM_BATCH_FUSED: Counter = Counter::new("gemm.batch.fused");
-    /// Batched matmul calls that fell back to the per-cloud loop.
-    pub static GEMM_BATCH_LOOPED: Counter = Counter::new("gemm.batch.looped");
-    /// Matmul nodes anchored into batched groups by compiled schedules.
-    pub static SCHED_BATCHED_MMS: Counter = Counter::new("schedule.batched_mms");
     /// Attack optimizations executed by the robustness matrix runner.
     pub static MATRIX_ATTACK_RUNS: Counter = Counter::new("matrix.attack_runs");
     /// Matrix cells (attack × defense × model) evaluated.
     pub static MATRIX_CELLS: Counter = Counter::new("matrix.cells");
 
     /// Every counter in the inventory, for snapshotting and reset.
-    pub fn all() -> [&'static Counter; 22] {
+    pub fn all() -> [&'static Counter; 19] {
         [
             &KERNEL_DISPATCH_SIMD,
             &KERNEL_DISPATCH_SCALAR,
@@ -380,9 +374,6 @@ pub mod counters {
             &GEMM_TILE_TASKS,
             &GEMM_PACK_HIT,
             &GEMM_PACK_MISS,
-            &GEMM_BATCH_FUSED,
-            &GEMM_BATCH_LOOPED,
-            &SCHED_BATCHED_MMS,
             &MATRIX_ATTACK_RUNS,
             &MATRIX_CELLS,
         ]

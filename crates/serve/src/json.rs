@@ -21,7 +21,8 @@ pub enum Json {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any JSON number (always carried as `f64`).
+    /// Any JSON number (always carried as `f64`, so integers are exact
+    /// only below 2^53).
     Num(f64),
     /// A string, unescaped.
     Str(String),
@@ -78,11 +79,13 @@ impl Json {
         }
     }
 
-    /// The value as a non-negative integer, if it is a number that
-    /// round-trips exactly (rejects 1.5, -3, 1e30).
+    /// The value as a non-negative integer below 2^53, the range in which
+    /// the parsed `f64` holds every integer exactly. Rejects 1.5, -3 and
+    /// 1e30, and 9007199254740993, which parsing already rounded to 2^53.
     pub fn as_u64(&self) -> Option<u64> {
+        const EXACT_BELOW: f64 = 9_007_199_254_740_992.0; // 2^53
         let n = self.as_f64()?;
-        (n >= 0.0 && n <= u64::MAX as f64 && n.fract() == 0.0).then_some(n as u64)
+        ((0.0..EXACT_BELOW).contains(&n) && n.fract() == 0.0).then_some(n as u64)
     }
 
     /// [`Json::as_u64`] narrowed to `usize`.
@@ -386,6 +389,16 @@ mod tests {
         assert_eq!(Json::parse("1.5").unwrap().as_u64(), None);
         assert_eq!(Json::parse("1e30").unwrap().as_u64(), None);
         assert!(Json::parse("1e999").is_err(), "infinite numbers rejected");
+    }
+
+    #[test]
+    fn integers_at_or_past_2_pow_53_are_rejected_not_rounded() {
+        let max_exact = 9_007_199_254_740_991u64; // 2^53 - 1
+        assert_eq!(Json::parse("9007199254740991").unwrap().as_u64(), Some(max_exact));
+        for past in ["9007199254740992", "9007199254740993", "18446744073709551616"] {
+            assert_eq!(Json::parse(past).unwrap().as_u64(), None, "{past}");
+            assert_eq!(Json::parse(past).unwrap().as_usize(), None, "{past}");
+        }
     }
 
     #[test]

@@ -103,7 +103,7 @@ impl JobSpec {
         let points = field_usize(value, "points", 64)?;
         let seed = match value.get("seed") {
             None => 0,
-            Some(s) => s.as_u64().ok_or("\"seed\" must be a non-negative integer")?,
+            Some(s) => s.as_u64().ok_or("\"seed\" must be a non-negative integer below 2^53")?,
         };
         let steps = field_usize(value, "steps", 5)?;
         if steps == 0 || steps > MAX_STEPS {
@@ -160,7 +160,9 @@ impl JobSpec {
 fn field_usize(value: &Json, name: &str, default: usize) -> Result<usize, String> {
     match value.get(name) {
         None => Ok(default),
-        Some(v) => v.as_usize().ok_or_else(|| format!("{name:?} must be a non-negative integer")),
+        Some(v) => v
+            .as_usize()
+            .ok_or_else(|| format!("{name:?} must be a non-negative integer below 2^53")),
     }
 }
 
@@ -200,7 +202,8 @@ fn cloud_from_json(value: &Json) -> Result<CloudTensors, String> {
         .iter()
         .enumerate()
         .map(|(i, l)| {
-            l.as_usize().ok_or_else(|| format!("\"labels\"[{i}] must be a non-negative integer"))
+            l.as_usize()
+                .ok_or_else(|| format!("\"labels\"[{i}] must be a non-negative integer below 2^53"))
         })
         .collect::<Result<_, _>>()?;
 
@@ -295,6 +298,8 @@ mod tests {
         assert!(spec(r#"{"points":100000}"#).unwrap_err().contains("point count"));
         assert!(spec(r#"{"priority":"urgent"}"#).unwrap_err().contains("unknown priority"));
         assert!(spec(r#"{"seed":-1}"#).unwrap_err().contains("seed"));
+        // Parsed through an f64, 2^53 + 1 would silently run seed 2^53.
+        assert!(spec(r#"{"seed":9007199254740993}"#).unwrap_err().contains("below 2^53"));
         assert!(spec(r#"[1,2,3]"#).unwrap_err().contains("object"));
     }
 

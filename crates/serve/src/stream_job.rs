@@ -69,9 +69,10 @@ pub struct StreamSpec {
 }
 
 impl StreamSpec {
-    /// Total points in the requested world.
+    /// Total points in the requested world (saturating; a spec from
+    /// [`StreamSpec::from_json`] holds at most [`MAX_STREAM_POINTS`]).
     pub fn total_points(&self) -> usize {
-        self.tiles * self.tiles * self.points_per_tile
+        world_points(self.tiles, self.points_per_tile).unwrap_or(usize::MAX)
     }
 
     /// Parses and validates a stream spec from a decoded JSON value.
@@ -97,11 +98,19 @@ impl StreamSpec {
                 "\"points_per_tile\" must be at least {MIN_TILE_POINTS}, got {points_per_tile}"
             ));
         }
-        let total = tiles * tiles * points_per_tile;
-        if total > MAX_STREAM_POINTS {
-            return Err(format!(
-                "world of {total} points exceeds the stream cap of {MAX_STREAM_POINTS}"
-            ));
+        match world_points(tiles, points_per_tile) {
+            Some(total) if total <= MAX_STREAM_POINTS => {}
+            Some(total) => {
+                return Err(format!(
+                    "world of {total} points exceeds the stream cap of {MAX_STREAM_POINTS}"
+                ))
+            }
+            None => {
+                return Err(format!(
+                    "world of {tiles}x{tiles} tiles of {points_per_tile} points overflows \
+                     the stream cap of {MAX_STREAM_POINTS}"
+                ))
+            }
         }
         let steps = field_usize(value, "steps", 5)?;
         if steps == 0 || steps > MAX_STEPS {
@@ -114,7 +123,9 @@ impl StreamSpec {
         let windows_per_tile = match value.get("windows_per_tile") {
             None => None,
             Some(v) => {
-                let n = v.as_usize().ok_or("\"windows_per_tile\" must be a positive integer")?;
+                let n = v
+                    .as_usize()
+                    .ok_or("\"windows_per_tile\" must be a positive integer below 2^53")?;
                 if n == 0 {
                     return Err("\"windows_per_tile\" must be positive".into());
                 }
@@ -131,7 +142,7 @@ impl StreamSpec {
         let threads = field_usize(value, "threads", 1)?.max(1);
         let seed = match value.get("seed") {
             None => 0,
-            Some(s) => s.as_u64().ok_or("\"seed\" must be a non-negative integer")?,
+            Some(s) => s.as_u64().ok_or("\"seed\" must be a non-negative integer below 2^53")?,
         };
         Ok(StreamSpec {
             model,
@@ -150,8 +161,15 @@ impl StreamSpec {
 fn field_usize(value: &Json, name: &str, default: usize) -> Result<usize, String> {
     match value.get(name) {
         None => Ok(default),
-        Some(v) => v.as_usize().ok_or_else(|| format!("{name:?} must be a non-negative integer")),
+        Some(v) => v
+            .as_usize()
+            .ok_or_else(|| format!("{name:?} must be a non-negative integer below 2^53")),
     }
+}
+
+/// `tiles * tiles * points_per_tile`, or `None` when it overflows `usize`.
+fn world_points(tiles: usize, points_per_tile: usize) -> Option<usize> {
+    tiles.checked_mul(tiles)?.checked_mul(points_per_tile)
 }
 
 /// Serial for scratch directories, so concurrent stream jobs in one
@@ -256,6 +274,28 @@ mod tests {
         assert!(spec(r#"{"tiles":2,"budget_tiles":5}"#).unwrap_err().contains("budget_tiles"));
         assert!(spec(r#"{"model":"transformer"}"#).unwrap_err().contains("unknown model"));
         assert!(spec(r#"[]"#).unwrap_err().contains("object"));
+    }
+
+    #[test]
+    fn oversized_worlds_are_rejected_not_wrapped() {
+        // 2 * 2 * 2^62 wraps to 0 in unchecked release arithmetic, which
+        // would pass the cap; 2^62 is also past the exact-integer range.
+        let err = spec(r#"{"tiles":2,"points_per_tile":4611686018427387904}"#).unwrap_err();
+        assert!(err.contains("points_per_tile") && err.contains("2^53"), "{err}");
+        let err = spec(r#"{"tiles":8,"points_per_tile":9007199254740991}"#).unwrap_err();
+        assert!(err.contains("cap"), "{err}");
+        assert_eq!(world_points(2, usize::MAX / 2), None);
+        assert_eq!(world_points(usize::MAX, 2), None);
+        assert_eq!(world_points(3, 128), Some(1152));
+        let huge = StreamSpec { points_per_tile: usize::MAX, ..spec("{}").unwrap() };
+        assert_eq!(huge.total_points(), usize::MAX, "saturates instead of wrapping");
+    }
+
+    #[test]
+    fn seeds_past_2_pow_53_are_rejected_not_rounded() {
+        assert_eq!(spec(r#"{"seed":9007199254740991}"#).unwrap().seed, 9_007_199_254_740_991);
+        let err = spec(r#"{"seed":9007199254740993}"#).unwrap_err();
+        assert!(err.contains("seed") && err.contains("2^53"), "{err}");
     }
 
     #[test]

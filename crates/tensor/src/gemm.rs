@@ -1,5 +1,4 @@
-//! Register-blocked, cache-tiled GEMM driver with pooled packing panels
-//! and strided batch-of-clouds execution.
+//! Register-blocked, cache-tiled GEMM driver with pooled packing panels.
 //!
 //! The row-at-a-time kernel ([`crate::kernels::matmul_row`]) streams the
 //! full `B` operand from memory once per output row, which is optimal
@@ -28,12 +27,6 @@
 //! depend only on the shape, never on thread count) via the shared
 //! work-stealing runtime; each band owns its rows exclusively, so
 //! results are bit-identical at any thread count.
-//!
-//! `gemm_batched` lifts the same driver over `N` same-shape clouds:
-//! `B` is packed **once** per `KC` block and every cloud replays the
-//! identical per-cloud band loop against it, so packing and dispatch
-//! amortize across the batch while each cloud's result stays bit-equal
-//! to its standalone matmul.
 
 use crate::kernels::{self, GemmIsa};
 use crate::par::{runtime_for, MIN_PAR_MACS};
@@ -226,11 +219,11 @@ fn pack_a_band(
     }
 }
 
-/// Credits the deterministic micro-tile invocation count for `clouds`
-/// same-shape products to `gemm.tile.tasks` (computed arithmetically, so
-/// the total is independent of thread count and chunking).
-fn count_tile_tasks(clouds: usize, m: usize, k: usize, n: usize, mr: usize, nr: usize) {
-    let tiles = clouds * m.div_ceil(mr) * n.div_ceil(nr) * k.div_ceil(KC);
+/// Credits the deterministic micro-tile invocation count of one product
+/// to `gemm.tile.tasks` (computed arithmetically, so the total is
+/// independent of thread count and chunking).
+fn count_tile_tasks(m: usize, k: usize, n: usize, mr: usize, nr: usize) {
+    let tiles = m.div_ceil(mr) * n.div_ceil(nr) * k.div_ceil(KC);
     colper_obs::counters::GEMM_TILE_TASKS.add(tiles as u64);
 }
 
@@ -304,65 +297,13 @@ pub(crate) fn gemm_into(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out:
     }
     let isa = kernels::gemm_isa();
     let (mr, nr) = isa.micro_tile();
-    count_tile_tasks(1, m, k, n, mr, nr);
+    count_tile_tasks(m, k, n, mr, nr);
     let mut pc = 0;
     while pc < k {
         let kc = KC.min(k - pc);
         let mut bpanel = pack_scratch(1, n.div_ceil(nr) * nr * kc);
         pack_b_block(b, n, pc, kc, nr, bpanel.as_mut_slice());
         run_bands(a, m, k, n, pc, kc, pc == 0, bpanel.as_slice(), isa, out);
-        pack_recycle(bpanel);
-        pc += kc;
-    }
-}
-
-/// Strided batch-of-clouds GEMM: `count` same-shape `[m,k]` left
-/// operands (produced by `a_of`) against one shared `[k,n]` right
-/// operand, into `outs`. `B` is packed once per `k`-block and every
-/// cloud replays the identical per-cloud band loop, so each `outs[i]` is
-/// bit-identical to `a_of(i).matmul(b)` while packing and dispatch
-/// amortize across the batch.
-pub(crate) fn gemm_batched<'a>(
-    count: usize,
-    a_of: impl Fn(usize) -> &'a [f32],
-    b: &[f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    outs: &mut [Matrix],
-) {
-    debug_assert!(outs.len() == count);
-    if count == 0 || m == 0 || n == 0 {
-        return;
-    }
-    if k == 0 {
-        for o in outs.iter_mut() {
-            o.as_mut_slice().fill(0.0);
-        }
-        return;
-    }
-    let isa = kernels::gemm_isa();
-    let (mr, nr) = isa.micro_tile();
-    count_tile_tasks(count, m, k, n, mr, nr);
-    let mut pc = 0;
-    while pc < k {
-        let kc = KC.min(k - pc);
-        let mut bpanel = pack_scratch(1, n.div_ceil(nr) * nr * kc);
-        pack_b_block(b, n, pc, kc, nr, bpanel.as_mut_slice());
-        for (i, out) in outs.iter_mut().enumerate() {
-            run_bands(
-                a_of(i),
-                m,
-                k,
-                n,
-                pc,
-                kc,
-                pc == 0,
-                bpanel.as_slice(),
-                isa,
-                out.as_mut_slice(),
-            );
-        }
         pack_recycle(bpanel);
         pc += kc;
     }

@@ -415,81 +415,6 @@ impl Matrix {
         Ok(())
     }
 
-    /// Batched matmul over `count` same-shape left operands against one
-    /// shared right operand: `outs[i] = batch[i] * other` for every `i`.
-    ///
-    /// When the batch and shapes clear the tiled-GEMM routing threshold,
-    /// the products run as one fused strided GEMM — the shared `other` is
-    /// packed once per `k`-block and every cloud replays the identical
-    /// band loop against it — otherwise they fall back to a per-cloud
-    /// [`Matrix::matmul_into`] loop. Both executions are bit-identical,
-    /// so batching is purely a performance decision (counted by the
-    /// `gemm.batch.fused` / `gemm.batch.looped` trace counters).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ShapeError`] when the left operands' shapes differ
-    /// from each other or don't match `other.rows()`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `outs.len() != batch.len()` or any `outs[i]` is not
-    /// `[m, n]`.
-    pub fn matmul_batched_into(
-        batch: &[&Matrix],
-        other: &Matrix,
-        outs: &mut [Matrix],
-    ) -> Result<(), TensorError> {
-        Matrix::matmul_batched_with(batch.len(), |i| batch[i], other, outs)
-    }
-
-    /// [`Matrix::matmul_batched_into`] with the left operands produced by
-    /// a closure, for callers whose batch members live in non-contiguous
-    /// storage (e.g. compiled tape schedules executing a batched group
-    /// in place).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ShapeError`] when the left operands' shapes differ
-    /// from each other or don't match `other.rows()`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `outs.len() != count` or any `outs[i]` is not `[m, n]`.
-    pub fn matmul_batched_with<'a>(
-        count: usize,
-        a_of: impl Fn(usize) -> &'a Matrix,
-        other: &Matrix,
-        outs: &mut [Matrix],
-    ) -> Result<(), TensorError> {
-        assert_eq!(outs.len(), count, "matmul_batched: outs length mismatch");
-        if count == 0 {
-            return Ok(());
-        }
-        let (m, k) = a_of(0).shape();
-        let n = other.cols();
-        for (i, out) in outs.iter().enumerate() {
-            let ai = a_of(i);
-            if ai.shape() != (m, k) || ai.cols() != other.rows() {
-                return Err(ShapeError::new("matmul_batched", ai.shape(), other.shape()).into());
-            }
-            assert_eq!(out.shape(), (m, n), "matmul_batched: output shape mismatch");
-        }
-        if count >= 2 && gemm::use_tiled(m, k, n) {
-            // The per-cloud loop's matmul_into calls credit dispatch
-            // themselves; the fused path credits the same total here.
-            kernels::count_dispatch(count * m);
-            colper_obs::counters::GEMM_BATCH_FUSED.incr();
-            gemm::gemm_batched(count, |i| a_of(i).as_slice(), other.as_slice(), m, k, n, outs);
-        } else {
-            colper_obs::counters::GEMM_BATCH_LOOPED.incr();
-            for (i, out) in outs.iter_mut().enumerate() {
-                a_of(i).matmul_into(other, out)?;
-            }
-        }
-        Ok(())
-    }
-
     /// Matrix product `self^T * other` (`[k,m]^T x [k,n] -> [m,n]`) without
     /// materializing the transpose.
     ///

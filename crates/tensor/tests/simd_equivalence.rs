@@ -274,43 +274,6 @@ proptest! {
             prop_assert_eq!(run, reference, "leg {} diverged from {}", label, ref_label);
         }
     }
-
-    /// Batched GEMM over a shape bucket must be bit-identical to the
-    /// per-cloud matmul loop on every leg — including counts of 0 and 1
-    /// (which take the looped path) and ragged per-cloud shapes.
-    #[test]
-    fn batched_gemm_matches_per_cloud_loop(
-        count in 0usize..5,
-        m in 0usize..24,
-        k in 0usize..24,
-        n in 0usize..24,
-        seed in -2.0f32..2.0,
-    ) {
-        let clouds: Vec<Matrix> = (0..count)
-            .map(|i| Matrix::from_fn(m, k, |r, c| ((r * 11 + c * 3 + i) as f32 * 0.31 + seed).sin()))
-            .collect();
-        let b = Matrix::from_fn(k, n, |r, c| ((r * 5 + c) as f32 * 0.29 - seed).cos());
-        let runs = on_all_gemm_legs(|| {
-            let refs: Vec<&Matrix> = clouds.iter().collect();
-            let mut outs = vec![Matrix::zeros(m, n); count];
-            Matrix::matmul_batched_into(&refs, &b, &mut outs).unwrap();
-            let mut out = Vec::new();
-            for (cloud, batched) in clouds.iter().zip(&outs) {
-                let looped = cloud.matmul(&b).unwrap();
-                assert_eq!(
-                    bits(batched.as_slice()),
-                    bits(looped.as_slice()),
-                    "batched result diverged from the per-cloud loop"
-                );
-                out.extend(bits(batched.as_slice()));
-            }
-            out
-        });
-        let (ref_label, reference) = &runs[0];
-        for (label, run) in &runs[1..] {
-            prop_assert_eq!(run, reference, "leg {} diverged from {}", label, ref_label);
-        }
-    }
 }
 
 /// One deterministic shape that crosses every blocking boundary at once:

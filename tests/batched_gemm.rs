@@ -1,8 +1,8 @@
-//! Workspace-level contract for the strided batch-of-clouds GEMM: fusing
-//! N same-shape clouds into one `matmul_batched_into` call must reproduce
-//! the per-cloud `matmul` loop bit for bit — on both SIMD legs, with the
-//! row kernel forced and with the tiled kernel forced, and on a work-
-//! stealing pool of any size.
+//! Workspace-level contract for N same-shape clouds multiplied by one
+//! shared weight, the shape every victim's shared MLP runs: each cloud's
+//! product must reproduce the scalar, row-kernel, sequential reference bit
+//! for bit — on both SIMD legs, with the row kernel forced and with the
+//! tiled kernel forced, and on a work-stealing pool of any size.
 
 use colper_repro::runtime::Runtime;
 use colper_repro::tensor::kernels::{set_simd_enabled, simd_active, simd_supported};
@@ -12,25 +12,15 @@ fn bits(m: &Matrix) -> Vec<u32> {
     m.as_slice().iter().map(|x| x.to_bits()).collect()
 }
 
-/// Batched and looped results for one (leg, mode, runtime) combination;
-/// asserts they agree with each other before returning the bit dump.
-fn run_both(clouds: &[Matrix], b: &Matrix, rt: &Runtime) -> Vec<Vec<u32>> {
+/// Every cloud's product with the shared weight `b` on `rt`, as bits.
+fn run_clouds(clouds: &[Matrix], b: &Matrix, rt: &Runtime) -> Vec<Vec<u32>> {
     rt.install(|| {
-        let (m, n) = (clouds[0].rows(), b.cols());
-        let refs: Vec<&Matrix> = clouds.iter().collect();
-        let mut outs = vec![Matrix::zeros(m, n); clouds.len()];
-        Matrix::matmul_batched_into(&refs, b, &mut outs).unwrap();
+        let mut out = Matrix::zeros(clouds[0].rows(), b.cols());
         clouds
             .iter()
-            .zip(&outs)
-            .map(|(cloud, batched)| {
-                let looped = cloud.matmul(b).unwrap();
-                assert_eq!(
-                    bits(batched),
-                    bits(&looped),
-                    "batched result diverged from the per-cloud loop"
-                );
-                bits(batched)
+            .map(|cloud| {
+                cloud.matmul_into(b, &mut out).unwrap();
+                bits(&out)
             })
             .collect()
     })
@@ -52,7 +42,7 @@ fn batched_gemm_matches_per_cloud_loop_across_threads_and_legs() {
 
     set_simd_enabled(false);
     set_gemm_mode(GemmMode::Row);
-    let reference = run_both(&clouds, &b, &Runtime::sequential());
+    let reference = run_clouds(&clouds, &b, &Runtime::sequential());
 
     for simd in [false, true] {
         if simd && !simd_supported() {
@@ -62,7 +52,7 @@ fn batched_gemm_matches_per_cloud_loop_across_threads_and_legs() {
         for mode in [GemmMode::Row, GemmMode::Tiled] {
             set_gemm_mode(mode);
             for threads in [1, 4] {
-                let run = run_both(&clouds, &b, &Runtime::new(threads));
+                let run = run_clouds(&clouds, &b, &Runtime::new(threads));
                 assert_eq!(
                     run, reference,
                     "simd={simd} mode={mode:?} threads={threads} diverged from the \

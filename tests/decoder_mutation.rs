@@ -1,23 +1,35 @@
-//! Byte-mutation properties of the text decoders that take untrusted
-//! input: `Objective::parse`, `DefensePipeline::parse` and the service
-//! intake (`Json::parse` then `JobSpec::from_json`).
+//! Byte-mutation properties of the decoders that take untrusted input:
+//! `Objective::parse`, `DefensePipeline::parse`, the service intake
+//! (`Json::parse` then `JobSpec::from_json` or `StreamSpec::from_json`),
+//! the tiled-world shard header (`ShardHeader::decode`) and model
+//! checkpoints (`load_params`).
 //!
-//! Each case takes a valid spec, applies a few seeded byte edits
+//! Each case takes a valid input, applies a few seeded byte edits
 //! (overwrite, insert, delete; half of them splice in a token from the
 //! grammars' own punctuation, signs and out-of-range numbers), and feeds
 //! the result to the decoder. Every input must decode to `Ok` or `Err`,
-//! never a panic, and every `Ok` must re-parse from its own id to an
-//! equal value. The suite also runs in release builds, where integer
-//! overflow wraps instead of panicking.
+//! never a panic, and every `Ok` must describe itself faithfully: a spec
+//! re-parses from its own id to an equal value, a stream spec stays
+//! within the service's caps, a header re-encodes to itself, and a
+//! checkpoint re-saves to the bytes it was read from. The suite also
+//! runs in release builds, where integer overflow wraps instead of
+//! panicking.
 
 use colper_repro::attack::Objective;
 use colper_repro::defense::{Defense, DefensePipeline};
+use colper_repro::nn::{load_params, save_params, ParamSet};
+use colper_repro::scene::tiled::shard::HEADER_LEN;
+use colper_repro::scene::tiled::{Column, ShardHeader};
 use colper_repro::serve::json::Json;
-use colper_repro::serve::JobSpec;
+use colper_repro::serve::stream_job::{MAX_STREAM_POINTS, MAX_TILES};
+use colper_repro::serve::{JobSpec, StreamSpec};
+use colper_repro::tensor::Matrix;
 use proptest::prelude::*;
+use std::path::Path;
 
-/// Tokens the three grammars give meaning to, plus numbers at and past
-/// the edges of `u32`, `u64` and `f32`.
+/// Tokens the grammars give meaning to, plus numbers at and past the
+/// edges of `u32`, `u64`, `f32` and the integers an `f64` holds exactly
+/// (2^53 + 1), and one whose square-times-four wraps a `u64` (2^62).
 const TOKENS: &[&str] = &[
     "-",
     "-1",
@@ -41,6 +53,8 @@ const TOKENS: &[&str] = &[
     "1e39",
     "4294967297",
     "18446744073709551616",
+    "9007199254740993",
+    "4611686018427387904",
 ];
 
 /// One edit: `(position, choice, op, splice_token)`; `op` 0 overwrites,
@@ -54,7 +68,12 @@ fn edits() -> impl Strategy<Value = Vec<Edit>> {
 /// Applies `edits` to `seed`; invalid UTF-8 decodes lossily, as any text
 /// front door would see it.
 fn mutate(seed: &str, edits: &[Edit]) -> String {
-    let mut bytes = seed.as_bytes().to_vec();
+    String::from_utf8_lossy(&mutate_bytes(seed.as_bytes(), edits)).into_owned()
+}
+
+/// Applies `edits` to the bytes of `seed`.
+fn mutate_bytes(seed: &[u8], edits: &[Edit]) -> Vec<u8> {
+    let mut bytes = seed.to_vec();
     for &(pos, choice, op, splice_token) in edits {
         let at = pos % (bytes.len() + 1);
         let insert: Vec<u8> = if splice_token {
@@ -74,7 +93,7 @@ fn mutate(seed: &str, edits: &[Edit]) -> String {
             }
         }
     }
-    String::from_utf8_lossy(&bytes).into_owned()
+    bytes
 }
 
 const OBJECTIVES: &[&str] = &[
@@ -106,6 +125,48 @@ const JOBS: &[&str] = &[
     r#"{"points":64,"steps":2,"seed":3,"objective":"transfer(0.5)"}"#,
     r#"{"objective":"noise(4)","points":16,"cloud":{"xyz":[[0,0,0],[1,0,0],[2,0,0],[3,0,0],[4,0,0],[5,0,0],[6,0,0],[7,0,0],[8,0,0],[9,0,0],[10,0,0],[11,0,0],[12,0,0],[13,0,0],[14,0,0],[15,1e-3,-2.5]],"colors":[[0,0.5,1],[0,0.5,1],[0,0.5,1],[0,0.5,1],[0,0.5,1],[0,0.5,1],[0,0.5,1],[0,0.5,1],[0,0.5,1],[0,0.5,1],[0,0.5,1],[0,0.5,1],[0,0.5,1],[0,0.5,1],[0,0.5,1],[1,1,1]],"labels":[0,1,2,3,4,5,6,7,8,9,10,11,12,0,1,2]}}"#,
 ];
+
+const STREAMS: &[&str] = &[
+    "{}",
+    r#"{"model":"resgcn","tiles":3,"points_per_tile":128,"steps":9,"window":64,"windows_per_tile":2,"budget_tiles":4,"threads":2,"seed":11}"#,
+    r#"{"tiles":8,"points_per_tile":1024,"budget_tiles":64,"seed":9007199254740991}"#,
+];
+
+/// Valid shard headers: every column, an empty tile and a large one.
+fn shard_seeds() -> Vec<(ShardHeader, u64)> {
+    Column::ALL
+        .iter()
+        .zip([0u64, 1, 4096, 1 << 20, 77])
+        .map(|(&column, record_count)| {
+            let header = ShardHeader {
+                column,
+                record_count,
+                tile_x: 3,
+                tile_y: 1,
+                world_seed: 0x5eed,
+                num_classes: 13,
+            };
+            (header, HEADER_LEN as u64 + record_count * column.record_width() as u64)
+        })
+        .collect()
+}
+
+/// Valid checkpoints: empty, parameters only, and parameters plus buffers.
+fn checkpoint_seeds() -> Vec<Vec<u8>> {
+    let mut small = ParamSet::new();
+    small.add_param("w", Matrix::from_fn(2, 3, |r, c| (r * 3 + c) as f32 - 2.5));
+    let mut full = small.clone();
+    full.add_param("layer.bias", Matrix::filled(1, 3, -1.25));
+    full.add_buffer("bn.running_mean", Matrix::filled(1, 3, 0.1));
+    [ParamSet::new(), small, full]
+        .iter()
+        .map(|ps| {
+            let mut bytes = Vec::new();
+            save_params(ps, &mut bytes).unwrap();
+            bytes
+        })
+        .collect()
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16384))]
@@ -146,6 +207,51 @@ proptest! {
             }
         }
     }
+
+    #[test]
+    fn mutated_stream_specs_parse_or_fail_cleanly(seed in 0..STREAMS.len(), edits in edits()) {
+        let input = mutate(STREAMS[seed], &edits);
+        if let Ok(value) = Json::parse(&input) {
+            if let Ok(spec) = StreamSpec::from_json(&value) {
+                prop_assert!((1..=MAX_TILES).contains(&spec.tiles), "{:?}", input);
+                prop_assert!(spec.total_points() <= MAX_STREAM_POINTS, "{:?}", input);
+                prop_assert!(spec.steps > 0 && spec.window > 0, "{:?}", input);
+                prop_assert!(
+                    (1..=spec.tiles * spec.tiles).contains(&spec.budget_tiles),
+                    "{:?}",
+                    input
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn mutated_shard_headers_decode_or_fail_cleanly(
+        seed in 0usize..5,
+        edits in edits(),
+        keep_len in proptest::bool::ANY,
+        other_len in 0u64..(1 << 24),
+    ) {
+        let (header, seed_len) = shard_seeds()[seed];
+        let bytes = mutate_bytes(&header.encode(), &edits);
+        let len = if keep_len { seed_len } else { other_len };
+        let path = Path::new("mutant.shard");
+        if let Ok(decoded) = ShardHeader::decode(path, &bytes, len) {
+            let width = decoded.column.record_width() as u64;
+            prop_assert_eq!(len, HEADER_LEN as u64 + decoded.record_count * width);
+            prop_assert_eq!(ShardHeader::decode(path, &decoded.encode(), len).ok(), Some(decoded));
+        }
+    }
+
+    #[test]
+    fn mutated_checkpoints_load_or_fail_cleanly(seed in 0usize..3, edits in edits()) {
+        let bytes = mutate_bytes(&checkpoint_seeds()[seed], &edits);
+        if let Ok(params) = load_params(bytes.as_slice()) {
+            let mut saved = Vec::new();
+            save_params(&params, &mut saved).unwrap();
+            prop_assert!(bytes.starts_with(&saved), "a loaded checkpoint must re-save to the bytes it read");
+        }
+    }
 }
 
 #[test]
@@ -158,5 +264,17 @@ fn the_seed_specs_are_valid() {
     }
     for s in JOBS {
         assert!(JobSpec::from_json(&Json::parse(s).unwrap()).is_ok(), "{s}");
+    }
+    for s in STREAMS {
+        assert!(StreamSpec::from_json(&Json::parse(s).unwrap()).is_ok(), "{s}");
+    }
+    for (header, len) in shard_seeds() {
+        assert_eq!(
+            ShardHeader::decode(Path::new("seed"), &header.encode(), len).ok(),
+            Some(header)
+        );
+    }
+    for bytes in checkpoint_seeds() {
+        assert!(load_params(bytes.as_slice()).is_ok());
     }
 }
