@@ -588,11 +588,13 @@ fn bench_alloc(points: usize, model_scale: &str) {
 /// matmul speedup floor on hosts where the AVX2+FMA path is active, and
 /// verifies outputs are bit-identical across paths while it is at it.
 ///
-/// A further block, `tiled`, times the packed register-blocked kernel
+/// A further block, `tiled`, times the register-blocked micro-tiles
 /// against the row kernel at large shapes (single-threaded and on a
 /// `--threads`-sized pool) and asserts the committed 2x single-threaded
-/// floor. Every timed variant is bit-checked against the pinned scalar
-/// reference.
+/// floor. A last block, `model_shapes`, times the victims' own matmuls
+/// under each GEMM mode single-threaded and under `Auto` on the pool,
+/// with no floor. Every timed variant is bit-checked against the pinned
+/// scalar reference.
 fn bench_simd(samples: usize, threads: usize) {
     use colper_tensor::{gemm_mode, kernels, set_gemm_mode, GemmMode};
 
@@ -720,6 +722,71 @@ fn bench_simd(samples: usize, threads: usize) {
         );
     }
 
+    // The victims' own matmuls at 4096 points (the shapes perfbench's
+    // `tensor.gemm_gflops.*` probes) and ResGCN's backward input-gradient
+    // product, single-threaded under each GEMM mode on the active leg,
+    // then under `Auto` on the pool, each bit-checked against the scalar
+    // reference. `matmul_nt` does not route by mode, so its readings time
+    // one kernel. No floor.
+    let model_shapes: [(&str, usize, usize, usize); 4] = [
+        ("matmul", 4096, 57, 48),
+        ("matmul", 32768, 64, 32),
+        ("matmul", 32768, 32, 32),
+        ("matmul_nt", 32768, 32, 64),
+    ];
+    let mut model_rows = Vec::new();
+    for &(op, m, k, n) in &model_shapes {
+        let a = Matrix::from_fn(m, k, |r, c| ((r * 31 + c) as f32 * 0.17).sin());
+        let b = if op == "matmul" {
+            Matrix::from_fn(k, n, |r, c| ((r * 17 + c) as f32 * 0.23).cos())
+        } else {
+            Matrix::from_fn(n, k, |r, c| ((r * 17 + c) as f32 * 0.23).cos())
+        };
+        let mut out = Matrix::zeros(m, n);
+        let product = |out: &mut Matrix| {
+            if op == "matmul" {
+                a.matmul_into(&b, out).expect("shape");
+            } else {
+                a.matmul_nt_into(&b, out).expect("shape");
+            }
+        };
+        kernels::set_simd_enabled(false);
+        set_gemm_mode(GemmMode::Row);
+        product(&mut out);
+        let scalar_bits: Vec<u32> = out.as_slice().iter().map(|v| v.to_bits()).collect();
+        kernels::set_simd_enabled(was);
+        let flops = 2.0 * (m * k * n) as f64;
+        let mut gflops = Vec::new();
+        for (mode, rt) in [
+            (GemmMode::Row, &seq),
+            (GemmMode::Auto, &seq),
+            (GemmMode::Tiled, &seq),
+            (GemmMode::Auto, &pool),
+        ] {
+            set_gemm_mode(mode);
+            let ns = rt.install(|| {
+                time_median_ns(samples, || {
+                    product(&mut out);
+                    black_box(out.as_slice().first().copied());
+                })
+            });
+            let bits: Vec<u32> = out.as_slice().iter().map(|v| v.to_bits()).collect();
+            assert_eq!(bits, scalar_bits, "{op} {mode:?} diverges from scalar at {m}x{k}x{n}");
+            gflops.push(flops / ns.max(1) as f64);
+        }
+        let (row, auto, tiled, auto_mt) = (gflops[0], gflops[1], gflops[2], gflops[3]);
+        println!(
+            "bench attack_step/model_shapes: {op} {m}x{k}x{n} row {row:.2} GF/s, \
+             auto {auto:.2} GF/s, tiled {tiled:.2} GF/s, \
+             auto x{threads} threads {auto_mt:.2} GF/s"
+        );
+        model_rows.push(format!(
+            "      {{\n        \"op\": \"{op}\", \"m\": {m}, \"k\": {k}, \"n\": {n},\n        \
+             \"row_gflops\": {row:.4},\n        \"auto_gflops\": {auto:.4},\n        \
+             \"tiled_gflops\": {tiled:.4},\n        \"auto_mt_gflops\": {auto_mt:.4}\n      }}"
+        ));
+    }
+
     set_gemm_mode(was_mode);
 
     let json = format!(
@@ -728,12 +795,16 @@ fn bench_simd(samples: usize, threads: usize) {
          \"host_parallelism\": {host},\n  \
          \"best_matmul_speedup\": {headline_speedup:.4},\n  \"matmul\": [\n{}\n  ],\n  \
          \"tiled\": {{\n    \"isa\": \"{}\",\n    \"threads\": {threads},\n    \
-         \"best_tiled_speedup\": {best_tiled_speedup:.4},\n    \"shapes\": [\n{}\n    ]\n  }}\n}}\n",
+         \"best_tiled_speedup\": {best_tiled_speedup:.4},\n    \"shapes\": [\n{}\n    ]\n  }},\n  \
+         \"model_shapes\": {{\n    \"isa\": \"{}\",\n    \"threads\": {threads},\n    \
+         \"rows\": [\n{}\n    ]\n  }}\n}}\n",
         kernels::features(),
         kernels::simd_supported(),
         rows.join(",\n"),
         kernels::gemm_isa().name(),
         tiled_rows.join(",\n"),
+        kernels::gemm_isa().name(),
+        model_rows.join(",\n"),
         host = host_parallelism(),
     );
     write_json("BENCH_simd", &json);

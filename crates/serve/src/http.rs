@@ -7,7 +7,7 @@
 //! `Connection: close` and flushing line-by-line — the JSONL trace
 //! stream ends when the socket does.
 
-use std::io::{self, BufReader, Read, Write};
+use std::io::{self, BufRead, Write};
 use std::net::TcpStream;
 
 /// Largest request body `colperd` will buffer (inline clouds included).
@@ -42,7 +42,7 @@ impl From<io::Error> for HttpError {
     }
 }
 
-fn read_line(reader: &mut BufReader<TcpStream>, budget: &mut usize) -> Result<String, HttpError> {
+fn read_line(reader: &mut impl BufRead, budget: &mut usize) -> Result<String, HttpError> {
     let mut line = String::new();
     loop {
         let mut byte = [0u8; 1];
@@ -60,8 +60,9 @@ fn read_line(reader: &mut BufReader<TcpStream>, budget: &mut usize) -> Result<St
     }
 }
 
-/// Reads one request from the stream.
-pub fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Request, HttpError> {
+/// Reads one request from `reader`: a buffered socket in `colperd`, any
+/// byte source in tests.
+pub fn read_request(reader: &mut impl BufRead) -> Result<Request, HttpError> {
     let mut budget = MAX_HEAD;
     let request_line = read_line(reader, &mut budget)?;
     let mut parts = request_line.split_whitespace();

@@ -1,55 +1,57 @@
-//! Register-blocked, cache-tiled GEMM driver with pooled packing panels.
+//! Register-blocked GEMM: every matmul outside `GemmMode::Row`
+//! runs on the micro-tiles.
 //!
-//! The row-at-a-time kernel ([`crate::kernels::matmul_row`]) streams the
-//! full `B` operand from memory once per output row, which is optimal
-//! while `B` fits in L1/L2 but collapses once it does not. This module
-//! adds the classic three-level blocking on top of the same arithmetic:
+//! The row-at-a-time kernel ([`crate::kernels::matmul_row`]) keeps four
+//! FMA chains per output row. At the victims' shapes (very large `m`,
+//! `k * n` of a few thousand) it is limited by FMA latency, not by
+//! memory: each `k` step waits on the previous one, and `B` streams from
+//! L1 once per row. A register tile keeps 12 (AVX2) or 24 (AVX-512)
+//! independent accumulators in flight and reuses each `B` load across
+//! its rows. This module runs every product on those tiles:
 //!
-//! * **`KC` blocking** — the `k` dimension is processed in blocks of
-//!   [`KC`]; each output element's partial sum is stored to `C` between
-//!   blocks and reloaded into the accumulator, so the per-element chain
-//!   of fused multiply-adds is *the same ascending-`k` chain* the row
-//!   kernel computes. That single invariant makes the tiled path
-//!   bit-identical to the row kernel, the scalar reference, and every
-//!   micro-tile geometry.
-//! * **Packing** — within a block, `A` and `B` are repacked into
-//!   k-major panels (`A`: row-minor stride `MR`; `B`: column-minor
-//!   stride `NR`, both zero-padded to the tile edge) so the micro-kernel
-//!   reads both operands contiguously. Panels come from a thread-local
-//!   [`BufferPool`] with dirty hand-back, so the steady-state 0-alloc
-//!   budget of the attack loop holds.
-//! * **Micro-tiles** — the inner kernel computes an `MR x NR` register
-//!   tile per call ([`crate::kernels::gemm_tile`]); the geometry is per
-//!   instruction set (6x16 AVX2, 12x32 AVX-512, scalar twin in the AVX2
-//!   geometry).
+//! * **Micro-tiles** — one body per instruction set computes an
+//!   `MR x NR` register tile per call ([`crate::kernels::gemm_tile`]):
+//!   6x16 AVX2, 12x32 AVX-512, and the scalar twin in the AVX2
+//!   geometry. The body reads both operands in place through strides
+//!   ([`TileStrides`]), so it serves a row-major `A` and its transpose
+//!   alike (`matmul_tn` needs no transposed copy); ragged rows and
+//!   columns run the same body with partial counts. Nothing is packed:
+//!   packed panels paid at none of the measured shapes, from the
+//!   victims' to 512³ (DESIGN.md, "GEMM micro-kernels").
+//! * **`KC` blocking** — the `k` dimension runs in blocks of [`KC`];
+//!   each output element's partial sum is stored between blocks and
+//!   reloaded into the accumulator, so its chain of fused multiply-adds
+//!   is *the same ascending-`k` chain from `+0.0`* the row kernel
+//!   computes. That single invariant makes every route bit-identical to
+//!   the row kernel, the scalar reference, and every micro-tile geometry.
+//! * **Slab epilogue** — each slab of up to [`MC`] finished rows goes to
+//!   the caller's epilogue (bias add, or eval batch norm and its
+//!   activation) while it is still in cache, never as a second pass over
+//!   the output.
 //!
-//! Parallelism splits the output into fixed [`MC`]-row bands (boundaries
-//! depend only on the shape, never on thread count) via the shared
-//! work-stealing runtime; each band owns its rows exclusively, so
-//! results are bit-identical at any thread count.
+//! Parallelism splits the output into bands of whole slabs across the
+//! shared work-stealing runtime; each band owns its rows exclusively,
+//! and no element's chain depends on where a band starts, so results are
+//! bit-identical at any thread count.
 
-use crate::kernels::{self, GemmIsa};
-use crate::par::{runtime_for, MIN_PAR_MACS};
+use crate::kernels::{self, TileStrides};
+use crate::par::{for_each_row_band, MIN_PAR_MACS};
 use crate::{BufferPool, Matrix};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU8, Ordering};
 
-/// `k`-dimension block: one packed `A` band (`MC x KC`) plus the live
-/// `C` tile stay cache-resident while a `B` panel streams.
+/// `k`-dimension block: the `KC x NR` block of `B` a slab's tiles share
+/// stays in L1 while they sweep it.
 pub const KC: usize = 256;
 
-/// Output row band processed by one parallel task. Divisible by every
-/// micro-tile `MR` (6 and 12), so band-local tile boundaries line up
-/// identically on all instruction-set legs.
+/// Rows of one slab: the unit a band runs its `k`-blocks and its
+/// epilogue over, and the unit bands split on. Divisible by every
+/// micro-tile `MR` (6 and 12), so tile boundaries line up on all
+/// instruction-set legs.
 pub const MC: usize = 96;
 
-/// `Auto` routing: smallest `m`/`n` for which the tiled path may win.
-pub const TILED_MIN_DIM: usize = 16;
-
-/// `Auto` routing: smallest `k * n` (the `B` footprint in elements) for
-/// which the tiled path may win; below this the row kernel keeps `B`
-/// L1/L2-resident and is already near peak.
-pub const TILED_MIN_KN: usize = 1 << 15;
+/// A matmul epilogue: runs over slabs of whole finished output rows.
+pub(crate) type RowEpilogue<'a> = dyn Fn(&mut [f32]) + Sync + 'a;
 
 const GM_UNINIT: u8 = 0;
 const GM_ROW: u8 = 1;
@@ -58,19 +60,20 @@ const GM_TILED: u8 = 3;
 
 static GEMM_MODE: AtomicU8 = AtomicU8::new(GM_UNINIT);
 
-/// How matmuls route between the row kernel and the tiled GEMM.
+/// How matmuls route between the row kernel and the micro-tiles.
 ///
 /// Every choice is bit-identical to every other — the paths share one
 /// per-element accumulation order — so the mode only moves performance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GemmMode {
-    /// Always the row-at-a-time kernel (the pre-tiling behaviour).
+    /// Always the row-at-a-time kernel [`kernels::matmul_row`] (the
+    /// pre-tiling behaviour, and the baseline the tiled floor measures).
     Row,
-    /// Shape-based routing: tiled when `m >= 16 && n >= 16` and the `B`
-    /// footprint `k * n` exceeds [`TILED_MIN_KN`], row kernel otherwise.
+    /// The micro-tiles at every shape (the default).
     Auto,
-    /// Always the tiled GEMM (tests and benches; small shapes pay the
-    /// packing overhead).
+    /// The same route as `Auto`. Kept so `COLPER_GEMM=tiled` and the
+    /// tiled-over-row bench floor keep their meaning until the row kernel
+    /// is retired.
     Tiled,
 }
 
@@ -91,7 +94,7 @@ fn detect_mode() -> u8 {
 }
 
 /// The active GEMM routing mode. The first call probes `COLPER_GEMM`
-/// (`row`/`off`/`0` pin the row kernel, `tiled` forces the tiled path);
+/// (`row`/`off`/`0` pin the row kernel, `tiled` names the tiles);
 /// afterwards a relaxed atomic load.
 pub fn gemm_mode() -> GemmMode {
     let m = GEMM_MODE.load(Ordering::Relaxed);
@@ -120,19 +123,10 @@ pub fn set_gemm_mode(mode: GemmMode) {
     GEMM_MODE.store(m, Ordering::Relaxed);
 }
 
-/// Whether an `[m,k] x [k,n]` product routes to the tiled driver under
-/// the active [`gemm_mode`].
-pub(crate) fn use_tiled(m: usize, k: usize, n: usize) -> bool {
-    match gemm_mode() {
-        GemmMode::Row => false,
-        GemmMode::Tiled => true,
-        GemmMode::Auto => m >= TILED_MIN_DIM && n >= TILED_MIN_DIM && k * n >= TILED_MIN_KN,
-    }
-}
-
 thread_local! {
-    /// Per-thread scratch for packing panels (GEMM `A`/`B` panels and the
-    /// matmul-transposed left operand). Thread-local so the hot loop
+    /// Per-thread scratch for transposed operands (`matmul_nt`'s packed
+    /// `B^T`, and the row kernel's copy of `matmul_tn`'s left operand).
+    /// Thread-local so the hot loop
     /// stays allocation-free after warmup without threading a pool handle
     /// through every matmul call site; per-worker warmup is a bounded
     /// one-time cost because the runtime's workers are persistent.
@@ -161,24 +155,6 @@ pub(crate) fn pack_recycle(m: Matrix) {
     PACK_POOL.with(|p| p.borrow_mut().recycle(m));
 }
 
-/// Packs the `kc` wide `k`-block of `B` starting at `pc` into column
-/// bands of `NR`: band `jb` holds `panel[jb*nr*kc + kk*nr + j] =
-/// b[(pc+kk)*n + jb*nr + j]`, zero-padded past column `n`.
-fn pack_b_block(b: &[f32], n: usize, pc: usize, kc: usize, nr: usize, panel: &mut [f32]) {
-    let n_bands = n.div_ceil(nr);
-    for jb in 0..n_bands {
-        let base = jb * nr * kc;
-        let col0 = jb * nr;
-        let width = nr.min(n - col0);
-        for kk in 0..kc {
-            let src = (pc + kk) * n + col0;
-            let dst = &mut panel[base + kk * nr..base + kk * nr + nr];
-            dst[..width].copy_from_slice(&b[src..src + width]);
-            dst[width..].fill(0.0);
-        }
-    }
-}
-
 /// Packs the transpose of the row-major `[n, k]` matrix `b` into a
 /// `[k, ldb]` panel (`panel[kk*ldb + j] = b[j*k + kk]`), zero-padding
 /// columns `n..ldb` so row kernels can load whole vectors.
@@ -192,33 +168,6 @@ pub(crate) fn pack_transposed(b: &[f32], n: usize, k: usize, ldb: usize, panel: 
     }
 }
 
-/// Packs one `MC`-band of `A` rows (`row0..row0+band_rows`, `k`-block at
-/// `pc`) into row tiles of `MR`: tile `t` holds `panel[t*mr*kc + kk*mr +
-/// r] = a[(row0+t*mr+r)*k + pc + kk]`, zero-padded past the band's rows.
-#[allow(clippy::too_many_arguments)]
-fn pack_a_band(
-    a: &[f32],
-    k: usize,
-    row0: usize,
-    band_rows: usize,
-    pc: usize,
-    kc: usize,
-    mr: usize,
-    panel: &mut [f32],
-) {
-    let tiles = band_rows.div_ceil(mr);
-    for t in 0..tiles {
-        let base = t * mr * kc;
-        let rows = mr.min(band_rows - t * mr);
-        for kk in 0..kc {
-            let dst = &mut panel[base + kk * mr..base + kk * mr + mr];
-            for (r, d) in dst.iter_mut().enumerate() {
-                *d = if r < rows { a[(row0 + t * mr + r) * k + pc + kk] } else { 0.0 };
-            }
-        }
-    }
-}
-
 /// Credits the deterministic micro-tile invocation count of one product
 /// to `gemm.tile.tasks` (computed arithmetically, so the total is
 /// independent of thread count and chunking).
@@ -227,94 +176,76 @@ fn count_tile_tasks(m: usize, k: usize, n: usize, mr: usize, nr: usize) {
     colper_obs::counters::GEMM_TILE_TASKS.add(tiles as u64);
 }
 
-/// Runs the fixed-boundary `MC`-band loop of one `k`-block over `out`,
-/// splitting bands across the ambient runtime when the block's work
-/// clears the parallel threshold. Each band packs its own `A` panel from
-/// the per-thread pack pool and owns its output rows exclusively, so the
-/// result is bit-identical to the sequential band loop.
-#[allow(clippy::too_many_arguments)]
-fn run_bands(
-    a: &[f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    pc: usize,
-    kc: usize,
-    init: bool,
-    bpanel: &[f32],
-    isa: GemmIsa,
+/// `[m,k] x [k,n] -> out` on the micro-tiles, with `out` fully
+/// overwritten. Element `(i, kk)` of A sits at `a[i * a_row + kk * a_k]`
+/// (row-major A, or its transpose read in place); B is row-major.
+///
+/// Output rows split into bands of whole [`MC`]-row slabs across the
+/// ambient runtime. A slab runs its `k`-blocks of [`KC`] in order,
+/// continuing every chain through the output between blocks, then hands
+/// the finished slab to `epilogue` while it is still in cache. Every
+/// element is one ascending-`k` chain from `+0.0`, so the result is
+/// bit-identical to the row kernel for every input, leg and thread count.
+pub(crate) fn gemm_into(
+    (a, a_row, a_k): (&[f32], usize, usize),
+    b: &[f32],
+    (m, k, n): (usize, usize, usize),
     out: &mut [f32],
+    epilogue: Option<&RowEpilogue<'_>>,
 ) {
-    let (mr, nr) = isa.micro_tile();
-    let n_bands = n.div_ceil(nr);
-    let band_job = |band: usize, sub: &mut [f32]| {
-        let row0 = band * MC;
-        let band_rows = sub.len() / n;
-        let tiles = band_rows.div_ceil(mr);
-        let mut apanel = pack_scratch(1, tiles * mr * kc);
-        pack_a_band(a, k, row0, band_rows, pc, kc, mr, apanel.as_mut_slice());
-        let ap = apanel.as_slice();
-        for jb in 0..n_bands {
-            let cols = nr.min(n - jb * nr);
-            for t in 0..tiles {
-                let rows = mr.min(band_rows - t * mr);
-                kernels::gemm_tile(
-                    isa,
-                    &ap[t * mr * kc..],
-                    &bpanel[jb * nr * kc..],
-                    kc,
-                    rows,
-                    cols,
-                    init,
-                    &mut sub[t * mr * n + jb * nr..],
-                    n,
-                );
-            }
-        }
-        pack_recycle(apanel);
-    };
-    match runtime_for(m * kc * n, MIN_PAR_MACS) {
-        None => {
-            for (band, sub) in out.chunks_mut(MC * n).enumerate() {
-                band_job(band, sub);
-            }
-        }
-        Some(rt) => rt.par_chunks_mut(out, MC * n, band_job),
-    }
-}
-
-/// Tiled `[m,k] x [k,n] -> [m,n]` into `out` (fully overwritten; `init`
-/// semantics make pre-zeroing unnecessary). Bit-identical to the row
-/// kernel path for every input, SIMD leg and thread count.
-pub(crate) fn gemm_into(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
-    debug_assert!(a.len() >= m * k && b.len() >= k * n && out.len() == m * n);
+    debug_assert!(b.len() >= k * n && out.len() == m * n);
     if m == 0 || n == 0 {
-        return;
-    }
-    if k == 0 {
-        out.fill(0.0);
         return;
     }
     let isa = kernels::gemm_isa();
     let (mr, nr) = isa.micro_tile();
     count_tile_tasks(m, k, n, mr, nr);
-    let mut pc = 0;
-    while pc < k {
-        let kc = KC.min(k - pc);
-        let mut bpanel = pack_scratch(1, n.div_ceil(nr) * nr * kc);
-        pack_b_block(b, n, pc, kc, nr, bpanel.as_mut_slice());
-        run_bands(a, m, k, n, pc, kc, pc == 0, bpanel.as_slice(), isa, out);
-        pack_recycle(bpanel);
-        pc += kc;
-    }
+    let slab_job = |row0: usize, slab: &mut [f32]| {
+        let rows = slab.len() / n;
+        if k == 0 {
+            slab.fill(0.0);
+        }
+        let mut pc = 0;
+        while pc < k {
+            let kc = KC.min(k - pc);
+            for j0 in (0..n).step_by(nr) {
+                for r0 in (0..rows).step_by(mr) {
+                    kernels::gemm_tile(
+                        isa,
+                        &a[(row0 + r0) * a_row + pc * a_k..],
+                        &b[pc * n + j0..],
+                        TileStrides { a_row, a_k, ldb: n, ldc: n },
+                        kc,
+                        mr.min(rows - r0),
+                        nr.min(n - j0),
+                        pc == 0,
+                        &mut slab[r0 * n + j0..],
+                    );
+                }
+            }
+            pc += kc;
+        }
+        if let Some(epi) = epilogue {
+            epi(slab);
+        }
+    };
+    for_each_row_band(out, n, MC, (m * k * n, MIN_PAR_MACS), |row0, band| {
+        for (s, slab) in band.chunks_mut(MC * n).enumerate() {
+            slab_job(row0 + s * MC, slab);
+        }
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Serializes the tests that flip the process-global GEMM mode.
+    static MODE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     #[test]
     fn mode_override_round_trips() {
+        let _g = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let was = gemm_mode();
         for mode in [GemmMode::Row, GemmMode::Tiled, GemmMode::Auto] {
             set_gemm_mode(mode);
@@ -323,38 +254,29 @@ mod tests {
         set_gemm_mode(was);
     }
 
+    /// The micro-tiles read both operands in place under `Auto` and
+    /// `Tiled` alike; the calling thread's pack pool hands out nothing.
     #[test]
-    fn auto_routing_thresholds() {
+    fn tile_routes_pack_nothing() {
+        let _g = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let was = gemm_mode();
-        set_gemm_mode(GemmMode::Auto);
-        assert!(use_tiled(256, 256, 256));
-        assert!(!use_tiled(8, 256, 256), "skinny m stays on the row kernel");
-        assert!(!use_tiled(256, 256, 8), "skinny n stays on the row kernel");
-        assert!(!use_tiled(96, 64, 64), "L1-resident B stays on the row kernel");
-        set_gemm_mode(GemmMode::Row);
-        assert!(!use_tiled(256, 256, 256));
-        set_gemm_mode(GemmMode::Tiled);
-        assert!(use_tiled(3, 3, 3));
+        let a = Matrix::from_fn(40, 57, |r, c| (r * 57 + c) as f32 * 0.01);
+        let b = Matrix::from_fn(57, 48, |r, c| (r + c) as f32 * 0.02);
+        let mut out = Matrix::zeros(40, 48);
+        let taken = || {
+            PACK_POOL.with(|p| {
+                let (hits, misses) = p.borrow().stats();
+                hits + misses
+            })
+        };
+        let at = a.transpose();
+        for mode in [GemmMode::Auto, GemmMode::Tiled] {
+            set_gemm_mode(mode);
+            let before = taken();
+            a.matmul_into(&b, &mut out).expect("shape");
+            at.matmul_tn_into(&b, &mut out).expect("shape");
+            assert_eq!(taken(), before, "{mode:?} packs nothing");
+        }
         set_gemm_mode(was);
-    }
-
-    #[test]
-    fn packing_layouts_zero_pad_edges() {
-        // B: 2x5 with nr=4 -> 2 bands of 4 cols x kc=2.
-        let b: Vec<f32> = (1..=10).map(|v| v as f32).collect();
-        let mut panel = vec![f32::NAN; 2 * 4 * 2];
-        pack_b_block(&b, 5, 0, 2, 4, &mut panel);
-        assert_eq!(
-            panel,
-            vec![
-                1.0, 2.0, 3.0, 4.0, 6.0, 7.0, 8.0, 9.0, // band 0, kk=0..2
-                5.0, 0.0, 0.0, 0.0, 10.0, 0.0, 0.0, 0.0, // band 1, zero-padded
-            ]
-        );
-        // A: 3 rows, k=2, mr=2 -> 2 tiles, last row-padded.
-        let a: Vec<f32> = (1..=6).map(|v| v as f32).collect();
-        let mut panel = vec![f32::NAN; 2 * 2 * 2];
-        pack_a_band(&a, 2, 0, 3, 0, 2, 2, &mut panel);
-        assert_eq!(panel, vec![1.0, 3.0, 2.0, 4.0, 5.0, 0.0, 6.0, 0.0]);
     }
 }

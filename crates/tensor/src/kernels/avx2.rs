@@ -15,7 +15,7 @@
 //! dispatch layer in [`super`]).
 #![allow(unsafe_code)]
 
-use super::{scalar, Act};
+use super::{scalar, Act, TileStrides};
 use core::arch::x86_64::{
     __m256i, _mm256_add_ps, _mm256_blendv_ps, _mm256_cmp_ps, _mm256_cmpgt_epi32, _mm256_div_ps,
     _mm256_fmadd_ps, _mm256_fnmadd_ps, _mm256_loadu_ps, _mm256_maskload_ps, _mm256_maskstore_ps,
@@ -424,72 +424,95 @@ unsafe fn lane_mask(lanes: usize) -> __m256i {
 }
 
 /// AVX2 twin of [`scalar::gemm_tile`] for the 6x16 micro-tile geometry:
-/// six rows of two `ymm` accumulators, fed by one broadcast of the packed
-/// A panel and two loads of the packed B panel per `k` step.
+/// six rows of two `ymm` accumulators, fed per `k` step by two B loads and
+/// one broadcast per row, read in place through the strides `s`.
 ///
-/// Accumulators start at zero (`init`) or at the tile's current C values,
-/// and every element continues its ascending-`k` fused chain — the same
-/// chain as the scalar reference and the row kernel, so results stay
-/// bit-identical. Rows `>= rows` compute on zero-padded A entries and are
-/// never stored; columns `>= cols` are handled by masked C loads/stores
-/// (panel entries there are zero-padded, C memory is never touched).
+/// Accumulators start at `+0.0` (`init`) or at the tile's current C
+/// values, and every element continues its ascending-`k` fused chain —
+/// the same chain as the scalar reference and the row kernel, so results
+/// stay bit-identical. Spare rows past `rows` re-read the last real row
+/// and are never stored; columns past `cols` are masked on every B and C
+/// access (masked lanes load zeros and are never stored), and a corner
+/// at most eight columns wide runs six accumulators.
 ///
 /// # Safety
 ///
-/// Requires AVX2+FMA, verified by the caller via runtime detection.
-/// `ap`/`bp` must hold at least `kc*6` / `kc*16` elements and `c` the
-/// `rows x cols` corner at row stride `ldc`.
+/// Requires AVX2+FMA, verified by the caller via runtime detection. `a`,
+/// `b` and `c` must be valid for the `rows x kc`, `kc x cols` and
+/// `rows x cols` blocks their strides in `s` address.
 #[target_feature(enable = "avx2", enable = "fma")]
 #[allow(clippy::too_many_arguments)]
 pub(super) unsafe fn gemm_tile_6x16(
-    ap: *const f32,
-    bp: *const f32,
+    a: *const f32,
+    b: *const f32,
+    s: TileStrides,
     kc: usize,
     rows: usize,
     cols: usize,
     init: bool,
     c: *mut f32,
-    ldc: usize,
 ) {
     const MR: usize = 6;
     debug_assert!(rows <= MR && cols <= 2 * W && rows > 0 && cols > 0);
     let full = cols == 2 * W;
     let m0 = lane_mask(cols.min(W));
     let m1 = lane_mask(cols.saturating_sub(W));
+    // Row pointers wrap rather than offset: with `kc == 0` nothing is
+    // read, and `a` may be shorter than its rows.
+    let ar: [*const f32; MR] = core::array::from_fn(|r| a.wrapping_add(r.min(rows - 1) * s.a_row));
+    // Every row loop runs all MR rows, so the accumulators stay in
+    // registers. The second half of a corner at most eight wide has an
+    // empty mask, so its address is never dereferenced and may lie past
+    // `c`'s end.
     let mut acc = [[_mm256_setzero_ps(); 2]; MR];
     if !init {
-        for (r, a) in acc.iter_mut().enumerate().take(rows) {
-            let p = c.add(r * ldc);
-            if full {
-                a[0] = _mm256_loadu_ps(p);
-                a[1] = _mm256_loadu_ps(p.add(W));
-            } else {
-                a[0] = _mm256_maskload_ps(p, m0);
-                if cols > W {
-                    a[1] = _mm256_maskload_ps(p.add(W), m1);
+        for (r, v) in acc.iter_mut().enumerate() {
+            let p = c.add(r.min(rows - 1) * s.ldc);
+            v[0] = _mm256_maskload_ps(p, m0);
+            v[1] = _mm256_maskload_ps(p.wrapping_add(W), m1);
+        }
+    }
+    // One `k` loop per B access pattern, chosen outside the loop.
+    macro_rules! k_loop {
+        (|$bk:ident| $b0:expr, $b1:expr) => {
+            for kk in 0..kc {
+                let $bk = b.add(kk * s.ldb);
+                let (b0, b1) = ($b0, $b1);
+                for (v, p) in acc.iter_mut().zip(&ar) {
+                    let av = _mm256_set1_ps(*p.add(kk * s.a_k));
+                    v[0] = _mm256_fmadd_ps(av, b0, v[0]);
+                    v[1] = _mm256_fmadd_ps(av, b1, v[1]);
                 }
             }
-        }
-    }
-    for kk in 0..kc {
-        let b0 = _mm256_loadu_ps(bp.add(kk * 2 * W));
-        let b1 = _mm256_loadu_ps(bp.add(kk * 2 * W + W));
-        for (r, a) in acc.iter_mut().enumerate() {
-            let av = _mm256_set1_ps(*ap.add(kk * MR + r));
-            a[0] = _mm256_fmadd_ps(av, b0, a[0]);
-            a[1] = _mm256_fmadd_ps(av, b1, a[1]);
-        }
-    }
-    for (r, a) in acc.iter().enumerate().take(rows) {
-        let p = c.add(r * ldc);
-        if full {
-            _mm256_storeu_ps(p, a[0]);
-            _mm256_storeu_ps(p.add(W), a[1]);
-        } else {
-            _mm256_maskstore_ps(p, m0, a[0]);
-            if cols > W {
-                _mm256_maskstore_ps(p.add(W), m1, a[1]);
+        };
+        (|$bk:ident| $b0:expr) => {
+            for kk in 0..kc {
+                let $bk = b.add(kk * s.ldb);
+                let b0 = $b0;
+                for (v, p) in acc.iter_mut().zip(&ar) {
+                    v[0] = _mm256_fmadd_ps(_mm256_set1_ps(*p.add(kk * s.a_k)), b0, v[0]);
+                }
             }
+        };
+    }
+    if full {
+        k_loop!(|bk| _mm256_loadu_ps(bk), _mm256_loadu_ps(bk.add(W)));
+    } else if cols > W {
+        k_loop!(|bk| _mm256_loadu_ps(bk), _mm256_maskload_ps(bk.add(W), m1));
+    } else {
+        k_loop!(|bk| _mm256_maskload_ps(bk, m0));
+    }
+    for (r, v) in acc.iter().enumerate() {
+        if r >= rows {
+            break;
+        }
+        let p = c.add(r * s.ldc);
+        if full {
+            _mm256_storeu_ps(p, v[0]);
+            _mm256_storeu_ps(p.add(W), v[1]);
+        } else {
+            _mm256_maskstore_ps(p, m0, v[0]);
+            _mm256_maskstore_ps(p.wrapping_add(W), m1, v[1]);
         }
     }
 }

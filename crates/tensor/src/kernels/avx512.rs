@@ -5,11 +5,15 @@
 //! ascending-`k` fused-multiply-add chain exactly as the scalar reference
 //! does, so the 512-bit tile is bit-identical to both the scalar and the
 //! AVX2 legs — a chain's order depends only on `k` order, never on vector
-//! width or tile geometry. The NT row kernel keeps [`super::scalar::dot`]'s
-//! eight lane partials per element across sixteen columns, and the fused
-//! eval-batch-norm epilogue and edge-feature backward run the scalar
-//! references' per-lane sequences sixteen columns at a time. Every other
-//! kernel family saturates with 256-bit vectors already.
+//! width or tile geometry. The NT kernel keeps [`super::scalar::dot`]'s
+//! eight lane partials per element across sixteen columns and three rows
+//! per pass, and the fused eval-batch-norm epilogue and edge-feature
+//! backward run the scalar references' per-lane sequences sixteen columns
+//! at a time. The elementwise and reduction kernels have 256-bit legs
+//! only. The row GEMM showed that 256 bits are not always enough: at the
+//! victims' shapes it is bound by FMA latency, and this leg's 24-
+//! accumulator tile runs those products at about twice its rate
+//! (DESIGN.md, "GEMM micro-kernels").
 //!
 //! Like `avx2`, this module is a sanctioned `unsafe` island: intrinsics
 //! require it, and every function is `#[target_feature]`-gated so it must
@@ -17,7 +21,7 @@
 //! in [`super`]).
 #![allow(unsafe_code)]
 
-use super::{scalar, Act};
+use super::{scalar, Act, TileStrides};
 use core::arch::x86_64::{
     __mmask16, _mm512_add_ps, _mm512_cmp_ps_mask, _mm512_fmadd_ps, _mm512_loadu_ps,
     _mm512_mask_blend_ps, _mm512_mask_storeu_ps, _mm512_maskz_loadu_ps, _mm512_max_ps,
@@ -34,123 +38,166 @@ fn lane_mask(lanes: usize) -> __mmask16 {
 }
 
 /// AVX-512 twin of [`super::scalar::gemm_tile`] for the 12x32 micro-tile
-/// geometry: twelve rows of two `zmm` accumulators, fed by one broadcast
-/// of the packed A panel and two loads of the packed B panel per `k` step.
+/// geometry: twelve rows of two `zmm` accumulators, fed per `k` step by
+/// two B loads and one broadcast per row, read in place through the
+/// strides `s`.
 ///
-/// Accumulator seeding, zero-padded edge handling and the deterministic
-/// per-element chain order are exactly as in [`super::avx2::gemm_tile_6x16`];
-/// partial columns use `__mmask16` masked C loads/stores.
+/// Seeding, edge handling and the per-element chain order are exactly as
+/// in [`super::avx2::gemm_tile_6x16`]. All B and C accesses use
+/// `__mmask16` masks (a full mask on whole columns costs nothing extra),
+/// and a corner at most sixteen columns wide runs twelve accumulators.
 ///
 /// # Safety
 ///
-/// Requires AVX-512F, verified by the caller via runtime detection.
-/// `ap`/`bp` must hold at least `kc*12` / `kc*32` elements and `c` the
-/// `rows x cols` corner at row stride `ldc`.
+/// Requires AVX-512F, verified by the caller via runtime detection. `a`,
+/// `b` and `c` must be valid for the `rows x kc`, `kc x cols` and
+/// `rows x cols` blocks their strides in `s` address.
 #[target_feature(enable = "avx512f")]
 #[allow(clippy::too_many_arguments)]
 pub(super) unsafe fn gemm_tile_12x32(
-    ap: *const f32,
-    bp: *const f32,
+    a: *const f32,
+    b: *const f32,
+    s: TileStrides,
     kc: usize,
     rows: usize,
     cols: usize,
     init: bool,
     c: *mut f32,
-    ldc: usize,
 ) {
     const MR: usize = 12;
     debug_assert!(rows <= MR && cols <= 2 * W && rows > 0 && cols > 0);
-    let full = cols == 2 * W;
     let m0 = lane_mask(cols.min(W));
     let m1 = lane_mask(cols.saturating_sub(W));
+    // Spare rows re-read the last real row, so A is never read past its
+    // end; they are never stored. The pointers wrap rather than offset:
+    // with `kc == 0` nothing is read, and `a` may be shorter than its rows.
+    let ar: [*const f32; MR] = core::array::from_fn(|r| a.wrapping_add(r.min(rows - 1) * s.a_row));
+    // Every row loop runs all MR rows, so the accumulators stay in
+    // registers. The second half of a corner at most sixteen wide has an
+    // empty mask, so its address is never dereferenced and may lie past
+    // `c`'s end.
     let mut acc = [[_mm512_setzero_ps(); 2]; MR];
     if !init {
-        for (r, a) in acc.iter_mut().enumerate().take(rows) {
-            let p = c.add(r * ldc);
-            if full {
-                a[0] = _mm512_loadu_ps(p);
-                a[1] = _mm512_loadu_ps(p.add(W));
-            } else {
-                a[0] = _mm512_maskz_loadu_ps(m0, p);
-                if cols > W {
-                    a[1] = _mm512_maskz_loadu_ps(m1, p.add(W));
-                }
+        for (r, v) in acc.iter_mut().enumerate() {
+            let p = c.add(r.min(rows - 1) * s.ldc);
+            v[0] = _mm512_maskz_loadu_ps(m0, p);
+            v[1] = _mm512_maskz_loadu_ps(m1, p.wrapping_add(W));
+        }
+    }
+    if cols > W {
+        for kk in 0..kc {
+            let bk = b.add(kk * s.ldb);
+            let b0 = _mm512_maskz_loadu_ps(m0, bk);
+            let b1 = _mm512_maskz_loadu_ps(m1, bk.add(W));
+            for (v, p) in acc.iter_mut().zip(&ar) {
+                let av = _mm512_set1_ps(*p.add(kk * s.a_k));
+                v[0] = _mm512_fmadd_ps(av, b0, v[0]);
+                v[1] = _mm512_fmadd_ps(av, b1, v[1]);
+            }
+        }
+    } else {
+        for kk in 0..kc {
+            let b0 = _mm512_maskz_loadu_ps(m0, b.add(kk * s.ldb));
+            for (v, p) in acc.iter_mut().zip(&ar) {
+                v[0] = _mm512_fmadd_ps(_mm512_set1_ps(*p.add(kk * s.a_k)), b0, v[0]);
             }
         }
     }
-    for kk in 0..kc {
-        let b0 = _mm512_loadu_ps(bp.add(kk * 2 * W));
-        let b1 = _mm512_loadu_ps(bp.add(kk * 2 * W + W));
-        for (r, a) in acc.iter_mut().enumerate() {
-            let av = _mm512_set1_ps(*ap.add(kk * MR + r));
-            a[0] = _mm512_fmadd_ps(av, b0, a[0]);
-            a[1] = _mm512_fmadd_ps(av, b1, a[1]);
-        }
-    }
-    for (r, a) in acc.iter().enumerate().take(rows) {
-        let p = c.add(r * ldc);
-        if full {
-            _mm512_storeu_ps(p, a[0]);
-            _mm512_storeu_ps(p.add(W), a[1]);
-        } else {
-            _mm512_mask_storeu_ps(p, m0, a[0]);
-            if cols > W {
-                _mm512_mask_storeu_ps(p.add(W), m1, a[1]);
-            }
+    for (r, v) in acc.iter().enumerate() {
+        if r < rows {
+            let p = c.add(r * s.ldc);
+            _mm512_mask_storeu_ps(p, m0, v[0]);
+            _mm512_mask_storeu_ps(p.wrapping_add(W), m1, v[1]);
         }
     }
 }
 
-/// AVX-512 twin of [`super::scalar::matmul_nt_row`]: the layout of
+/// Rows per pass of [`matmul_nt_rows`]: each packed `Bᵀ` vector load
+/// feeds this many rows, which hold eight `zmm` partials each.
+const NT_ROWS: usize = 3;
+
+/// AVX-512 leg of [`super::matmul_nt_rows`]: the layout of
 /// [`super::avx2::matmul_nt_row`] with sixteen output columns per `zmm`
-/// accumulator. Term `kk` goes to accumulator `kk % 8`, and the vertical
-/// [`super::scalar::combine`] tree joins the eight accumulators, so every
-/// column sees the scalar reference's operation sequence exactly.
+/// accumulator, run [`NT_ROWS`] rows at a time so each load of `bt` is
+/// shared by every row of the pass. Term `kk` of each row goes to that
+/// row's accumulator `kk % 8`, and the vertical [`super::scalar::combine`]
+/// tree joins the eight accumulators, so every element sees the scalar
+/// reference's operation sequence exactly. Rows left over at the end run
+/// one at a time through the same body.
 ///
 /// # Safety
 ///
 /// Requires AVX-512F, verified by the caller via runtime detection.
-/// `ldb` must be a multiple of 16 with `out_row.len() <= ldb` and
-/// `bt.len() >= a_row.len() * ldb`.
 #[target_feature(enable = "avx512f")]
-pub(super) unsafe fn matmul_nt_row(a_row: &[f32], bt: &[f32], ldb: usize, out_row: &mut [f32]) {
-    const L: usize = 8;
-    let k = a_row.len();
-    let n = out_row.len();
-    assert!(ldb.is_multiple_of(W) && n <= ldb && bt.len() >= k * ldb);
-    if k == 0 {
-        out_row.fill(0.0);
+pub(super) unsafe fn matmul_nt_rows(
+    a: &[f32],
+    k: usize,
+    bt: &[f32],
+    ldb: usize,
+    out: &mut [f32],
+    n: usize,
+) {
+    if n == 0 {
         return;
     }
-    let ap = a_row.as_ptr();
-    let op = out_row.as_mut_ptr();
+    let m = out.len() / n;
+    assert!(ldb.is_multiple_of(W) && n <= ldb && bt.len() >= k * ldb);
+    assert!(out.len() == m * n && a.len() >= m * k);
+    let (ap, op) = (a.as_ptr(), out.as_mut_ptr());
+    let mut i = 0;
+    while i + NT_ROWS <= m {
+        nt_pass::<NT_ROWS>(ap.add(i * k), k, bt.as_ptr(), ldb, op.add(i * n), n);
+        i += NT_ROWS;
+    }
+    while i < m {
+        nt_pass::<1>(ap.add(i * k), k, bt.as_ptr(), ldb, op.add(i * n), n);
+        i += 1;
+    }
+}
+
+/// `R` rows of [`matmul_nt_rows`] in one pass over `bt`.
+///
+/// # Safety
+///
+/// Requires AVX-512F; the bounds [`matmul_nt_rows`] asserts.
+#[target_feature(enable = "avx512f")]
+unsafe fn nt_pass<const R: usize>(
+    a: *const f32,
+    k: usize,
+    bt: *const f32,
+    ldb: usize,
+    out: *mut f32,
+    n: usize,
+) {
+    const L: usize = 8;
     let k8 = k - k % L;
     let mut j = 0;
     while j < n {
-        let mut b = bt.as_ptr().add(j);
-        let mut a = ap;
-        let mut acc = [_mm512_setzero_ps(); L];
-        let end = ap.add(k8);
-        while a < end {
-            for (l, c) in acc.iter_mut().enumerate() {
-                *c =
-                    _mm512_fmadd_ps(_mm512_set1_ps(*a.add(l)), _mm512_loadu_ps(b.add(l * ldb)), *c);
+        let mut acc = [[_mm512_setzero_ps(); L]; R];
+        let mut kk = 0;
+        while kk < k8 {
+            for l in 0..L {
+                let bv = _mm512_loadu_ps(bt.add((kk + l) * ldb + j));
+                for (r, v) in acc.iter_mut().enumerate() {
+                    v[l] = _mm512_fmadd_ps(_mm512_set1_ps(*a.add(r * k + kk + l)), bv, v[l]);
+                }
             }
-            a = a.add(L);
-            b = b.add(L * ldb);
+            kk += L;
         }
         // Remainder terms land in lanes 0..k%8, exactly as in `dot`.
-        for (l, c) in acc.iter_mut().enumerate().take(k - k8) {
-            *c = _mm512_fmadd_ps(_mm512_set1_ps(*a.add(l)), _mm512_loadu_ps(b.add(l * ldb)), *c);
+        for l in 0..k - k8 {
+            let bv = _mm512_loadu_ps(bt.add((k8 + l) * ldb + j));
+            for (r, v) in acc.iter_mut().enumerate() {
+                v[l] = _mm512_fmadd_ps(_mm512_set1_ps(*a.add(r * k + k8 + l)), bv, v[l]);
+            }
         }
-        let s = _mm512_add_ps(
-            _mm512_add_ps(_mm512_add_ps(acc[0], acc[1]), _mm512_add_ps(acc[2], acc[3])),
-            _mm512_add_ps(_mm512_add_ps(acc[4], acc[5]), _mm512_add_ps(acc[6], acc[7])),
-        );
-        if j + W <= n {
-            _mm512_storeu_ps(op.add(j), s);
-        } else {
-            _mm512_mask_storeu_ps(op.add(j), lane_mask(n - j), s);
+        let mask = lane_mask((n - j).min(W));
+        for (r, v) in acc.iter().enumerate() {
+            let s = _mm512_add_ps(
+                _mm512_add_ps(_mm512_add_ps(v[0], v[1]), _mm512_add_ps(v[2], v[3])),
+                _mm512_add_ps(_mm512_add_ps(v[4], v[5]), _mm512_add_ps(v[6], v[7])),
+            );
+            _mm512_mask_storeu_ps(out.add(r * n + j), mask, s);
         }
         j += W;
     }

@@ -10,7 +10,7 @@
 //!   a fixed tree, and fused operations use [`f32::mul_add`];
 //! - an **AVX2+FMA implementation** (private `avx2` module) that performs
 //!   the *same* per-element operation sequence eight lanes at a time
-//!   (the GEMM micro-tile, [`matmul_nt_row`] and the fused row kernels
+//!   (the GEMM micro-tile, [`matmul_nt_rows`] and the fused row kernels
 //!   [`affine_act`], [`affine_act_assign`], [`affine_act_grad`] and
 //!   [`edge_grad_row`] add an AVX-512F leg, selected by [`gemm_isa`]).
 //!
@@ -192,7 +192,7 @@ pub fn features() -> &'static str {
     }
 }
 
-/// The instruction set the GEMM micro-tile and [`matmul_nt_row`]
+/// The instruction set the GEMM micro-tile and [`matmul_nt_rows`]
 /// dispatch to.
 ///
 /// Each leg owns a fixed micro-tile geometry, but geometry never affects
@@ -243,65 +243,72 @@ pub fn gemm_isa() -> GemmIsa {
     }
 }
 
-/// One GEMM micro-tile: continues (or starts, when `init`) the ascending
-/// `k` chains of the `rows x cols` in-bounds corner of an `MR x NR` tile
-/// against the packed panels `ap` (stride `MR`) and `bp` (stride `NR`),
-/// writing into `c` at row stride `ldc`. Dispatches to `isa`'s leg; all
-/// legs are bit-identical. See [`scalar::gemm_tile`] for the semantics.
+/// Where one GEMM micro-tile reads its operands and writes its corner:
+/// element `(r, kk)` of the A block sits at `a[r * a_row + kk * a_k]`,
+/// element `(kk, j)` of the B block at `b[kk * ldb + j]`, and output
+/// element `(r, j)` at `c[r * ldc + j]`.
+///
+/// One tile body per leg serves both layouts [`crate::gemm`] uses, a
+/// row-major A (`a_row = k, a_k = 1`) and its transpose (`a_row = 1,
+/// a_k = m`), each read in place against a row-major B (`ldb = n`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TileStrides {
+    /// Distance between consecutive A rows.
+    pub a_row: usize,
+    /// Distance between consecutive `k` terms of one A row.
+    pub a_k: usize,
+    /// Distance between consecutive B rows (`k` terms).
+    pub ldb: usize,
+    /// Distance between consecutive output rows.
+    pub ldc: usize,
+}
+
+/// One GEMM micro-tile: continues (or starts at `+0.0`, when `init`) the
+/// ascending-`k` chains of the `rows x cols` corner of an `MR x NR` tile,
+/// reading `a` and `b` through the strides `s` and writing into `c`.
+/// Dispatches to `isa`'s leg; all legs are bit-identical. See
+/// [`scalar::gemm_tile`] for the semantics.
 ///
 /// # Panics
 ///
-/// Panics when the panels or `c` are too short for the requested tile.
+/// Panics when the corner exceeds `isa`'s tile or the operands or `c`
+/// are too short for the blocks the strides address.
 #[allow(unsafe_code)]
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_tile(
     isa: GemmIsa,
-    ap: &[f32],
-    bp: &[f32],
+    a: &[f32],
+    b: &[f32],
+    s: TileStrides,
     kc: usize,
     rows: usize,
     cols: usize,
     init: bool,
     c: &mut [f32],
-    ldc: usize,
 ) {
     let (mr, nr) = isa.micro_tile();
     assert!(rows > 0 && rows <= mr && cols > 0 && cols <= nr, "gemm_tile: corner out of tile");
-    assert!(ap.len() >= kc * mr && bp.len() >= kc * nr, "gemm_tile: packed panel too short");
-    assert!(c.len() >= (rows - 1) * ldc + cols, "gemm_tile: output slab too short");
+    assert!(
+        kc == 0
+            || (a.len() > (rows - 1) * s.a_row + (kc - 1) * s.a_k
+                && b.len() >= (kc - 1) * s.ldb + cols),
+        "gemm_tile: operand too short"
+    );
+    assert!(c.len() >= (rows - 1) * s.ldc + cols, "gemm_tile: output slab too short");
     match isa {
         // SAFETY: each SIMD leg runs only after runtime feature detection
         // confirmed its instruction set on this CPU (an unsupported leg
-        // falls through to the bit-identical scalar reference in the
-        // requested geometry), and the panel/output bounds are asserted
-        // above.
+        // falls through to the bit-identical scalar reference), and the
+        // operand/output bounds the strides address are asserted above.
         #[cfg(target_arch = "x86_64")]
         GemmIsa::Avx2 if simd_supported() => unsafe {
-            avx2::gemm_tile_6x16(
-                ap.as_ptr(),
-                bp.as_ptr(),
-                kc,
-                rows,
-                cols,
-                init,
-                c.as_mut_ptr(),
-                ldc,
-            )
+            avx2::gemm_tile_6x16(a.as_ptr(), b.as_ptr(), s, kc, rows, cols, init, c.as_mut_ptr())
         },
         #[cfg(target_arch = "x86_64")]
         GemmIsa::Avx512 if avx512_supported() => unsafe {
-            avx512::gemm_tile_12x32(
-                ap.as_ptr(),
-                bp.as_ptr(),
-                kc,
-                rows,
-                cols,
-                init,
-                c.as_mut_ptr(),
-                ldc,
-            )
+            avx512::gemm_tile_12x32(a.as_ptr(), b.as_ptr(), s, kc, rows, cols, init, c.as_mut_ptr())
         },
-        _ => scalar::gemm_tile(ap, bp, mr, nr, kc, rows, cols, init, c, ldc),
+        _ => scalar::gemm_tile(a, b, s, kc, rows, cols, init, c),
     }
 }
 
@@ -400,28 +407,44 @@ dispatched! {
     matmul_row(a_row: &[f32], b: &[f32], n: usize, out_row: &mut [f32])
 }
 
-/// Column padding of the packed transpose [`matmul_nt_row`] reads: one
+/// Column padding of the packed transpose [`matmul_nt_rows`] reads: one
 /// AVX-512 vector, so every leg loads whole vectors in bounds.
 pub const NT_PANEL_ALIGN: usize = 16;
 
-/// One output row of `a * b^T` against the packed, zero-padded transpose
-/// `bt` (`[k, ldb]`, `ldb` a multiple of [`NT_PANEL_ALIGN`]): every
-/// element is [`dot`] of `a_row` with one row of `b`, lane for lane.
-/// Dispatches to the leg [`gemm_isa`] selects; all legs are
-/// bit-identical. See [`scalar::matmul_nt_row`].
+/// Rows of `a * b^T` against the packed, zero-padded transpose `bt`
+/// (`[k, ldb]`, `ldb` a multiple of [`NT_PANEL_ALIGN`]): `a` holds whole
+/// rows of width `k` and `out` the matching output rows of width `n`, and
+/// every element is [`dot`] of its `a` row with one row of `b`, lane for
+/// lane ([`scalar::matmul_nt_row`]). Dispatches to the leg [`gemm_isa`]
+/// selects: the AVX-512 leg runs several rows per pass over `bt`, the
+/// AVX2 and scalar legs one row at a time (AVX2's eight `ymm` partials
+/// already take half its sixteen registers, so a second row would
+/// spill). All legs are bit-identical.
 #[inline]
 #[allow(unsafe_code)]
-pub fn matmul_nt_row(a_row: &[f32], bt: &[f32], ldb: usize, out_row: &mut [f32]) {
-    #[cfg(target_arch = "x86_64")]
-    match gemm_isa() {
-        // SAFETY: `gemm_isa` names a SIMD leg only after runtime feature
-        // detection confirmed its instruction set on this CPU; the
-        // kernels assert their panel bounds.
-        GemmIsa::Avx512 => return unsafe { avx512::matmul_nt_row(a_row, bt, ldb, out_row) },
-        GemmIsa::Avx2 => return unsafe { avx2::matmul_nt_row(a_row, bt, ldb, out_row) },
-        GemmIsa::Scalar => {}
+pub fn matmul_nt_rows(a: &[f32], k: usize, bt: &[f32], ldb: usize, out: &mut [f32], n: usize) {
+    if n == 0 {
+        return;
     }
-    scalar::matmul_nt_row(a_row, bt, ldb, out_row)
+    let isa = gemm_isa();
+    #[cfg(target_arch = "x86_64")]
+    if isa == GemmIsa::Avx512 {
+        // SAFETY: `gemm_isa` names the AVX-512 leg only after runtime
+        // feature detection confirmed AVX-512F on this CPU; the kernel
+        // asserts its panel bounds.
+        return unsafe { avx512::matmul_nt_rows(a, k, bt, ldb, out, n) };
+    }
+    for (i, out_row) in out.chunks_exact_mut(n).enumerate() {
+        let a_row = &a[i * k..i * k + k];
+        match isa {
+            // SAFETY: `gemm_isa` names the AVX2 leg only after runtime
+            // feature detection confirmed AVX2+FMA on this CPU; the kernel
+            // asserts its panel bounds.
+            #[cfg(target_arch = "x86_64")]
+            GemmIsa::Avx2 => unsafe { avx2::matmul_nt_row(a_row, bt, ldb, out_row) },
+            _ => scalar::matmul_nt_row(a_row, bt, ldb, out_row),
+        }
+    }
 }
 
 /// The activation a fused affine row kernel ([`affine_act`]) applies and
@@ -599,44 +622,63 @@ mod tests {
         assert_eq!(scalar::tanh_lane(-0.0).to_bits(), (-0.0f32).to_bits());
     }
 
+    /// Every corner of every leg's tile, for a row-major A and a
+    /// transposed one (both read in place and sized to end exactly at the
+    /// corner's last element), at `kc = 13` and at `kc = 0`, where the
+    /// operands are empty and must never be addressed.
     #[test]
     fn gemm_tile_legs_bit_identical_to_per_element_chains() {
-        let kc = 13usize;
         for isa in [GemmIsa::Scalar, GemmIsa::Avx2, GemmIsa::Avx512] {
             // Unsupported legs fall back to scalar inside the dispatcher,
             // which still exercises the requested geometry.
             let (mr, nr) = isa.micro_tile();
-            let ap = data(kc * mr, 0.3);
-            let bp = data(kc * nr, 1.1);
             let ldc = nr + 3;
-            for rows in [1usize, mr - 1, mr] {
-                for cols in [1usize, nr / 2 - 1, nr / 2 + 1, nr] {
-                    for init in [false, true] {
-                        let seed = data(mr * ldc, 2.2);
-                        let mut c = seed.clone();
-                        gemm_tile(isa, &ap, &bp, kc, rows, cols, init, &mut c, ldc);
-                        for r in 0..mr {
-                            for j in 0..ldc {
-                                let got = c[r * ldc + j];
-                                if r < rows && j < cols {
-                                    let s = if init { 0.0 } else { seed[r * ldc + j] };
-                                    let want =
-                                        scalar::fma_dot_chain(&ap[r..], mr, &bp[j..], nr, kc, s);
-                                    assert_eq!(
-                                        got.to_bits(),
-                                        want.to_bits(),
-                                        "{isa:?} corner ({rows},{cols}) element ({r},{j})"
-                                    );
-                                } else {
-                                    assert_eq!(
-                                        got.to_bits(),
-                                        seed[r * ldc + j].to_bits(),
-                                        "{isa:?} corner ({rows},{cols}) touched ({r},{j})"
-                                    );
-                                }
-                            }
+            for kc in [13usize, 0] {
+                for rows in [1usize, mr - 1, mr] {
+                    for cols in [1usize, nr / 2 - 1, nr / 2, nr / 2 + 1, nr] {
+                        let row_major = TileStrides { a_row: kc + 2, a_k: 1, ldb: cols + 5, ldc };
+                        let transposed = TileStrides { a_row: 1, a_k: mr + 1, ldb: nr, ldc };
+                        for s in [row_major, transposed] {
+                            check_tile_corner(isa, s, kc, rows, cols);
                         }
                     }
+                }
+            }
+        }
+    }
+
+    fn check_tile_corner(isa: GemmIsa, s: TileStrides, kc: usize, rows: usize, cols: usize) {
+        let (mr, _) = isa.micro_tile();
+        let (a, b) = if kc == 0 {
+            (Vec::new(), Vec::new())
+        } else {
+            (
+                data((rows - 1) * s.a_row + (kc - 1) * s.a_k + 1, 0.3),
+                data((kc - 1) * s.ldb + cols, 1.1),
+            )
+        };
+        let ldc = s.ldc;
+        for init in [false, true] {
+            let seed = data(mr * ldc, 2.2);
+            let mut c = seed.clone();
+            gemm_tile(isa, &a, &b, s, kc, rows, cols, init, &mut c);
+            for r in 0..mr {
+                for j in 0..ldc {
+                    let want = if r < rows && j < cols {
+                        let s0 = if init { 0.0 } else { seed[r * ldc + j] };
+                        if kc == 0 {
+                            s0
+                        } else {
+                            scalar::fma_dot_chain(&a[r * s.a_row..], s.a_k, &b[j..], s.ldb, kc, s0)
+                        }
+                    } else {
+                        seed[r * ldc + j]
+                    };
+                    assert_eq!(
+                        c[r * ldc + j].to_bits(),
+                        want.to_bits(),
+                        "{isa:?} {s:?} kc {kc} corner ({rows},{cols}) element ({r},{j})"
+                    );
                 }
             }
         }

@@ -19,7 +19,7 @@
 //! These functions are public so property tests (and sceptical users) can
 //! compare them directly against whatever `super`'s runtime dispatch picks.
 
-use super::Act;
+use super::{Act, TileStrides};
 
 /// Number of strided partial sums used by every reduction kernel. Equal to
 /// the AVX2 `f32` vector width so one `ymm` register holds all lanes.
@@ -175,8 +175,8 @@ pub fn sum_sq(a: &[f32]) -> f32 {
 /// for `len` steps with strided operand walks.
 ///
 /// The row kernels call it with `sa = 1, sb = n` (a row against a column
-/// of `b`); the tiled GEMM path calls it with the packed-panel strides
-/// (`sa = MR, sb = NR`). Because a chain's order depends only on `k`
+/// of `b`); the micro-tile reference [`gemm_tile`] with its tile strides
+/// (`sa = a_k, sb = ldb`). Because a chain's order depends only on `k`
 /// order — never on how elements are grouped into rows, tiles or vector
 /// lanes — every caller produces bit-identical results for the same
 /// logical element.
@@ -242,42 +242,34 @@ pub fn matmul_nt_row(a_row: &[f32], bt: &[f32], ldb: usize, out_row: &mut [f32])
 }
 
 /// Pinned-order reference for one GEMM micro-tile: continues (or, when
-/// `init` is set, starts at zero) the per-element ascending-`k` chain for
-/// the `rows x cols` in-bounds corner of an `mr x nr` tile, reading the
-/// packed panels `ap` (k-major, row-minor, stride `mr`) and `bp` (k-major,
-/// column-minor, stride `nr`).
+/// `init` is set, starts at `+0.0`) the per-element ascending-`k` chain
+/// for the `rows x cols` corner of a tile, reading `a` and `b` through
+/// the strides `s` (see [`TileStrides`]).
 ///
-/// The SIMD twins compute the full padded `mr x nr` tile and store only
-/// the in-bounds corner; padded panel entries are zero, so the in-bounds
-/// chains are identical and this reference is bit-exact against them.
+/// The SIMD twins compute whole micro-tiles and store only this corner:
+/// their spare rows re-read a real row and their spare columns load
+/// zeros, so the stored chains are these and this reference is bit-exact
+/// against them.
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_tile(
-    ap: &[f32],
-    bp: &[f32],
-    mr: usize,
-    nr: usize,
+    a: &[f32],
+    b: &[f32],
+    s: TileStrides,
     kc: usize,
     rows: usize,
     cols: usize,
     init: bool,
     c: &mut [f32],
-    ldc: usize,
 ) {
-    debug_assert!(rows <= mr && cols <= nr);
-    debug_assert!(ap.len() >= kc * mr && bp.len() >= kc * nr);
-    if kc == 0 {
-        if init {
-            for r in 0..rows {
-                c[r * ldc..r * ldc + cols].fill(0.0);
-            }
-        }
-        return;
-    }
     for r in 0..rows {
-        let c_row = &mut c[r * ldc..r * ldc + cols];
+        let c_row = &mut c[r * s.ldc..r * s.ldc + cols];
         for (j, o) in c_row.iter_mut().enumerate() {
             let seed = if init { 0.0 } else { *o };
-            *o = fma_dot_chain(&ap[r..], mr, &bp[j..], nr, kc, seed);
+            *o = if kc == 0 {
+                seed
+            } else {
+                fma_dot_chain(&a[r * s.a_row..], s.a_k, &b[j..], s.ldb, kc, seed)
+            };
         }
     }
 }

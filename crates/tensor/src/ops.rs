@@ -10,31 +10,15 @@
 //! AVX2 paths are bit-identical — so neither thread count nor SIMD
 //! dispatch ever changes a result.
 
-use crate::gemm;
+use crate::gemm::{self, GemmMode, RowEpilogue};
 use crate::kernels;
 use crate::par::{chunk_len, for_each_row_band, runtime_for, MIN_PAR_ELEMS, MIN_PAR_MACS};
 use crate::{Matrix, ShapeError, TensorError};
-
-/// A matmul epilogue: runs over slabs of whole finished output rows.
-type RowEpilogue<'a> = dyn Fn(&mut [f32]) + Sync + 'a;
 
 /// Rows a matmul epilogue receives per call on the row kernel: small
 /// enough that the slab just written is still in L1, large enough to
 /// amortize the epilogue's kernel dispatch.
 const EPILOGUE_ROWS: usize = 64;
-
-/// Runs `row_job(i, out_row)` for every row of `out`, splitting the rows
-/// across the ambient runtime when `macs` (multiply-accumulate count) makes
-/// it worthwhile. Each row is written by exactly one invocation, so the
-/// result is bit-identical to the sequential row loop.
-fn for_each_out_row(out: &mut Matrix, macs: usize, row_job: impl Fn(usize, &mut [f32]) + Sync) {
-    let n = out.cols();
-    for_each_row_band(out.as_mut_slice(), n, 1, (macs, MIN_PAR_MACS), |r0, band| {
-        for (j, out_row) in band.chunks_mut(n).enumerate() {
-            row_job(r0 + j, out_row);
-        }
-    });
-}
 
 impl Matrix {
     /// Elementwise sum with another matrix of the same shape.
@@ -353,12 +337,12 @@ impl Matrix {
 
     /// [`Matrix::matmul_into`] followed by `epilogue` over every output row
     /// once its product is final. The epilogue receives slabs of whole
-    /// rows (row width `other.cols()`): on the row kernel, blocks of 64
-    /// rows just written, still in cache; on the tiled
-    /// route, the row bands of one pass after the product. Either way
-    /// every element first receives exactly the product
-    /// [`Matrix::matmul_into`] writes, so an elementwise epilogue gives
-    /// the same bits as running it afterwards.
+    /// rows (row width `other.cols()`) just written and still in cache:
+    /// blocks of 64 rows on the row kernel, slabs of up to
+    /// [`gemm::MC`] rows on the micro-tiles. Either way every element
+    /// first receives exactly the product [`Matrix::matmul_into`] writes,
+    /// so an elementwise epilogue gives the same bits as running it
+    /// afterwards.
     ///
     /// # Errors
     ///
@@ -389,14 +373,9 @@ impl Matrix {
         let n = other.cols();
         assert_eq!(out.shape(), (m, n), "matmul_into: output shape mismatch");
         kernels::count_dispatch(m);
-        if gemm::use_tiled(m, k, n) {
-            gemm::gemm_into(self.as_slice(), other.as_slice(), m, k, n, out.as_mut_slice());
-            if let Some(epi) = epilogue {
-                let work = out.len();
-                for_each_row_band(out.as_mut_slice(), n, 1, (work, MIN_PAR_ELEMS), |_, band| {
-                    epi(band)
-                });
-            }
+        if gemm::gemm_mode() != GemmMode::Row {
+            let (a, b) = (self.as_slice(), other.as_slice());
+            gemm::gemm_into((a, k, 1), b, (m, k, n), out.as_mut_slice(), epilogue);
             return Ok(());
         }
         let b = other.as_slice();
@@ -433,8 +412,10 @@ impl Matrix {
         Ok(out)
     }
 
-    /// [`Matrix::matmul_tn`] writing into a caller-provided matrix (which is
-    /// zeroed first, so recycled buffers are safe).
+    /// [`Matrix::matmul_tn`] writing into a caller-provided matrix (every
+    /// element is overwritten, so recycled buffers are safe). The
+    /// micro-tiles read `self^T` in place; the row kernel reads a packed
+    /// copy.
     ///
     /// # Errors
     ///
@@ -450,26 +431,31 @@ impl Matrix {
         let (k, m) = self.shape();
         let n = other.cols();
         assert_eq!(out.shape(), (m, n), "matmul_tn_into: output shape mismatch");
-        out.as_mut_slice().fill(0.0);
         if m == 0 || n == 0 || k == 0 {
+            out.as_mut_slice().fill(0.0);
             return Ok(());
         }
         kernels::count_dispatch(m);
-        // Pack self^T into a pooled panel so the inner kernel reads
+        if gemm::gemm_mode() != GemmMode::Row {
+            // The tiles read self^T in place: element (i, kk) is self[kk][i].
+            let (a, b) = (self.as_slice(), other.as_slice());
+            gemm::gemm_into((a, 1, m), b, (m, k, n), out.as_mut_slice(), None);
+            return Ok(());
+        }
+        // Pack self^T into a pooled panel so the row kernel reads
         // contiguous rows instead of stride-m columns. Packing happens on
         // the calling thread before the row split, so the panel contents —
         // and therefore the results — are independent of thread count.
         let mut packed = gemm::pack_scratch(m, k);
         self.transpose_into(&mut packed);
-        if gemm::use_tiled(m, k, n) {
-            gemm::gemm_into(packed.as_slice(), other.as_slice(), m, k, n, out.as_mut_slice());
-        } else {
-            let b = other.as_slice();
-            let packed_ref = &packed;
-            for_each_out_row(out, m * k * n, |i, out_row| {
-                kernels::matmul_row(packed_ref.row(i), b, n, out_row);
-            });
-        }
+        let b = other.as_slice();
+        let packed_ref = &packed;
+        for_each_row_band(out.as_mut_slice(), n, 1, (m * k * n, MIN_PAR_MACS), |r0, band| {
+            for (j, out_row) in band.chunks_mut(n).enumerate() {
+                out_row.fill(0.0);
+                kernels::matmul_row(packed_ref.row(r0 + j), b, n, out_row);
+            }
+        });
         gemm::pack_recycle(packed);
         Ok(())
     }
@@ -493,9 +479,10 @@ impl Matrix {
     /// Every element is [`kernels::dot`] of a row of `self` with a row of
     /// `other`, lane for lane. The kernel packs `other^T` once, on the
     /// calling thread, into a zero-padded pooled panel and runs
-    /// [`kernels::matmul_nt_row`] per output row, which vectorizes across
-    /// output columns while keeping each element's eight lane partials
-    /// and combine tree; output rows split across the ambient runtime.
+    /// [`kernels::matmul_nt_rows`] over bands of output rows, which
+    /// vectorizes across output columns (and, on AVX-512, runs three rows
+    /// per pass) while keeping each element's eight lane partials and
+    /// combine tree; the bands split across the ambient runtime.
     /// The result is bit-identical to the per-element `dot` loop at any
     /// thread count and on every SIMD leg.
     ///
@@ -522,8 +509,10 @@ impl Matrix {
         let mut packed = gemm::pack_scratch(k, ldb);
         gemm::pack_transposed(other.as_slice(), n, k, ldb, packed.as_mut_slice());
         let bt = packed.as_slice();
-        for_each_out_row(out, m * k * n, |i, out_row| {
-            kernels::matmul_nt_row(self.row(i), bt, ldb, out_row);
+        let a = self.as_slice();
+        for_each_row_band(out.as_mut_slice(), n, 1, (m * k * n, MIN_PAR_MACS), |r0, band| {
+            let rows = band.len() / n;
+            kernels::matmul_nt_rows(&a[r0 * k..(r0 + rows) * k], k, bt, ldb, band, n);
         });
         gemm::pack_recycle(packed);
         Ok(())

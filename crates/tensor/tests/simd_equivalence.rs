@@ -9,8 +9,9 @@
 //! bits rather than values so `-0.0` vs `0.0` and NaN payload differences
 //! cannot hide.
 
+use colper_runtime::Runtime;
 use colper_tensor::kernels::{self, scalar};
-use colper_tensor::{gemm_mode, set_gemm_mode, GemmMode, Matrix};
+use colper_tensor::{gemm_mode, set_gemm_mode, Act, GemmMode, Matrix};
 use proptest::prelude::*;
 use std::sync::{Mutex, MutexGuard};
 
@@ -296,5 +297,150 @@ fn tiled_gemm_crosses_band_and_panel_boundaries() {
     let (ref_label, reference) = &runs[0];
     for (label, run) in &runs[1..] {
         assert_eq!(run, reference, "leg {label} diverged from {ref_label}");
+    }
+}
+
+/// Depths and widths the victims' layers run (PointNet++'s 57-deep,
+/// 48-wide head, ResGCN's 64- and 32-wide edge convolutions) and every
+/// lane, tile and `KC` edge around them.
+const DEPTHS: [usize; 13] = [0, 1, 7, 8, 9, 31, 32, 33, 57, 64, 65, 128, 257];
+const WIDTHS: [usize; 10] = [1, 9, 13, 16, 17, 32, 33, 48, 64, 100];
+
+/// Seeded operand values: finite in `[-4, 4)` with one element in eight a
+/// signed zero, and a few seeded positions overwritten with specials —
+/// NaN when `nan`, otherwise `+inf` and `-inf`. A case never mixes the
+/// two, so every NaN it produces has one payload (the input's quiet NaN,
+/// or the default NaN of `inf - inf` and `0 * inf`), and payload choice
+/// between two NaN operands, which no IEEE operation pins, cannot decide
+/// a comparison.
+fn operand(len: usize, seed: u64, nan: bool) -> Vec<f32> {
+    let mut state = seed;
+    let mut next = move || {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    };
+    let mut v: Vec<f32> = (0..len)
+        .map(|_| {
+            let r = next();
+            match r % 16 {
+                0 => 0.0,
+                1 => -0.0,
+                _ => ((r >> 40) as f32 / (1u64 << 24) as f32) * 8.0 - 4.0,
+            }
+        })
+        .collect();
+    for s in 0..len.min(2) {
+        let at = (next() as usize) % len;
+        v[at] = match (nan, s) {
+            (true, _) => f32::NAN,
+            (false, 0) => f32::INFINITY,
+            (false, _) => f32::NEG_INFINITY,
+        };
+    }
+    v
+}
+
+/// Runs `f` on every SIMD leg the host supports (scalar, AVX2, AVX-512),
+/// under every [`GemmMode`], on 1 and 4 threads, and returns the labelled
+/// bit dumps.
+fn on_every_leg_mode_and_thread_count(f: impl Fn() -> Vec<u32>) -> Vec<(String, Vec<u32>)> {
+    static POOL: std::sync::OnceLock<Runtime> = std::sync::OnceLock::new();
+    let pool = POOL.get_or_init(|| Runtime::new(4));
+    let seq = Runtime::sequential();
+    let _guard = lock();
+    let was_simd = kernels::simd_active();
+    let was_512 = kernels::avx512_active();
+    let was_mode = gemm_mode();
+    let mut runs = Vec::new();
+    for (simd, avx512) in [(false, false), (true, false), (true, true)] {
+        if (simd && !kernels::simd_supported()) || (avx512 && !kernels::avx512_supported()) {
+            continue;
+        }
+        kernels::set_simd_enabled(simd);
+        kernels::set_avx512_enabled(avx512);
+        for mode in [GemmMode::Row, GemmMode::Auto, GemmMode::Tiled] {
+            set_gemm_mode(mode);
+            for rt in [&seq, pool] {
+                let label = format!("{:?} {mode:?} threads={}", kernels::gemm_isa(), rt.threads());
+                runs.push((label, rt.install(&f)));
+            }
+        }
+    }
+    kernels::set_simd_enabled(was_simd);
+    kernels::set_avx512_enabled(was_512);
+    set_gemm_mode(was_mode);
+    runs
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Every matmul entry point at the victims' shapes, on every leg,
+    /// route and thread count, against the pinned-order scalar primitives
+    /// computed element by element: the forward product and its two fused
+    /// epilogues (bias add; eval batch norm with an activation) are one
+    /// ascending-`k` chain from `+0.0` per element, `matmul_tn` the same
+    /// chain through the transposed operand, and `matmul_nt` [`scalar::dot`].
+    #[test]
+    fn matmuls_bit_identical_at_model_shapes(
+        m in 1usize..=200,
+        k in 0usize..DEPTHS.len(),
+        n in 0usize..WIDTHS.len(),
+        seed in 0u64..u64::MAX,
+        nan in proptest::bool::ANY,
+        act in 0usize..3,
+    ) {
+        let (k, n) = (DEPTHS[k], WIDTHS[n]);
+        let act = [Act::Identity, Act::Relu, Act::LeakyRelu(0.2)][act];
+        let a = Matrix::from_vec(m, k, operand(m * k, seed, nan)).unwrap();
+        let b = Matrix::from_vec(k, n, operand(k * n, seed ^ 0x5EED, nan)).unwrap();
+        let row = operand(3 * n, seed ^ 0xB1A5, false)
+            .into_iter()
+            .map(|v| if v.is_finite() { v } else { 0.5 })
+            .collect::<Vec<_>>();
+        let (bias, scale, shift) = (&row[..n], &row[n..2 * n], &row[2 * n..]);
+        let (at, bt) = (a.transpose(), b.transpose());
+
+        let chain = |i: usize, j: usize| {
+            if k == 0 { 0.0 } else { scalar::fma_dot_chain(a.row(i), 1, &b.as_slice()[j..], n, k, 0.0) }
+        };
+        let mut reference = Vec::new();
+        for f in [
+            &(|i, j| chain(i, j)) as &dyn Fn(usize, usize) -> f32,
+            &|i, j| chain(i, j) + bias[j],
+            &|i, j| scalar::affine_act_lane(chain(i, j), scale[j], shift[j], act),
+            &|i, j| chain(i, j),
+            &|i, j| scalar::dot(a.row(i), bt.row(j)),
+        ] {
+            reference.extend((0..m).flat_map(|i| (0..n).map(move |j| f(i, j).to_bits())));
+        }
+
+        let runs = on_every_leg_mode_and_thread_count(|| {
+            let mut out = Matrix::from_vec(m, n, vec![f32::NAN; m * n]).unwrap();
+            let mut bits = Vec::new();
+            a.matmul_into(&b, &mut out).unwrap();
+            bits.extend(out.as_slice().iter().map(|v| v.to_bits()));
+            a.matmul_epilogue_into(&b, &mut out, |slab| {
+                slab.chunks_exact_mut(n).for_each(|r| kernels::add_assign(r, bias))
+            })
+            .unwrap();
+            bits.extend(out.as_slice().iter().map(|v| v.to_bits()));
+            a.matmul_epilogue_into(&b, &mut out, |slab| {
+                kernels::affine_act_assign(slab, scale, shift, act)
+            })
+            .unwrap();
+            bits.extend(out.as_slice().iter().map(|v| v.to_bits()));
+            at.matmul_tn_into(&b, &mut out).unwrap();
+            bits.extend(out.as_slice().iter().map(|v| v.to_bits()));
+            a.matmul_nt_into(&bt, &mut out).unwrap();
+            bits.extend(out.as_slice().iter().map(|v| v.to_bits()));
+            bits
+        });
+        for (label, run) in &runs {
+            prop_assert!(run == &reference, "{} diverged at {}x{}x{} ({:?})", label, m, k, n, act);
+        }
     }
 }

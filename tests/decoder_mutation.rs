@@ -1,8 +1,8 @@
 //! Byte-mutation properties of the decoders that take untrusted input:
-//! `Objective::parse`, `DefensePipeline::parse`, the service intake
-//! (`Json::parse` then `JobSpec::from_json` or `StreamSpec::from_json`),
-//! the tiled-world shard header (`ShardHeader::decode`) and model
-//! checkpoints (`load_params`).
+//! `Objective::parse`, `DefensePipeline::parse`, the service intake (the
+//! HTTP head through `read_request`, then `Json::parse` and
+//! `JobSpec::from_json` or `StreamSpec::from_json`), the tiled-world shard
+//! header (`ShardHeader::decode`) and model checkpoints (`load_params`).
 //!
 //! Each case takes a valid input, applies a few seeded byte edits
 //! (overwrite, insert, delete; half of them splice in a token from the
@@ -11,15 +11,18 @@
 //! never a panic, and every `Ok` must describe itself faithfully: a spec
 //! re-parses from its own id to an equal value, a stream spec stays
 //! within the service's caps, a header re-encodes to itself, and a
-//! checkpoint re-saves to the bytes it was read from. The suite also
-//! runs in release builds, where integer overflow wraps instead of
-//! panicking.
+//! checkpoint re-saves to the bytes it was read from, and a request
+//! re-reads from its own rendering. The suite also runs in release
+//! builds, where integer overflow wraps instead of panicking, so the
+//! shard header also gets record counts chosen to overflow: random edits
+//! never craft one whose byte length wraps onto the file size.
 
 use colper_repro::attack::Objective;
 use colper_repro::defense::{Defense, DefensePipeline};
 use colper_repro::nn::{load_params, save_params, ParamSet};
 use colper_repro::scene::tiled::shard::HEADER_LEN;
 use colper_repro::scene::tiled::{Column, ShardHeader};
+use colper_repro::serve::http::{read_request, Request, MAX_BODY};
 use colper_repro::serve::json::Json;
 use colper_repro::serve::stream_job::{MAX_STREAM_POINTS, MAX_TILES};
 use colper_repro::serve::{JobSpec, StreamSpec};
@@ -132,6 +135,32 @@ const STREAMS: &[&str] = &[
     r#"{"tiles":8,"points_per_tile":1024,"budget_tiles":64,"seed":9007199254740991}"#,
 ];
 
+/// Valid request heads: a bodiless `GET`, a job post with a body and
+/// extra headers, and an HTTP/1.0 post with a lowercase header name.
+const REQUESTS: &[&str] = &[
+    "GET /healthz HTTP/1.1\r\nHost: 127.0.0.1:7461\r\n\r\n",
+    "POST /attack HTTP/1.1\r\nHost: x\r\nContent-Type: application/json\r\nContent-Length: 32\r\n\r\n{\"points\":64,\"steps\":3,\"seed\":1}",
+    "POST /stream HTTP/1.0\r\ncontent-length: 2\r\n\r\n{}",
+];
+
+/// Renders `request` as the head `read_request` accepts.
+fn render(request: &Request) -> Vec<u8> {
+    let head = format!(
+        "{} {} HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+        request.method,
+        request.path,
+        request.body.len()
+    );
+    [head.as_bytes(), &request.body].concat()
+}
+
+/// The length of a shard whose header claims `count` records of `width`
+/// bytes, as a decoder without checked arithmetic computes it: it wraps
+/// past `u64::MAX`.
+fn wrapped_len(count: u64, width: u64) -> u64 {
+    count.wrapping_mul(width).wrapping_add(HEADER_LEN as u64)
+}
+
 /// Valid shard headers: every column, an empty tile and a large one.
 fn shard_seeds() -> Vec<(ShardHeader, u64)> {
     Column::ALL
@@ -237,9 +266,54 @@ proptest! {
         let len = if keep_len { seed_len } else { other_len };
         let path = Path::new("mutant.shard");
         if let Ok(decoded) = ShardHeader::decode(path, &bytes, len) {
-            let width = decoded.column.record_width() as u64;
-            prop_assert_eq!(len, HEADER_LEN as u64 + decoded.record_count * width);
+            let width = decoded.column.record_width() as u128;
+            prop_assert_eq!(len as u128, HEADER_LEN as u128 + decoded.record_count as u128 * width);
             prop_assert_eq!(ShardHeader::decode(path, &decoded.encode(), len).ok(), Some(decoded));
+        }
+    }
+
+    /// Record counts around `u64::MAX / width`, where the payload length
+    /// overflows, against the file length that length wraps onto (or a
+    /// neighbour of it): only a decoder that checks its arithmetic
+    /// rejects them in a release build.
+    #[test]
+    fn overflowing_shard_record_counts_fail_cleanly(
+        seed in 0usize..5,
+        offset in 0u64..64,
+        nudge in 0u64..3,
+    ) {
+        let (mut header, _) = shard_seeds()[seed];
+        let width = header.column.record_width() as u64;
+        header.record_count = (u64::MAX / width).wrapping_sub(8).wrapping_add(offset);
+        let len = wrapped_len(header.record_count, width).wrapping_add(nudge).wrapping_sub(1);
+        let path = Path::new("overflow.shard");
+        if let Ok(decoded) = ShardHeader::decode(path, &header.encode(), len) {
+            prop_assert_eq!(decoded, header);
+            prop_assert_eq!(
+                len as u128,
+                HEADER_LEN as u128 + decoded.record_count as u128 * width as u128,
+                "accepted a record count whose length wraps"
+            );
+        }
+    }
+
+    #[test]
+    fn mutated_http_heads_read_or_fail_cleanly(seed in 0..REQUESTS.len(), edits in edits()) {
+        let bytes = mutate_bytes(REQUESTS[seed].as_bytes(), &edits);
+        if let Ok(request) = read_request(&mut bytes.as_slice()) {
+            for part in [&request.method, &request.path] {
+                prop_assert!(!part.is_empty() && !part.contains(char::is_whitespace), "{:?}", bytes);
+            }
+            prop_assert!(request.body.len() <= MAX_BODY, "{:?}", bytes);
+            let reread = read_request(&mut render(&request).as_slice());
+            prop_assert!(reread.is_ok(), "{:?} -> {:?}", bytes, request);
+            let reread = reread.unwrap();
+            prop_assert_eq!(
+                (&reread.method, &reread.path, &reread.body),
+                (&request.method, &request.path, &request.body),
+                "{:?}",
+                bytes
+            );
         }
     }
 
@@ -276,5 +350,9 @@ fn the_seed_specs_are_valid() {
     }
     for bytes in checkpoint_seeds() {
         assert!(load_params(bytes.as_slice()).is_ok());
+    }
+    for s in REQUESTS {
+        let request = read_request(&mut s.as_bytes()).expect(s);
+        assert!(s.ends_with(std::str::from_utf8(&request.body).unwrap()), "{s}");
     }
 }
