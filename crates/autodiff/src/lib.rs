@@ -42,11 +42,7 @@ mod grad_check;
 mod ops_basic;
 mod ops_nn;
 mod ops_struct;
-mod schedule;
 mod tape;
 
 pub use grad_check::{check_gradient, GradCheckReport};
-pub use schedule::{
-    schedule_enabled, set_schedule_enabled, CompileSpec, ScheduleError, TapeSchedule,
-};
 pub use tape::{Tape, Var};

@@ -31,8 +31,8 @@ impl Value {
     /// # Panics
     ///
     /// Panics on a shared value. Recording gives every computed node a
-    /// pooled slot, and the schedule compiler verifies every dynamic node
-    /// owns its storage before a schedule is built.
+    /// pooled slot; only leaves and constants may share storage, and
+    /// [`step_forward`] never writes those.
     pub(crate) fn owned_mut(&mut self) -> &mut Matrix {
         match self {
             Value::Owned(m) => m,
@@ -167,7 +167,7 @@ pub(crate) enum Op {
     /// Fused batch normalization (training mode): saves normalized
     /// activations and the inverse standard deviation. Its constructor
     /// computes the value (the batch statistics leave the tape with it),
-    /// so it has no forward arm, and the schedule compiler rejects it.
+    /// so it has no forward arm.
     BatchNorm {
         x: Var,
         gamma: Var,
@@ -205,7 +205,7 @@ pub(crate) enum Op {
 impl Op {
     /// Calls `f` for every operand `Var` of this op (forward-pass inputs
     /// only, not saved context). Drives the backward reachability pass and
-    /// the schedule compiler's dynamic-set marking.
+    /// the `requires_grad` derivation.
     pub(crate) fn for_each_operand(&self, mut f: impl FnMut(Var)) {
         match self {
             Op::Leaf | Op::Constant => {}
@@ -253,7 +253,7 @@ impl Op {
 }
 
 #[derive(Debug)]
-pub(crate) struct Node {
+struct Node {
     pub value: Value,
     pub op: Op,
     pub requires_grad: bool,
@@ -268,20 +268,21 @@ pub(crate) struct Node {
 /// Tapes are reusable: [`Tape::reset`] clears the recorded graph but keeps
 /// every value/gradient buffer in an internal [`BufferPool`], so a loop that
 /// rebuilds the same graph shape every iteration (the attack's steady
-/// state) performs no heap allocation for tape storage. Constants that are
-/// identical across iterations can additionally be interned once and shared
-/// via [`Tape::constant_shared`] instead of being copied per step.
+/// state) performs no heap allocation for tape storage, and no memset for
+/// slots its kernels overwrite whole. Constants that are identical across
+/// iterations can additionally be interned once and shared via
+/// [`Tape::constant_shared`] instead of being copied per step.
 #[derive(Debug, Default)]
 pub struct Tape {
-    pub(crate) nodes: Vec<Node>,
-    pub(crate) grads: Vec<Option<Matrix>>,
-    pub(crate) pool: BufferPool,
+    nodes: Vec<Node>,
+    grads: Vec<Option<Matrix>>,
+    pool: BufferPool,
     idx_pool: VecDeque<Vec<usize>>,
     w_pool: VecDeque<Vec<f32>>,
     tri_pool: VecDeque<Vec<(usize, usize, usize)>>,
     mask_pool: VecDeque<Vec<bool>>,
     live: Vec<bool>,
-    pub(crate) visited: usize,
+    visited: usize,
 }
 
 impl Tape {
@@ -433,13 +434,14 @@ impl Tape {
         self.grads.get(v.0).and_then(|g| g.as_ref())
     }
 
-    pub(crate) fn node(&self, v: Var) -> &Node {
+    fn node(&self, v: Var) -> &Node {
         assert!(v.0 < self.nodes.len(), "Var {} does not belong to this tape", v.0);
         &self.nodes[v.0]
     }
 
-    /// A zero-filled matrix from the tape's buffer pool. Forward ops write
-    /// node values into these so that [`Tape::reset`] can recycle them.
+    /// A zero-filled matrix from the tape's buffer pool, for op payloads
+    /// (saved softmax rows) and the values training batch norm computes
+    /// in its constructor, so that [`Tape::reset`] can recycle them.
     pub(crate) fn alloc(&mut self, rows: usize, cols: usize) -> Matrix {
         self.pool.zeros(rows, cols)
     }
@@ -492,10 +494,11 @@ impl Tape {
         v
     }
 
-    /// Records `op` with a pooled, zero-filled `rows x cols` output slot
-    /// and evaluates it there: the one door of every computed op.
+    /// Records `op` with a pooled `rows x cols` output slot and evaluates
+    /// it there: the one door of every computed op. The slot is dirty
+    /// scratch, not zeros: [`step_forward`] writes every element of it.
     pub(crate) fn record(&mut self, (rows, cols): (usize, usize), op: Op) -> Var {
-        let out = self.alloc(rows, cols);
+        let out = self.pool.scratch(rows, cols);
         self.push(out, op)
     }
 
@@ -503,11 +506,10 @@ impl Tape {
         self.push_value(Value::Owned(value), op)
     }
 
-    /// Appends a node and runs [`step_forward`] on it, so recording
-    /// computes each value with the very function the schedule replay
-    /// calls. A leaf requires a gradient, a constant does not, and any
-    /// other op does when one of its operands does.
-    pub(crate) fn push_value(&mut self, value: Value, op: Op) -> Var {
+    /// Appends a node and runs [`step_forward`] on it. A leaf requires a
+    /// gradient, a constant does not, and any other op does when one of
+    /// its operands does.
+    fn push_value(&mut self, value: Value, op: Op) -> Var {
         let requires_grad = match op {
             Op::Leaf => true,
             Op::Constant => false,
@@ -580,7 +582,7 @@ impl Tape {
             }
             let Some(gy) = self.grads[i].take() else { continue };
             self.visited += 1;
-            step_backward(&self.nodes, &mut self.grads, &mut self.pool, i, &gy, false);
+            step_backward(&self.nodes, &mut self.grads, &mut self.pool, i, &gy);
             self.grads[i] = Some(gy);
         }
     }
@@ -629,15 +631,15 @@ fn accumulate_copy(
 
 /// One forward step for node `i`: computes its value in place from its
 /// operands, the twin of [`step_backward`]. Recording calls it on every
-/// node it pushes, and the schedule replay calls it on every dynamic node,
-/// so a replayed value is the recorded one by construction.
+/// node it pushes.
 ///
 /// Every arm fully overwrites the node's slot or clears it first
-/// (`group_mean`, `weighted_gather` accumulate into zeros), so the replay
-/// may run it over the dirty slot of the previous step. Leaves, constants
-/// and training-mode batch norm hold the value their constructor wrote.
+/// (`group_mean`, `weighted_gather` accumulate into zeros), so
+/// [`Tape::record`] hands it dirty scratch: a slot that may still hold
+/// what an earlier graph on this tape left there. Leaves, constants and
+/// training-mode batch norm hold the value their constructor wrote.
 #[allow(clippy::too_many_lines)]
-pub(crate) fn step_forward(nodes: &mut [Node], i: usize) {
+fn step_forward(nodes: &mut [Node], i: usize) {
     // Operands precede their consumer in topological order, so split at
     // `i`: `head` holds every operand immutably, `tail[0]` is the node
     // being written.
@@ -773,32 +775,28 @@ pub(crate) fn step_forward(nodes: &mut [Node], i: usize) {
     }
 }
 
-/// One backward step for node `i`. Dispatches on a borrowed `&Op` — no op
-/// payload is cloned — and builds every produced gradient in pooled
-/// storage. All arithmetic keeps the exact scalar expressions and
-/// accumulation order of the original allocating implementation, so
-/// gradients are bit-identical. The schedule replay reuses this verbatim,
-/// which is what makes replayed gradients bit-identical by construction.
+/// One backward step for node `i`, the twin of [`step_forward`].
+/// Dispatches on a borrowed `&Op` — no op payload is cloned — and builds
+/// every produced gradient in pooled storage. All arithmetic keeps the
+/// exact scalar expressions and accumulation order of the original
+/// allocating implementation, so gradients are bit-identical.
 ///
-/// **Dead-gradient pruning** applies on both paths: operand gradients
-/// flowing into `!requires_grad` nodes (eval-mode weights bound as
-/// constants) are never computed. Such a gradient would only be handed
-/// to `accumulate`, which drops it, so no surviving value ever depended
-/// on it.
+/// **Dead-gradient pruning**: operand gradients flowing into
+/// `!requires_grad` nodes (eval-mode weights bound as constants) are
+/// never computed. Such a gradient would only be handed to `accumulate`,
+/// which drops it, so no surviving value ever depended on it.
 ///
-/// `compiled` selects the schedule replay's **dirty scratch buffers**:
-/// gradient storage whose kernel fully overwrites every element (see
-/// [`grad_buf`]) skips the `zeros` memset. Buffers that are accumulated
-/// into (`Smoothness`, `WeightedGather`, …) keep `zeros`. The dynamic
-/// tape passes `false` and keeps its zeroing allocation pattern.
+/// **Dirty scratch**: gradient storage whose kernel fully overwrites
+/// every element (see [`grad_buf`]) skips the `zeros` memset. Buffers
+/// that are accumulated into (`Smoothness`, `WeightedGather`, …) keep
+/// `zeros`.
 #[allow(clippy::too_many_lines)]
-pub(crate) fn step_backward(
+fn step_backward(
     nodes: &[Node],
     grads: &mut [Option<Matrix>],
     pool: &mut BufferPool,
     i: usize,
     gy: &Matrix,
-    compiled: bool,
 ) {
     // "Should the gradient for operand `v` be materialized at all?"
     let wants = |v: Var| nodes[v.0].requires_grad;
@@ -817,7 +815,7 @@ pub(crate) fn step_backward(
                 match &mut grads[b.0] {
                     Some(acc) => acc.sub_assign(gy),
                     slot @ None => {
-                        let mut gb = grad_buf(pool, compiled, gy.rows(), gy.cols());
+                        let mut gb = grad_buf(pool, gy.rows(), gy.cols());
                         gy.map_into(&mut gb, |v| -v);
                         *slot = Some(gb);
                     }
@@ -826,12 +824,12 @@ pub(crate) fn step_backward(
         }
         Op::Mul(a, b) => {
             if wants(*a) {
-                let mut ga = grad_buf(pool, compiled, gy.rows(), gy.cols());
+                let mut ga = grad_buf(pool, gy.rows(), gy.cols());
                 gy.mul_into(&nodes[b.0].value, &mut ga).expect("shape");
                 accumulate(nodes, grads, pool, *a, ga);
             }
             if wants(*b) {
-                let mut gb = grad_buf(pool, compiled, gy.rows(), gy.cols());
+                let mut gb = grad_buf(pool, gy.rows(), gy.cols());
                 gy.mul_into(&nodes[a.0].value, &mut gb).expect("shape");
                 accumulate(nodes, grads, pool, *b, gb);
             }
@@ -839,7 +837,7 @@ pub(crate) fn step_backward(
         Op::AddRow(x, r) => {
             accumulate_copy(nodes, grads, pool, *x, gy);
             if wants(*r) {
-                let mut gr = grad_buf(pool, compiled, 1, gy.cols());
+                let mut gr = grad_buf(pool, 1, gy.cols());
                 gy.sum_rows_into(&mut gr);
                 accumulate(nodes, grads, pool, *r, gr);
             }
@@ -848,21 +846,21 @@ pub(crate) fn step_backward(
             let rv: &Matrix = &nodes[r.0].value;
             let xv: &Matrix = &nodes[x.0].value;
             if wants(*x) {
-                let mut gx = grad_buf(pool, compiled, gy.rows(), gy.cols());
+                let mut gx = grad_buf(pool, gy.rows(), gy.cols());
                 gy.broadcast_row_into(rv.row(0), kernels::mul, &mut gx);
                 accumulate(nodes, grads, pool, *x, gx);
             }
             if wants(*r) {
-                let mut tmp = grad_buf(pool, compiled, gy.rows(), gy.cols());
+                let mut tmp = grad_buf(pool, gy.rows(), gy.cols());
                 gy.mul_into(xv, &mut tmp).expect("shape");
-                let mut gr = grad_buf(pool, compiled, 1, gy.cols());
+                let mut gr = grad_buf(pool, 1, gy.cols());
                 tmp.sum_rows_into(&mut gr);
                 pool.recycle(tmp);
                 accumulate(nodes, grads, pool, *r, gr);
             }
         }
         Op::Scale(x, s) => {
-            let mut g = grad_buf(pool, compiled, gy.rows(), gy.cols());
+            let mut g = grad_buf(pool, gy.rows(), gy.cols());
             gy.scale_into(*s, &mut g);
             accumulate(nodes, grads, pool, *x, g);
         }
@@ -871,65 +869,66 @@ pub(crate) fn step_backward(
             let av: &Matrix = &nodes[a.0].value;
             let bv: &Matrix = &nodes[b.0].value;
             if wants(*a) {
-                let mut ga = grad_buf(pool, compiled, gy.rows(), bv.rows());
+                let mut ga = grad_buf(pool, gy.rows(), bv.rows());
                 gy.matmul_nt_into(bv, &mut ga).expect("shape");
                 accumulate(nodes, grads, pool, *a, ga);
             }
             if wants(*b) {
-                let mut gb = grad_buf(pool, compiled, av.cols(), gy.cols());
+                let mut gb = grad_buf(pool, av.cols(), gy.cols());
                 av.matmul_tn_into(gy, &mut gb).expect("shape");
                 accumulate(nodes, grads, pool, *b, gb);
             }
         }
         Op::Relu(x) => {
-            let g = elementwise_grad(pool, compiled, gy, &nodes[x.0].value, |v| {
-                if v > 0.0 {
-                    1.0
-                } else {
-                    0.0
-                }
-            });
+            let g =
+                elementwise_grad(pool, gy, &nodes[x.0].value, |v| if v > 0.0 { 1.0 } else { 0.0 });
             accumulate(nodes, grads, pool, *x, g);
         }
         Op::LeakyRelu(x, alpha) => {
             let alpha = *alpha;
-            let g = elementwise_grad(pool, compiled, gy, &nodes[x.0].value, move |v| {
-                if v > 0.0 {
-                    1.0
-                } else {
-                    alpha
-                }
-            });
+            let g =
+                elementwise_grad(
+                    pool,
+                    gy,
+                    &nodes[x.0].value,
+                    move |v| {
+                        if v > 0.0 {
+                            1.0
+                        } else {
+                            alpha
+                        }
+                    },
+                );
             accumulate(nodes, grads, pool, *x, g);
         }
         Op::Tanh(x) => {
             // y = tanh(x); dy/dx = 1 - y^2 (read from the output node).
-            let g = elementwise_grad(pool, compiled, gy, &nodes[i].value, |t| 1.0 - t * t);
+            let g = elementwise_grad(pool, gy, &nodes[i].value, |t| 1.0 - t * t);
             accumulate(nodes, grads, pool, *x, g);
         }
         Op::Sqrt(x) => {
-            let g = elementwise_grad(pool, compiled, gy, &nodes[i].value, |s| 0.5 / s.max(1e-12));
+            let g = elementwise_grad(pool, gy, &nodes[i].value, |s| 0.5 / s.max(1e-12));
             accumulate(nodes, grads, pool, *x, g);
         }
         Op::Square(x) => {
-            let g = elementwise_grad(pool, compiled, gy, &nodes[x.0].value, |v| v * 2.0);
+            let g = elementwise_grad(pool, gy, &nodes[x.0].value, |v| v * 2.0);
             accumulate(nodes, grads, pool, *x, g);
         }
         Op::MulConst(x, m) => {
-            let mut g = grad_buf(pool, compiled, gy.rows(), gy.cols());
+            let mut g = grad_buf(pool, gy.rows(), gy.cols());
             gy.mul_into(m, &mut g).expect("shape");
             accumulate(nodes, grads, pool, *x, g);
         }
         Op::Sum(x) => {
             let (r, c) = nodes[x.0].value.shape();
-            let mut g = grad_buf(pool, compiled, r, c);
+            let mut g = grad_buf(pool, r, c);
             g.as_mut_slice().fill(gy[(0, 0)]);
             accumulate(nodes, grads, pool, *x, g);
         }
         Op::MeanRows(x) => {
             let (r, c) = nodes[x.0].value.shape();
             let inv = 1.0 / r.max(1) as f32;
-            let mut g = grad_buf(pool, compiled, r, c);
+            let mut g = grad_buf(pool, r, c);
             kernels::count_dispatch(r);
             for rr in 0..r {
                 kernels::scale(gy.row(0), inv, g.row_mut(rr));
@@ -938,7 +937,7 @@ pub(crate) fn step_backward(
         }
         Op::SumCols(x) => {
             let (r, c) = nodes[x.0].value.shape();
-            let mut g = grad_buf(pool, compiled, r, c);
+            let mut g = grad_buf(pool, r, c);
             for rr in 0..r {
                 for cc in 0..c {
                     g[(rr, cc)] = gy[(rr, 0)];
@@ -948,13 +947,13 @@ pub(crate) fn step_backward(
         }
         Op::GatherRows(x, idx) => {
             let (r, c) = nodes[x.0].value.shape();
-            let mut g = grad_buf(pool, compiled, r, c);
+            let mut g = grad_buf(pool, r, c);
             gy.scatter_add_rows_into(idx, &mut g);
             accumulate(nodes, grads, pool, *x, g);
         }
         Op::GroupMax { x, argmax, .. } => {
             let (r, c) = nodes[x.0].value.shape();
-            let mut g = grad_buf(pool, compiled, r, c);
+            let mut g = grad_buf(pool, r, c);
             gy.group_max_grad_into(argmax, &mut g);
             accumulate(nodes, grads, pool, *x, g);
         }
@@ -962,7 +961,7 @@ pub(crate) fn step_backward(
             let k = *k;
             let (r, c) = nodes[x.0].value.shape();
             let inv = 1.0 / k as f32;
-            let mut g = grad_buf(pool, compiled, r, c);
+            let mut g = grad_buf(pool, r, c);
             kernels::count_dispatch(r);
             for rr in 0..r {
                 kernels::scale(gy.row(rr / k), inv, g.row_mut(rr));
@@ -973,7 +972,7 @@ pub(crate) fn step_backward(
             // For each group g and column c:
             // dx = s * (dy - sum_group(dy * s)).
             let (r, c) = softmax.shape();
-            let mut g = grad_buf(pool, compiled, r, c);
+            let mut g = grad_buf(pool, r, c);
             softmax.group_softmax_grad_into(gy, *k, &mut g);
             accumulate(nodes, grads, pool, *x, g);
         }
@@ -994,12 +993,12 @@ pub(crate) fn step_backward(
             let ca = nodes[a.0].value.cols();
             let cb = nodes[b.0].value.cols();
             if wants(*a) {
-                let mut ga = grad_buf(pool, compiled, gy.rows(), ca);
+                let mut ga = grad_buf(pool, gy.rows(), ca);
                 gy.block_into(0, gy.rows(), 0, ca, &mut ga);
                 accumulate(nodes, grads, pool, *a, ga);
             }
             if wants(*b) {
-                let mut gb = grad_buf(pool, compiled, gy.rows(), cb);
+                let mut gb = grad_buf(pool, gy.rows(), cb);
                 gy.block_into(0, gy.rows(), ca, ca + cb, &mut gb);
                 accumulate(nodes, grads, pool, *b, gb);
             }
@@ -1015,35 +1014,23 @@ pub(crate) fn step_backward(
                 Act::Identity => pool.copy_of(gy),
                 Act::Relu | Act::LeakyRelu(_) => {
                     let slope = if let Act::LeakyRelu(alpha) = *act { alpha } else { 0.0 };
-                    elementwise_grad(
-                        pool,
-                        compiled,
-                        gy,
-                        yv,
-                        move |v| {
-                            if v > 0.0 {
-                                1.0
-                            } else {
-                                slope
-                            }
-                        },
-                    )
+                    elementwise_grad(pool, gy, yv, move |v| if v > 0.0 { 1.0 } else { slope })
                 }
             });
             if let (true, Some(g1)) = (wants(*shift), &g1) {
-                let mut gr = grad_buf(pool, compiled, 1, gy.cols());
+                let mut gr = grad_buf(pool, 1, gy.cols());
                 g1.sum_rows_into(&mut gr);
                 accumulate(nodes, grads, pool, *shift, gr);
             }
             if wants(*x) {
-                let mut gx = grad_buf(pool, compiled, gy.rows(), gy.cols());
+                let mut gx = grad_buf(pool, gy.rows(), gy.cols());
                 gy.affine_act_grad_into(yv, sv.row(0), *act, &mut gx);
                 accumulate(nodes, grads, pool, *x, gx);
             }
             if let (true, Some(g1)) = (wants(*scale), &g1) {
-                let mut tmp = grad_buf(pool, compiled, gy.rows(), gy.cols());
+                let mut tmp = grad_buf(pool, gy.rows(), gy.cols());
                 g1.mul_into(&nodes[x.0].value, &mut tmp).expect("shape");
-                let mut gr = grad_buf(pool, compiled, 1, gy.cols());
+                let mut gr = grad_buf(pool, 1, gy.cols());
                 tmp.sum_rows_into(&mut gr);
                 pool.recycle(tmp);
                 accumulate(nodes, grads, pool, *scale, gr);
@@ -1062,7 +1049,7 @@ pub(crate) fn step_backward(
                     Some(acc) => gy.edge_features_grad_into(center, nbr, true, acc),
                     slot @ None => {
                         let (r, c) = nodes[x.0].value.shape();
-                        let mut g = grad_buf(pool, compiled, r, c);
+                        let mut g = grad_buf(pool, r, c);
                         gy.edge_features_grad_into(center, nbr, false, &mut g);
                         *slot = Some(g);
                     }
@@ -1157,16 +1144,10 @@ pub(crate) fn step_backward(
 }
 
 /// Fresh gradient storage for a kernel that fully overwrites every
-/// element of its output. The compiled replay takes dirty scratch (no
-/// memset); the dynamic reference keeps its zeroing allocation pattern.
-/// Bit-identical because the caller's kernel writes every element before
-/// any is read.
-fn grad_buf(pool: &mut BufferPool, compiled: bool, rows: usize, cols: usize) -> Matrix {
-    if compiled {
-        pool.scratch(rows, cols)
-    } else {
-        pool.zeros(rows, cols)
-    }
+/// element of its output: dirty scratch, no memset. Sound because the
+/// caller's kernel writes every element before any is read.
+fn grad_buf(pool: &mut BufferPool, rows: usize, cols: usize) -> Matrix {
+    pool.scratch(rows, cols)
 }
 
 /// `gy * deriv(src)` in pooled storage — the shared shape of every
@@ -1176,12 +1157,11 @@ fn grad_buf(pool: &mut BufferPool, compiled: bool, rows: usize, cols: usize) -> 
 /// bit-identical to that two-pass form.
 fn elementwise_grad(
     pool: &mut BufferPool,
-    compiled: bool,
     gy: &Matrix,
     src: &Matrix,
     deriv: impl Fn(f32) -> f32 + Sync,
 ) -> Matrix {
-    let mut g = grad_buf(pool, compiled, gy.rows(), gy.cols());
+    let mut g = grad_buf(pool, gy.rows(), gy.cols());
     gy.zip_map_into(src, &mut g, |d, v| d * deriv(v));
     g
 }
@@ -1189,6 +1169,151 @@ fn elementwise_grad(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn mat(rows: &[&[f32]]) -> Matrix {
+        Matrix::from_rows(rows).unwrap()
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// A graph exercising every op class an attack step or a training
+    /// step records: matmuls into a bias add and into the eval batch norm
+    /// with its activation, the fused edge-feature op, both
+    /// zero-accumulating ops (`group_mean`, `weighted_gather`), row
+    /// gathers, the unfused activations, masks, reductions and all three
+    /// losses. Returns the input leaf and the vars a caller reads, loss
+    /// first.
+    fn build(t: &mut Tape, w0: &Matrix) -> (Var, [Var; 2]) {
+        let w = t.leaf_from(w0);
+        let weight = t.constant(mat(&[&[0.4, -0.2, 0.1], &[0.3, 0.9, -0.5]]));
+        let bias = t.constant(mat(&[&[0.05, -0.1, 0.2]]));
+        let scale_row = t.constant(mat(&[&[1.5, 0.5, 2.0]]));
+
+        let h0 = t.matmul(w, weight);
+        let h1 = t.add_row(h0, bias);
+        let h2 = t.tanh(h1);
+        let h3 = t.mul_row(h2, scale_row);
+        let h4 = t.leaky_relu(h3, 0.1);
+
+        let mix = t.constant(mat(&[&[0.5, -0.4, 0.3], &[0.2, 0.8, -0.6], &[-0.7, 0.1, 0.9]]));
+        let h5 = t.matmul(h4, mix);
+        let h6 = t.affine_act(h5, scale_row, bias, Act::LeakyRelu(0.2));
+
+        // The fused edge-feature op: [h[c] | h[j] - h[c]].
+        let center = Arc::new(GatherIndex::new(vec![0, 1, 2, 3], 4));
+        let nbr = Arc::new(GatherIndex::new(vec![3, 2, 1, 1], 4));
+        let cat = t.edge_features(h6, center, nbr);
+        let sm = t.group_softmax(cat, 2);
+        let att = t.mul(cat, sm);
+        let pooled = t.group_mean(att, 2);
+        let up = t.weighted_gather(
+            pooled,
+            &[0, 1, 1, 0, 0, 1, 1, 0],
+            &[0.7, 0.3, 0.6, 0.4, 0.2, 0.8, 0.5, 0.5],
+            2,
+        );
+        let gm = t.group_max(up, 2);
+        let wide = t.concat_cols(up, up);
+        let pick = t.constant(Matrix::from_fn(12, 6, |r, c| {
+            if r == c {
+                1.0
+            } else {
+                ((r * 6 + c) as f32 * 0.37).sin() * 0.1
+            }
+        }));
+        let logits = t.matmul(wide, pick);
+
+        let shifted_rows = t.gather_rows(logits, &[3, 3, 0, 1]);
+        let diff = t.sub(shifted_rows, logits);
+        let rect = t.relu(diff);
+        let masked = t.mul_const(rect, Matrix::from_fn(4, 6, |r, c| ((r + c) % 3) as f32));
+        let col_means = t.mean_rows(masked);
+        let row_sums = t.sum_cols(col_means);
+        let sq_sums = t.square(row_sums);
+        let lifted = t.add_scalar(sq_sums, 1.0);
+        let root = t.sqrt(lifted);
+        let ce = t.softmax_cross_entropy(logits, &[1, 2, 0, 3]);
+
+        let hinge = t.cw_nontargeted(logits, &[0, 1, 2, 3], &[true, true, false, true]);
+        let coords = mat(&[&[0.0, 0.0], &[1.0, 0.0], &[0.0, 1.0], &[1.0, 1.0]]);
+        let smooth = t.smoothness(w, &coords, &[1, 0, 3, 2], 1);
+        let sq = t.square(gm);
+        let dist = t.sum(sq);
+        let s1 = t.scale(hinge, 0.8);
+        let s2 = t.scale(smooth, 0.05);
+        let partial = t.add(dist, s1);
+        let shifted = t.add_scalar(partial, 0.0);
+        let with_smooth = t.add(shifted, s2);
+        let with_ce = t.add(with_smooth, ce);
+        let loss = t.add(with_ce, root);
+        t.backward(loss);
+        (w, [loss, logits])
+    }
+
+    /// Records `build` once per input on one tape, resetting in between,
+    /// so from the second input on every value and gradient slot is dirty
+    /// scratch left by the graph before. Each kept value, the input
+    /// gradient and the backward walk must equal a fresh tape's, bit for
+    /// bit.
+    fn assert_reused_tape_matches_fresh<const N: usize>(
+        build: impl Fn(&mut Tape, &Matrix) -> (Var, [Var; N]),
+        inputs: &[&Matrix],
+    ) {
+        let mut tape = Tape::new();
+        for (round, wi) in inputs.iter().enumerate() {
+            tape.reset();
+            let (input, vars) = build(&mut tape, wi);
+            let mut fresh = Tape::new();
+            let (f_input, f_vars) = build(&mut fresh, wi);
+            for (v, f_v) in vars.iter().zip(&f_vars) {
+                assert_eq!(
+                    bits(tape.value(*v)),
+                    bits(fresh.value(*f_v)),
+                    "round {round}: value of node {} diverged",
+                    v.0
+                );
+            }
+            assert_eq!(
+                bits(tape.grad(input).unwrap()),
+                bits(fresh.grad(f_input).unwrap()),
+                "round {round}: input gradient diverged"
+            );
+            assert_eq!(tape.backward_visited(), fresh.backward_visited(), "round {round}");
+        }
+    }
+
+    #[test]
+    fn every_op_class_records_over_dirty_slots_like_a_fresh_tape() {
+        let w0 = mat(&[&[0.1, -0.3], &[0.7, 0.2], &[-0.5, 0.4], &[0.9, -0.8]]);
+        let w1 = mat(&[&[-0.2, 0.6], &[0.1, -0.9], &[0.3, 0.3], &[-0.4, 0.5]]);
+        let w2 = mat(&[&[1.1, 0.0], &[-0.6, 0.25], &[0.05, -0.15], &[0.45, 0.85]]);
+        assert_reused_tape_matches_fresh(build, &[&w0, &w1, &w2, &w1]);
+    }
+
+    #[test]
+    fn two_hinges_record_over_dirty_slots_like_a_fresh_tape() {
+        // Two logits branches, each with its own CW hinge: one targeted,
+        // one not, with different labels and masks, each kept in its own
+        // op payload.
+        let build_two = |t: &mut Tape, w0: &Matrix| {
+            let w = t.leaf_from(w0);
+            let wa = t.constant(mat(&[&[0.6, -0.3, 0.2], &[-0.4, 0.8, 0.5]]));
+            let wb = t.constant(mat(&[&[-0.2, 0.7, -0.6], &[0.9, 0.1, -0.3]]));
+            let za = t.matmul(w, wa);
+            let zb = t.matmul(w, wb);
+            let ha = t.cw_targeted(za, &[2, 2, 0, 1], &[true, false, true, true]);
+            let hb = t.cw_nontargeted(zb, &[0, 1, 1, 2], &[true, true, true, false]);
+            let loss = t.add(ha, hb);
+            t.backward(loss);
+            (w, [loss, ha, hb, za, zb])
+        };
+        let w0 = mat(&[&[0.1, -0.3], &[0.7, 0.2], &[-0.5, 0.4], &[0.9, -0.8]]);
+        let w1 = mat(&[&[-1.0, 0.5], &[2.0, -2.0], &[0.3, 0.9], &[-0.6, 0.1]]);
+        let w2 = mat(&[&[0.8, 0.8], &[-0.2, 1.5], &[1.2, -0.7], &[0.05, -0.4]]);
+        assert_reused_tape_matches_fresh(build_two, &[&w0, &w1, &w2, &w1]);
+    }
 
     #[test]
     fn leaf_and_constant_flags() {

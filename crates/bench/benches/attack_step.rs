@@ -18,7 +18,7 @@
 //! `--simd-only` just the kernel-dispatch/tiled-GEMM comparison.
 
 use colper_attack::{AttackConfig, AttackPlan, AttackSession, TanhReparam};
-use colper_autodiff::{set_schedule_enabled, Tape};
+use colper_autodiff::Tape;
 use colper_bench::write_json;
 use colper_geom::knn_graph;
 use colper_models::{
@@ -246,51 +246,10 @@ fn bench_planned_vs_unplanned(points: usize, samples: usize, model_scale: &str) 
     colper_obs::reset();
     let trace_overhead = trace_on_ns as f64 / trace_off_ns.max(1) as f64 - 1.0;
 
-    // Scheduled replay vs dynamic rebuild, as marginal per-step cost:
-    // the same planned attack at two lengths, divided by the step-count
-    // difference, so run-constant work (plan lookup, the step-0 build,
-    // the one-shot schedule compile) cancels and only the steady-state
-    // step remains — replayed on one side, rebuilt on the other.
-    const SCHED_SHORT: usize = 2;
-    const SCHED_LONG: usize = 12;
-    let attack_total_ns = |scheduled: bool, steps: usize| -> u128 {
-        set_schedule_enabled(scheduled);
-        let mut cfg = AttackConfig::non_targeted(steps);
-        cfg.convergence_threshold = Some(0.0); // never stop early
-        let sched_plan = AttackPlan::build(&model, &t, &cfg);
-        let session = AttackSession::new(cfg).plan(&sched_plan);
-        let ns = time_median_ns(samples, || {
-            let mut rng = StdRng::seed_from_u64(3);
-            black_box(session.run_with_rng(&model, &t, &mut rng).l2_sq);
-        });
-        set_schedule_enabled(true);
-        ns
-    };
-    let steps_diff = (SCHED_LONG - SCHED_SHORT) as u128;
-    let dynamic_step_ns = attack_total_ns(false, SCHED_LONG)
-        .saturating_sub(attack_total_ns(false, SCHED_SHORT))
-        / steps_diff;
-    let scheduled_step_ns = attack_total_ns(true, SCHED_LONG)
-        .saturating_sub(attack_total_ns(true, SCHED_SHORT))
-        / steps_diff;
-    let sched_speedup = dynamic_step_ns as f64 / scheduled_step_ns.max(1) as f64;
-    let dynamic_steps_per_sec = 1e9 / dynamic_step_ns.max(1) as f64;
-    let scheduled_steps_per_sec = 1e9 / scheduled_step_ns.max(1) as f64;
-    assert!(
-        sched_speedup >= 1.2,
-        "scheduled replay is only {sched_speedup:.2}x over the dynamic rebuild \
-         ({scheduled_step_ns} ns vs {dynamic_step_ns} ns per step; committed floor: 1.2x)"
-    );
-
     let speedup = unplanned_ns as f64 / planned_ns.max(1) as f64;
     println!(
         "bench attack_step/planned_vs_unplanned: unplanned {unplanned_ns} ns, \
          planned {planned_ns} ns ({speedup:.2}x), {points} points, {samples} samples"
-    );
-    println!(
-        "bench attack_step/scheduled: dynamic {dynamic_step_ns} ns/step \
-         ({dynamic_steps_per_sec:.1} steps/s), scheduled {scheduled_step_ns} ns/step \
-         ({scheduled_steps_per_sec:.1} steps/s), {sched_speedup:.2}x"
     );
     println!(
         "bench attack_step/trace_overhead: off {trace_off_ns} ns, on {trace_on_ns} ns \
@@ -303,12 +262,6 @@ fn bench_planned_vs_unplanned(points: usize, samples: usize, model_scale: &str) 
          \"host_parallelism\": {host},\n  \
          \"unplanned_median_ns\": {unplanned_ns},\n  \"planned_median_ns\": {planned_ns},\n  \
          \"speedup\": {speedup:.4},\n  \
-         \"scheduled\": {{\n    \"steps_measured\": {steps_diff},\n    \
-         \"dynamic_step_ns\": {dynamic_step_ns},\n    \
-         \"scheduled_step_ns\": {scheduled_step_ns},\n    \
-         \"dynamic_steps_per_sec\": {dynamic_steps_per_sec:.1},\n    \
-         \"scheduled_steps_per_sec\": {scheduled_steps_per_sec:.1},\n    \
-         \"speedup\": {sched_speedup:.4}\n  }},\n  \
          \"trace\": {{\n    \"steps\": {TRACE_STEPS},\n    \
          \"off_median_ns\": {trace_off_ns},\n    \"on_median_ns\": {trace_on_ns},\n    \
          \"overhead_fraction\": {trace_overhead:.4}\n  }}\n}}\n",
@@ -401,14 +354,9 @@ const LONG: usize = 8;
 /// difference by `LONG - SHORT`: startup and teardown allocations
 /// cancel, leaving exactly the per-step cost of steps `SHORT..LONG` —
 /// all of them steady-state (step >= 2).
-fn steady_allocs_per_step<M: SegmentationModel>(
-    model: &M,
-    t: &CloudTensors,
-    scheduled: bool,
-) -> (u64, f64) {
+fn steady_allocs_per_step<M: SegmentationModel>(model: &M, t: &CloudTensors) -> (u64, f64) {
     let seq = Runtime::sequential();
     let attack_allocs = |steps: usize| -> (u64, u64) {
-        set_schedule_enabled(scheduled);
         let mut config = AttackConfig::non_targeted(steps);
         config.convergence_threshold = Some(0.0); // never stop early
         let plan = AttackPlan::build(model, t, &config);
@@ -417,7 +365,6 @@ fn steady_allocs_per_step<M: SegmentationModel>(
         let ((), allocs, bytes) = alloc_gauge::measure(|| {
             black_box(session.run_with_rng(model, t, &mut rng).l2_sq);
         });
-        set_schedule_enabled(true);
         (allocs, bytes)
     };
     let (long_allocs, long_bytes) = attack_allocs(LONG);
@@ -438,8 +385,7 @@ fn steady_allocs_per_step<M: SegmentationModel>(
 /// 1. **Attack marginal** — the production path, per
 ///    [`steady_allocs_per_step`], for the PointNet++ victim and for a
 ///    tiny ResGCN (whose edge convolutions run the gather, concat and
-///    grouped-max kernels), each on the scheduled replay and on the
-///    dynamic rebuild.
+///    grouped-max kernels).
 /// 2. **Session replica** — one forward+backward pass per step through
 ///    the public tape API, once with a fresh session per step (the old
 ///    regime) and once with a single session recycled via `reset` (the
@@ -465,17 +411,10 @@ fn bench_alloc(points: usize, model_scale: &str) {
     // dispatch, thread-local pools). Measuring LONG first would book
     // that burst against the extra steps and report phantom per-step
     // allocations.
-    let _ = steady_allocs_per_step(&model, &t, true);
-    // Both steady-state regimes are gated: the scheduled replay (the
-    // default production path — steps >= 1 replay the compiled
-    // schedule) and the dynamic rebuild (`COLPER_SCHEDULE=off`).
-    let (allocs_per_step, bytes_per_step) = steady_allocs_per_step(&model, &t, true);
-    let (dynamic_allocs_per_step, dynamic_bytes_per_step) =
-        steady_allocs_per_step(&model, &t, false);
-    let _ = steady_allocs_per_step(&resgcn, &t, true);
-    let (resgcn_allocs_per_step, resgcn_bytes_per_step) = steady_allocs_per_step(&resgcn, &t, true);
-    let (resgcn_dynamic_allocs_per_step, resgcn_dynamic_bytes_per_step) =
-        steady_allocs_per_step(&resgcn, &t, false);
+    let _ = steady_allocs_per_step(&model, &t);
+    let (allocs_per_step, bytes_per_step) = steady_allocs_per_step(&model, &t);
+    let _ = steady_allocs_per_step(&resgcn, &t);
+    let (resgcn_allocs_per_step, resgcn_bytes_per_step) = steady_allocs_per_step(&resgcn, &t);
     let steps_diff = LONG - SHORT;
     let seq = Runtime::sequential();
 
@@ -520,32 +459,20 @@ fn bench_alloc(points: usize, model_scale: &str) {
     let (reused_steady_allocs, reused_steady_bytes) = reused[REPLICA_STEPS - 1];
 
     println!(
-        "bench attack_step/alloc: attack steady state {allocs_per_step} allocs/step scheduled, \
-         {dynamic_allocs_per_step} allocs/step dynamic ({bytes_per_step:.1} bytes/step); \
-         resgcn_tiny {resgcn_allocs_per_step} scheduled, {resgcn_dynamic_allocs_per_step} dynamic; \
+        "bench attack_step/alloc: attack steady state {allocs_per_step} allocs/step \
+         ({bytes_per_step:.1} bytes/step); resgcn_tiny {resgcn_allocs_per_step} allocs/step; \
          replica fresh {fresh_steady_allocs} allocs/pass \
          vs reused {reused_steady_allocs} allocs/pass, {points} points"
     );
     assert!(
         allocs_per_step <= STEADY_STATE_ALLOC_BUDGET,
-        "steady-state scheduled replay allocates ({allocs_per_step} allocs/step > budget \
-         {STEADY_STATE_ALLOC_BUDGET}); the schedule arena or scratch reuse regressed"
-    );
-    assert!(
-        dynamic_allocs_per_step <= STEADY_STATE_ALLOC_BUDGET,
-        "steady-state dynamic attack step allocates ({dynamic_allocs_per_step} allocs/step > \
-         budget {STEADY_STATE_ALLOC_BUDGET}); the tape arena or scratch reuse regressed"
+        "steady-state attack step allocates ({allocs_per_step} allocs/step > budget \
+         {STEADY_STATE_ALLOC_BUDGET}); the tape arena or scratch reuse regressed"
     );
     assert!(
         resgcn_allocs_per_step <= STEADY_STATE_ALLOC_BUDGET,
-        "steady-state ResGCN scheduled replay allocates ({resgcn_allocs_per_step} allocs/step > \
-         budget {STEADY_STATE_ALLOC_BUDGET}); the schedule arena or scratch reuse regressed"
-    );
-    assert!(
-        resgcn_dynamic_allocs_per_step <= STEADY_STATE_ALLOC_BUDGET,
-        "steady-state ResGCN dynamic attack step allocates ({resgcn_dynamic_allocs_per_step} \
-         allocs/step > budget {STEADY_STATE_ALLOC_BUDGET}); the tape arena or scratch reuse \
-         regressed"
+        "steady-state ResGCN attack step allocates ({resgcn_allocs_per_step} allocs/step > \
+         budget {STEADY_STATE_ALLOC_BUDGET}); the tape arena or scratch reuse regressed"
     );
     assert!(
         reused_steady_allocs <= STEADY_STATE_ALLOC_BUDGET,
@@ -559,17 +486,10 @@ fn bench_alloc(points: usize, model_scale: &str) {
          \"attack_steady_state\": {{\n    \"steps_measured\": {steps_diff},\n    \
          \"allocs_per_step\": {allocs_per_step},\n    \
          \"bytes_per_step\": {bytes_per_step:.1}\n  }},\n  \
-         \"attack_steady_state_dynamic\": {{\n    \"steps_measured\": {steps_diff},\n    \
-         \"allocs_per_step\": {dynamic_allocs_per_step},\n    \
-         \"bytes_per_step\": {dynamic_bytes_per_step:.1}\n  }},\n  \
          \"resgcn_steady_state\": {{\n    \"model\": \"resgcn_tiny\",\n    \
          \"steps_measured\": {steps_diff},\n    \
          \"allocs_per_step\": {resgcn_allocs_per_step},\n    \
          \"bytes_per_step\": {resgcn_bytes_per_step:.1}\n  }},\n  \
-         \"resgcn_steady_state_dynamic\": {{\n    \"model\": \"resgcn_tiny\",\n    \
-         \"steps_measured\": {steps_diff},\n    \
-         \"allocs_per_step\": {resgcn_dynamic_allocs_per_step},\n    \
-         \"bytes_per_step\": {resgcn_dynamic_bytes_per_step:.1}\n  }},\n  \
          \"session_replica\": {{\n    \"fresh_first_allocs\": {},\n    \
          \"fresh_steady_allocs\": {fresh_steady_allocs},\n    \
          \"fresh_steady_bytes\": {fresh_steady_bytes},\n    \

@@ -1,11 +1,10 @@
 //! Algorithm 1 of the paper: the COLPER optimization loop.
 
-use crate::seat::{CapturedSchedule, ScheduleKey, SeatTape};
 use crate::{AttackConfig, AttackResult, Objective, TanhReparam, WarmSeat};
-use colper_autodiff::{CompileSpec, TapeSchedule, Var};
+use colper_autodiff::Var;
 use colper_geom::knn_graph;
 use colper_metrics::success_rate;
-use colper_models::{CaptureShapes, CloudTensors, GeometryPlan, ModelInput, SegmentationModel};
+use colper_models::{CloudTensors, GeometryPlan, ModelInput, SegmentationModel};
 use colper_nn::{AdamState, Forward};
 use colper_obs::{Observer, StepRecord};
 use colper_runtime::Runtime;
@@ -126,8 +125,7 @@ impl PlateauTracker {
 ///
 /// Crate-private: [`crate::AttackSession`] is the only way to start a
 /// run. A transfer `penalty` records the second network's forward pass
-/// into the same graph every step, which disqualifies static-schedule
-/// capture (the schedule compiler pins exactly one victim).
+/// into the same graph every step.
 ///
 /// # Parallelism
 ///
@@ -246,52 +244,17 @@ fn optimize<M: SegmentationModel + ?Sized>(
     let mut best_colors = Matrix::clone(&orig);
     let mut best_preds: Vec<usize> = Vec::new();
 
-    // Static-schedule eligibility: single-sample path, global gate on,
-    // a victim whose eval forward is a pure function of its inputs
-    // (RandLA-Net's random sampling is not), and capture inputs that
-    // pass shape validation. When eligible, the key pins everything
-    // the captured graph folded in: the config, the parameter/buffer
-    // storage, the plan's interned tensors, and the run's labels /
-    // mask / original colors.
-    let schedule_eligible = cfg.gradient_samples == 1
-        && colper_autodiff::schedule_enabled()
-        && model.deterministic_eval()
-        && penalty_ctx.is_none()
-        && CaptureShapes::check(n, &plan.xyz, &orig, &plan.loc01).is_ok();
-    let sched_key = schedule_eligible.then(|| ScheduleKey {
-        config: cfg.clone(),
-        param_addrs: model.params().storage_fingerprint(),
-        xyz_addr: Arc::as_ptr(&plan.xyz) as usize,
-        loc_addr: Arc::as_ptr(&plan.loc01) as usize,
-        nbrs_addr: plan.smooth_nbrs.as_ptr() as usize,
-        nbrs_len: plan.smooth_nbrs.len(),
-        points: n,
-        labels: labels_for_loss.clone(),
-        mask: mask.to_vec(),
-        orig_colors: orig.clone(),
-    });
-
     // Steady-state buffers for the single-sample path: one reusable
     // forward session plus preallocated gradient / prediction / color
     // scratch, so step >= 2 performs no heap allocation in tape value
     // or gradient storage. A seated run resumes on the seat's donated
     // tape, extending the zero-allocation property back to step 1 of
-    // repeat attacks on same-shaped clouds. When the seat's tape also
-    // carries a schedule compiled for exactly this key, the run adopts
-    // the captured graph intact and replays from its very first step.
-    let mut captured: Option<CapturedSchedule> = None;
-    let mut sched_failed = false;
+    // repeat attacks on same-shaped clouds.
     let mut steady =
         (cfg.gradient_samples == 1).then(|| match seat.as_mut().and_then(|s| s.checkout()) {
-            Some(SeatTape { tape, captured: donated }) => {
+            Some(tape) => {
                 colper_obs::counters::SEAT_WARM.incr();
-                match (donated, &sched_key) {
-                    (Some(c), Some(key)) if c.key == *key => {
-                        captured = Some(c);
-                        Forward::resume_captured(model.params(), tape)
-                    }
-                    _ => Forward::resume(model.params(), false, tape),
-                }
+                Forward::resume(model.params(), false, tape)
             }
             None => Forward::new(model.params(), false),
         });
@@ -407,48 +370,16 @@ fn optimize<M: SegmentationModel + ?Sized>(
             // Single-sample (paper-exact) path: the forward pass draws
             // from the caller's RNG in place, preserving its stream.
             // One session is reused across every step — `reset` keeps
-            // the tape's buffer pools, and the extraction below writes
+            // the tape's buffer pools, each op records into a recycled
+            // slot it overwrites whole, and the extraction below writes
             // into preallocated scratch, so the steady state allocates
-            // nothing. Once a schedule is captured, steps stop even
-            // rebuilding the graph: the frozen op program replays over
-            // the captured nodes, bit-identical to a dynamic rebuild
-            // (the victim's eval forward consumes no randomness on
-            // this path, so the RNG stream is preserved too).
+            // nothing.
             let session = steady.as_mut().expect("single-sample path owns a session");
-            let vars = if let Some(c) = captured.as_ref() {
+            session.reset();
+            let (gain, w_var, color, logits, dist, adv_loss, smooth) = {
                 let _build_span = colper_obs::span!(ATTACK_BUILD);
-                c.schedule.replay(&mut session.tape, &w);
-                c.vars
-            } else {
-                session.reset();
-                let built = {
-                    let _build_span = colper_obs::span!(ATTACK_BUILD);
-                    build(session, 0, rng)
-                };
-                // One-shot capture: freeze the graph just recorded into
-                // a static schedule for every following step. A graph
-                // the compiler rejects falls back to dynamic rebuilds
-                // permanently (the graph is the same every step, so
-                // retrying could only fail again).
-                if !sched_failed {
-                    if let Some(key) = sched_key.clone() {
-                        let (gain, w_var, color, logits, dist, adv_loss, smooth) = built;
-                        let spec = CompileSpec {
-                            input: w_var,
-                            output: gain,
-                            keep: &[color, logits, dist, adv_loss, smooth],
-                        };
-                        match TapeSchedule::compile(&mut session.tape, &spec) {
-                            Ok(schedule) => {
-                                captured = Some(CapturedSchedule { key, schedule, vars: built })
-                            }
-                            Err(_) => sched_failed = true,
-                        }
-                    }
-                }
-                built
+                build(session, 0, rng)
             };
-            let (gain, w_var, color, logits, dist, adv_loss, smooth) = vars;
             let gain_v = session.tape.value(gain)[(0, 0)];
             terms = [
                 session.tape.value(dist)[(0, 0)],
@@ -590,15 +521,9 @@ fn optimize<M: SegmentationModel + ?Sized>(
     }
 
     // Hand the steady session's tape back to the seat so the next
-    // attack seated here starts with warmed buffer pools. A captured
-    // schedule travels with its tape (graph intact, not reset): a
-    // key-matching successor replays from step 1, anyone else resumes
-    // normally and the stale graph is cleared by its first `reset`.
+    // attack seated here starts with warmed buffer pools.
     if let (Some(seat), Some(session)) = (seat.as_mut(), steady.take()) {
-        match captured.take() {
-            Some(c) => seat.donate_captured(session.into_tape_captured(), c),
-            None => seat.donate(session.into_tape()),
-        }
+        seat.donate(session.into_tape());
     }
 
     let l2_sq = best_colors.sub(&orig).expect("shape").frobenius_sq();

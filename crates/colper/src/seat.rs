@@ -9,88 +9,23 @@
 //! so a pooled job on a same-shaped cloud starts on the zero-allocation
 //! path from step 1.
 //!
-//! Since the schedule compiler landed, a seat can be warmer still: a
-//! scheduled attack donates its tape *with the captured graph intact*,
-//! plus the compiled `TapeSchedule` and a [`ScheduleKey`] describing
-//! exactly which (config, weights, plan, cloud) the capture is valid for.
-//! The next job compares keys: on a match it adopts the schedule and
-//! replays from its very first step — skipping even graph capture; on a
-//! mismatch the tape is reset and serves as an ordinary warm buffer pool.
-//!
 //! Seats stay deliberately dumb about *placement*: keying seats by victim
 //! and cloud shape (so a donated tape's pooled buffers actually fit the
 //! next job) is the caller's job — the service keeps a map of seats keyed
 //! by `(model, point-count bucket)`.
 //!
-//! Reuse never changes results: a donated graph is either cleared before
-//! recording or replayed bit-identically, so a seated attack matches a
-//! cold one exactly (`tests/session_pool.rs`, `tests/schedule_equivalence.rs`).
+//! Reuse never changes results: a donated graph is cleared before the
+//! next attack records, and every slot it records into is written whole,
+//! so a seated attack matches a cold one exactly, on every victim
+//! (`tests/session_pool.rs`).
 
-use crate::config::AttackConfig;
-use colper_autodiff::{Tape, TapeSchedule, Var};
-use colper_tensor::Matrix;
-use std::sync::Arc;
-
-/// Everything a captured schedule must match before it may be replayed
-/// for a new job.
-///
-/// Mixes content equality (config, labels, mask, original colors) with
-/// address identity (parameter/buffer storage and the plan's interned
-/// `Arc` payloads, stored as `usize` addresses so the seat stays `Send`).
-/// Address identity is sound here because mutation of either goes through
-/// copy-on-write `Arc`s — a changed weight or a rebuilt plan always
-/// presents fresh addresses. The residual ABA hazard (an old allocation
-/// freed and a new one landing at the same address, with every other
-/// field also equal) is documented in DESIGN.md; models and plans are
-/// long-lived in every caller that seats attacks.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct ScheduleKey {
-    pub(crate) config: AttackConfig,
-    /// `ParamSet::storage_fingerprint` of the victim model.
-    pub(crate) param_addrs: Vec<usize>,
-    /// Address of the plan's interned xyz matrix.
-    pub(crate) xyz_addr: usize,
-    /// Address of the plan's interned normalized-location matrix.
-    pub(crate) loc_addr: usize,
-    /// Address and length of the plan's smoothness neighbor list.
-    pub(crate) nbrs_addr: usize,
-    pub(crate) nbrs_len: usize,
-    /// Point count of the captured graph.
-    pub(crate) points: usize,
-    /// The per-point labels the hinge was captured against.
-    pub(crate) labels: Vec<usize>,
-    /// The attack mask the hinge was captured against.
-    pub(crate) mask: Vec<bool>,
-    /// The unperturbed colors (content-compared: per-run `Arc`s are
-    /// freshly allocated, so address identity would never match).
-    pub(crate) orig_colors: Arc<Matrix>,
-}
-
-/// A compiled schedule traveling with its tape: the key it is valid for,
-/// the frozen program, and the extraction vars of the captured graph
-/// `(gain, w, color, logits, dist, adv_loss, smooth)`.
-#[derive(Debug)]
-pub(crate) struct CapturedSchedule {
-    pub(crate) key: ScheduleKey,
-    pub(crate) schedule: TapeSchedule,
-    pub(crate) vars: (Var, Var, Var, Var, Var, Var, Var),
-}
-
-/// What a checkout hands the attack: the donated tape, plus the compiled
-/// schedule when the previous occupant captured one.
-#[derive(Debug)]
-pub(crate) struct SeatTape {
-    pub(crate) tape: Tape,
-    pub(crate) captured: Option<CapturedSchedule>,
-}
+use colper_autodiff::Tape;
 
 /// A reusable warm seat for attack jobs: holds the tape of the last
-/// attack that ran on it — and, when that attack compiled a static
-/// schedule, the schedule itself — ready for donation to the next one.
+/// attack that ran on it, ready for donation to the next one.
 #[derive(Debug, Default)]
 pub struct WarmSeat {
     tape: Option<Tape>,
-    captured: Option<CapturedSchedule>,
     runs: u64,
     warm_starts: u64,
 }
@@ -107,12 +42,6 @@ impl WarmSeat {
         self.tape.is_some()
     }
 
-    /// Whether the seat's donated tape carries a compiled schedule a
-    /// key-matching job could replay without re-capturing.
-    pub fn is_scheduled(&self) -> bool {
-        self.captured.is_some()
-    }
-
     /// Attacks that ran on this seat.
     pub fn runs(&self) -> u64 {
         self.runs
@@ -124,27 +53,18 @@ impl WarmSeat {
         self.warm_starts
     }
 
-    /// Takes the seat's tape (and any captured schedule) for an attack
-    /// run, recording the run and whether it started warm.
-    pub(crate) fn checkout(&mut self) -> Option<SeatTape> {
+    /// Takes the seat's tape for an attack run, recording the run and
+    /// whether it started warm.
+    pub(crate) fn checkout(&mut self) -> Option<Tape> {
         self.runs += 1;
         let tape = self.tape.take()?;
         self.warm_starts += 1;
-        Some(SeatTape { tape, captured: self.captured.take() })
+        Some(tape)
     }
 
-    /// Returns a finished attack's reset tape to the seat. Any previously
-    /// stored schedule is already gone (checkout moved it out).
+    /// Returns a finished attack's reset tape to the seat.
     pub(crate) fn donate(&mut self, tape: Tape) {
         self.tape = Some(tape);
-        self.captured = None;
-    }
-
-    /// Returns a finished attack's tape with its captured graph intact,
-    /// together with the schedule compiled against it.
-    pub(crate) fn donate_captured(&mut self, tape: Tape, captured: CapturedSchedule) {
-        self.tape = Some(tape);
-        self.captured = Some(captured);
     }
 }
 
@@ -159,7 +79,6 @@ mod tests {
         assert!(seat.checkout().is_none(), "cold seat has no tape");
         seat.donate(Tape::new());
         assert!(seat.is_warm());
-        assert!(!seat.is_scheduled(), "plain donation carries no schedule");
         assert!(seat.checkout().is_some(), "donated tape is handed out");
         assert!(!seat.is_warm(), "checkout empties the seat");
         assert_eq!(seat.runs(), 2);

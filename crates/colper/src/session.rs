@@ -470,8 +470,8 @@ mod tests {
         let session = AttackSession::new(cfg);
         let mut seat = crate::WarmSeat::new();
         // Two seated runs: the second resumes on the first one's donated
-        // tape (and, with scheduling on, its captured schedule). Both must
-        // be bit-identical to seatless runs on the same RNG streams.
+        // tape. Both must be bit-identical to seatless runs on the same
+        // RNG streams.
         for seed in [5u64, 5u64] {
             let mut rng_a = StdRng::seed_from_u64(seed);
             let a = session.run_with_rng(&model, &data[0], &mut rng_a);

@@ -36,7 +36,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod capture;
 mod input;
 mod persist;
 mod plan;
@@ -46,7 +45,6 @@ mod resgcn;
 mod train;
 mod traits;
 
-pub use capture::{CaptureError, CaptureShapes};
 pub use input::{bind_input, bind_input_planned, CloudTensors, ColorBinding, ModelInput};
 pub use persist::{load_model, save_pointnet2, save_randlanet, save_resgcn, LoadedModel};
 pub use plan::{GeometryPlan, PointNet2Plan, RandLaPlan, ResGcnPlan};

@@ -238,8 +238,7 @@ impl SegmentationModel for RandLaNet {
 
     fn deterministic_eval(&self) -> bool {
         // Random downsampling draws from `rng` on every pass, even in
-        // evaluation mode — the recorded graph differs step to step, so
-        // static-schedule capture must not freeze it.
+        // evaluation mode, so the recorded graph differs step to step.
         false
     }
 

@@ -42,11 +42,10 @@ pub trait SegmentationModel: Sync {
     /// input — recording the identical op stream and consuming no
     /// randomness every time.
     ///
-    /// Deterministic models are eligible for static-schedule capture (the
-    /// attack compiles their graph once and replays it). RandLA-Net
-    /// overrides this to `false`: its random point sampling draws from
-    /// `rng` even in evaluation mode, so a frozen replay would both skew
-    /// the caller's RNG stream and pin one sampling forever.
+    /// Callers that evaluate a model repeatedly read it to tell whether
+    /// two predictions of the same cloud can differ. RandLA-Net overrides
+    /// this to `false`: its random point sampling draws from `rng` even in
+    /// evaluation mode, so each pass sees another sampling.
     fn deterministic_eval(&self) -> bool {
         true
     }

@@ -94,23 +94,6 @@ impl ParamSet {
         self.params.len()
     }
 
-    /// Address-identity fingerprint of every parameter and buffer: the
-    /// `Arc` storage pointer of each, as a `usize`.
-    ///
-    /// Two equal fingerprints mean every weight and running statistic
-    /// still lives in the exact storage a captured schedule folded into
-    /// its static subgraph — any mutation path ([`ParamSet::param_mut`],
-    /// [`ParamSet::buffer_mut`]) copies-on-write into a fresh `Arc`, so a
-    /// stale capture can never fingerprint-match. Plain addresses (not
-    /// raw pointers) keep holders of a fingerprint `Send`.
-    pub fn storage_fingerprint(&self) -> Vec<usize> {
-        self.params
-            .iter()
-            .chain(self.buffers.iter())
-            .map(|n| Arc::as_ptr(&n.value) as usize)
-            .collect()
-    }
-
     /// Number of registered buffers.
     pub fn buffer_count(&self) -> usize {
         self.buffers.len()
@@ -209,33 +192,6 @@ impl<'p> Forward<'p> {
     /// pools intact) for donation to a later [`Forward::resume`].
     pub fn into_tape(mut self) -> Tape {
         self.tape.reset();
-        self.tape
-    }
-
-    /// Starts an evaluation session over `params` on a donated tape that
-    /// still carries a captured graph — the tape is *not* reset.
-    ///
-    /// This is the adoption half of schedule-carrying warm seats: a
-    /// compiled `TapeSchedule` replays over the captured node storage, so
-    /// clearing the graph would discard exactly what makes the seat warm.
-    /// The session must only be driven through schedule replay (or reset
-    /// first); recording new ops onto the un-cleared tape would append to
-    /// the captured graph. Parameter bindings start empty — replay never
-    /// binds parameters.
-    pub fn resume_captured(params: &'p ParamSet, tape: Tape) -> Self {
-        Self {
-            tape,
-            params,
-            bound: vec![None; params.param_count()],
-            training: false,
-            bn_updates: Vec::new(),
-        }
-    }
-
-    /// Consumes the session and returns its tape with the recorded graph
-    /// intact (no reset), for donation to [`Forward::resume_captured`]
-    /// alongside the schedule compiled against it.
-    pub fn into_tape_captured(self) -> Tape {
         self.tape
     }
 

@@ -335,14 +335,6 @@ pub mod counters {
     pub static ATTACK_RESTARTS: Counter = Counter::new("attack.restarts");
     /// Seated attacks that started on a donated warm tape.
     pub static SEAT_WARM: Counter = Counter::new("attack.seat.warm");
-    /// Attack graphs captured into a static `TapeSchedule`.
-    pub static SCHED_CAPTURES: Counter = Counter::new("schedule.captures");
-    /// Steps replayed from a static schedule instead of rebuilding the
-    /// graph.
-    pub static SCHED_REPLAYS: Counter = Counter::new("schedule.replays");
-    /// Peephole-fused step groups baked into compiled schedules
-    /// (matmul → add_row (→ activation), matmul → affine_act).
-    pub static SCHED_FUSED_OPS: Counter = Counter::new("schedule.fused_ops");
     /// Micro-tile kernel invocations scheduled by the tiled GEMM driver.
     pub static GEMM_TILE_TASKS: Counter = Counter::new("gemm.tile.tasks");
     /// GEMM packing-panel requests served from a pack pool shelf.
@@ -355,7 +347,7 @@ pub mod counters {
     pub static MATRIX_CELLS: Counter = Counter::new("matrix.cells");
 
     /// Every counter in the inventory, for snapshotting and reset.
-    pub fn all() -> [&'static Counter; 19] {
+    pub fn all() -> [&'static Counter; 16] {
         [
             &KERNEL_DISPATCH_SIMD,
             &KERNEL_DISPATCH_SCALAR,
@@ -368,9 +360,6 @@ pub mod counters {
             &BATCH_CLOUDS,
             &ATTACK_RESTARTS,
             &SEAT_WARM,
-            &SCHED_CAPTURES,
-            &SCHED_REPLAYS,
-            &SCHED_FUSED_OPS,
             &GEMM_TILE_TASKS,
             &GEMM_PACK_HIT,
             &GEMM_PACK_MISS,
@@ -386,13 +375,10 @@ pub mod gauges {
 
     /// Live tape nodes observed at backward time.
     pub static TAPE_NODES: Gauge = Gauge::new("tape.nodes_live");
-    /// Bytes of tape arena a compiled schedule replays over (dynamic-node
-    /// value buffers after fusion stole what it could).
-    pub static SCHED_ARENA_BYTES: Gauge = Gauge::new("schedule.arena_bytes");
 
     /// Every gauge in the inventory, for snapshotting and reset.
-    pub fn all() -> [&'static Gauge; 2] {
-        [&TAPE_NODES, &SCHED_ARENA_BYTES]
+    pub fn all() -> [&'static Gauge; 1] {
+        [&TAPE_NODES]
     }
 }
 

@@ -37,7 +37,6 @@ mod matrix;
 mod ops;
 mod par;
 mod pool;
-mod shaped;
 mod structural;
 
 pub use error::{ShapeError, TensorError};
@@ -46,5 +45,4 @@ pub use init::Initializer;
 pub use kernels::Act;
 pub use matrix::Matrix;
 pub use pool::BufferPool;
-pub use shaped::{ShapeMismatch, ShapedCols};
 pub use structural::GatherIndex;

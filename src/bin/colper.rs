@@ -147,6 +147,15 @@ impl Flags {
         self.parsed(name, default)
     }
 
+    /// Positive integer flag with a default: point, step, room and epoch
+    /// counts, where 0 would leave nothing to run.
+    fn count(&self, name: &str, default: usize) -> Result<usize, String> {
+        match self.usize(name, default)? {
+            0 => Err(format!("--{name} must be a positive integer, got 0")),
+            n => Ok(n),
+        }
+    }
+
     /// Seed-sized integer flag with a default.
     fn u64(&self, name: &str, default: u64) -> Result<u64, String> {
         self.parsed(name, default)
@@ -168,7 +177,7 @@ fn indoor_class(name: &str) -> Result<IndoorClass, String> {
 }
 
 fn cmd_scene(flags: &Flags) -> Result<(), String> {
-    let points = flags.usize("points", 1024)?;
+    let points = flags.count("points", 1024)?;
     let seed = flags.u64("seed", 0)?;
     let outdoor = flags.is_set("outdoor");
     let cloud = if outdoor {
@@ -289,7 +298,7 @@ fn cmd_stream(flags: &Flags) -> Result<(), String> {
 
     let tiles = flags.usize("tiles", 4)?.max(1);
     let points_per_tile = flags.usize("points-per-tile", 4096)?.max(1);
-    let steps = flags.usize("steps", 12)?;
+    let steps = flags.count("steps", 12)?;
     let seed = flags.u64("seed", 7)?;
 
     let mut world_cfg = TiledWorldConfig::grid(tiles as u32, points_per_tile);
@@ -398,9 +407,9 @@ fn cmd_stream(flags: &Flags) -> Result<(), String> {
 
 fn cmd_train(flags: &Flags) -> Result<(), String> {
     let kind = flags.str("model", "pointnet");
-    let points = flags.usize("points", 512)?;
-    let rooms = flags.usize("rooms", 4)?;
-    let epochs = flags.usize("epochs", 12)?;
+    let points = flags.count("points", 512)?;
+    let rooms = flags.count("rooms", 4)?;
+    let epochs = flags.count("epochs", 12)?;
     let default_out = format!("{kind}.clpr");
     let out = flags.str("out", &default_out);
 
@@ -431,8 +440,8 @@ fn cmd_train(flags: &Flags) -> Result<(), String> {
 
 fn cmd_attack(flags: &Flags) -> Result<(), String> {
     let kind = flags.str("model", "pointnet");
-    let points = flags.usize("points", 512)?;
-    let steps = flags.usize("steps", 120)?;
+    let points = flags.count("points", 512)?;
+    let steps = flags.count("steps", 120)?;
     let seed = flags.u64("seed", 5)?;
 
     let mut rng = StdRng::seed_from_u64(seed);
@@ -610,8 +619,8 @@ fn cmd_matrix(flags: &Flags, runtime: &Runtime) -> Result<(), String> {
 
     let mut cfg =
         if flags.is_set("quick") { MatrixConfig::quick() } else { MatrixConfig::standard() };
-    cfg.points = flags.usize("points", cfg.points)?;
-    cfg.steps = flags.usize("steps", cfg.steps)?;
+    cfg.points = flags.count("points", cfg.points)?;
+    cfg.steps = flags.count("steps", cfg.steps)?;
     let out = flags.str("out", "results/BENCH_matrix.json");
 
     let registry = Registry::defaults(&cfg);
