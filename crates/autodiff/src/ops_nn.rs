@@ -109,7 +109,7 @@ impl Tape {
         assert_eq!(labels.len(), n, "softmax_cross_entropy: {n} rows vs {} labels", labels.len());
         assert!(labels.iter().all(|&y| y < c), "softmax_cross_entropy: label out of range");
 
-        let softmax = self.alloc(n, c);
+        let softmax = self.scratch(n, c);
         let labels = self.pooled_idx_copy(labels);
         self.record((1, 1), Op::SoftmaxCrossEntropy { logits, labels, softmax })
     }
@@ -172,7 +172,8 @@ impl Tape {
         self.check_smoothness(colors, coords, neighbors, k);
         let coords = Value::Owned(self.alloc_copy(coords));
         let neighbors = Ix::Owned(self.pooled_idx_copy(neighbors));
-        self.record((1, 1), Op::Smoothness { colors, coords, neighbors, k })
+        let lengths = self.take_w();
+        self.record((1, 1), Op::Smoothness { colors, coords, neighbors, k, lengths })
     }
 
     /// [`Tape::smoothness`] with interned (`Arc`-shared) coordinates and
@@ -191,7 +192,8 @@ impl Tape {
     ) -> Var {
         self.check_smoothness(colors, &coords, &neighbors, k);
         let (coords, neighbors) = (Value::Shared(coords), Ix::Shared(neighbors));
-        self.record((1, 1), Op::Smoothness { colors, coords, neighbors, k })
+        let lengths = self.take_w();
+        self.record((1, 1), Op::Smoothness { colors, coords, neighbors, k, lengths })
     }
 
     fn check_smoothness(&self, colors: Var, coords: &Matrix, neighbors: &[usize], k: usize) {
@@ -203,38 +205,64 @@ impl Tape {
     }
 }
 
-/// Squared distance of one smoothness edge `(i, nb)` in joint
-/// xyz + color space: the coordinate terms, then the color terms, each
-/// summed in ascending dimension order.
-#[inline]
-pub(crate) fn edge_dist_sq(coords: &Matrix, colors: &Matrix, i: usize, nb: usize) -> f32 {
-    let mut d2 = 0.0f32;
-    for (&a, &b) in coords.row(i).iter().zip(coords.row(nb)) {
-        let dd = a - b;
-        d2 += dd * dd;
-    }
-    for (&a, &b) in colors.row(i).iter().zip(colors.row(nb)) {
-        let dd = a - b;
-        d2 += dd * dd;
-    }
-    d2
-}
-
-/// The smoothness penalty (Eq. 6): the sum of every edge's joint
-/// distance, in ascending `(point, neighbor)` order.
-pub(crate) fn smoothness_total(
+/// The smoothness penalty (Eq. 6): writes every edge's joint
+/// xyz + color length into `lengths` (edge `i * k + j` joins point `i`
+/// and its `j`-th neighbor) and returns their sum in edge order. Each
+/// squared length adds the coordinate terms, then the color terms, in
+/// ascending dimension order.
+pub(crate) fn smoothness_forward(
     colors: &Matrix,
     coords: &Matrix,
-    neighbors: &[usize],
-    k: usize,
+    (neighbors, k): (&[usize], usize),
+    lengths: &mut Vec<f32>,
 ) -> f32 {
+    let (xs, cs) = (coords.as_slice(), colors.as_slice());
+    let (xd, cd) = (coords.cols(), colors.cols());
+    let add_sq_diffs = |acc: f32, a: &[f32], b: &[f32]| {
+        a.iter().zip(b).fold(acc, |acc, (&u, &v)| {
+            let d = u - v;
+            acc + d * d
+        })
+    };
+    lengths.clear();
     let mut total = 0.0f32;
-    for i in 0..colors.rows() {
-        for &nb in &neighbors[i * k..i * k + k] {
-            total += edge_dist_sq(coords, colors, i, nb).sqrt();
+    for (i, nbrs) in neighbors.chunks_exact(k).enumerate() {
+        for &nb in nbrs {
+            let d2 = add_sq_diffs(0.0, &xs[i * xd..i * xd + xd], &xs[nb * xd..nb * xd + xd]);
+            let d2 = add_sq_diffs(d2, &cs[i * cd..i * cd + cd], &cs[nb * cd..nb * cd + cd]);
+            let length = d2.sqrt();
+            lengths.push(length);
+            total += length;
         }
     }
     total
+}
+
+/// The smoothness penalty's backward into the colors: `g` (zeros on
+/// entry) receives `s * (c_i - c_j) / max(length, 1e-8)` at point `i`
+/// and its negation at neighbor `j`, edge by edge in the forward's
+/// order, reading each length the forward saved.
+pub(crate) fn smoothness_backward(
+    colors: &Matrix,
+    (neighbors, k): (&[usize], usize),
+    lengths: &[f32],
+    s: f32,
+    g: &mut Matrix,
+) {
+    let cd = colors.cols();
+    let (cs, gs) = (colors.as_slice(), g.as_mut_slice());
+    let edges = neighbors.chunks_exact(k).zip(lengths.chunks_exact(k));
+    for (i, (nbrs, lens)) in edges.enumerate() {
+        for (&nb, &length) in nbrs.iter().zip(lens) {
+            let dist = length.max(1e-8);
+            for d in 0..cd {
+                let (pi, pn) = (i * cd + d, nb * cd + d);
+                let dd = (cs[pi] - cs[pn]) / dist;
+                gs[pi] += s * dd;
+                gs[pn] -= s * dd;
+            }
+        }
+    }
 }
 
 #[cfg(test)]

@@ -6,7 +6,8 @@
 //! `group_max` / `group_mean` / `group_softmax` pool over each group of `k`
 //! consecutive rows, and `weighted_gather` performs the inverse-distance
 //! interpolation of PointNet++ feature propagation. `edge_features` builds
-//! DeepGCN's `[x_i | x_j - x_i]` edge rows in one op.
+//! DeepGCN's `[x_i | x_j - x_i]` edge rows in one op, and `edge_conv` runs
+//! DeepGCN's whole eval-mode edge convolution as one.
 //!
 //! Index payloads come in two flavors: slice arguments are copied into
 //! pooled vectors (recycled on [`Tape::reset`]), while the `_shared`
@@ -14,7 +15,7 @@
 //! shared across steps with no copy at all.
 
 use crate::tape::{Ix, Op, Tape, Var, Wts};
-use colper_tensor::GatherIndex;
+use colper_tensor::{Act, GatherIndex};
 use std::sync::Arc;
 
 impl Tape {
@@ -86,8 +87,7 @@ impl Tape {
         assert!(k > 0, "group_softmax: k must be positive");
         let (rows, cols) = self.value(x).shape();
         assert_eq!(rows % k, 0, "group_softmax: {rows} rows not divisible by k={k}");
-        let softmax = self.alloc(rows, cols);
-        self.record((rows, cols), Op::GroupSoftmax { x, k, softmax })
+        self.record((rows, cols), Op::GroupSoftmax(x, k))
     }
 
     /// Weighted interpolation: `out[i] = sum_{j<k} w[i*k+j] * x[idx[i*k+j]]`.
@@ -163,6 +163,75 @@ impl Tape {
         );
         assert_eq!(center.len(), nbr.len(), "edge_features: index length mismatch");
         self.record((center.len(), 2 * cols), Op::EdgeFeatures { x, center, nbr })
+    }
+
+    /// ResGCN's eval-mode edge convolution, recorded as one op:
+    /// `group_max(act((edge_features(h, center, nbr) · w) * scale + shift), k)`
+    /// for a `[2C, Co]` weight `w` and `[1, Co]` batch-norm rows `scale`
+    /// and `shift`, giving `[E / k, Co]`.
+    ///
+    /// Its value and its gradient into `h` equal the unfused chain
+    /// (`edge_features`, `matmul`, `affine_act`, `group_max`) bit for bit,
+    /// into an empty gradient slot or an existing one, on every SIMD leg
+    /// at any thread count (see [`colper_tensor::Matrix::edge_conv_into`]
+    /// and [`colper_tensor::Matrix::edge_conv_grad_into`]). The op keeps
+    /// only the pooled `[E / k, Co]` value and its argmax: the forward
+    /// never writes the `[E, ·]` edge rows, products or activations, and
+    /// the backward borrows one transient `[E, 2C]` edge gradient.
+    ///
+    /// `w`, `scale` and `shift` must not require a gradient: the backward
+    /// computes none for them (evaluation-mode weights are constants, and
+    /// training batch norm needs whole-batch statistics, so training
+    /// records the unfused chain).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `w`, `scale` or `shift` requires a gradient, either
+    /// index was built for another row count than `h`'s, the lists differ
+    /// in length or are not a multiple of `k` long, `w` is not `[2C, Co]`,
+    /// `scale` or `shift` is not one `Co`-wide row, or a leaky slope is not
+    /// positive and finite.
+    #[allow(clippy::too_many_arguments)]
+    pub fn edge_conv(
+        &mut self,
+        h: Var,
+        center: Arc<GatherIndex>,
+        nbr: Arc<GatherIndex>,
+        w: Var,
+        scale: Var,
+        shift: Var,
+        act: Act,
+        k: usize,
+    ) -> Var {
+        assert!(
+            !(self.requires_grad(w) || self.requires_grad(scale) || self.requires_grad(shift)),
+            "edge_conv: the weight and batch-norm rows must not require a gradient"
+        );
+        let (rows, cols) = self.value(h).shape();
+        assert!(
+            center.source_rows() == rows && nbr.source_rows() == rows,
+            "edge_conv: index built for another row count than {rows}"
+        );
+        let edges = center.len();
+        assert_eq!(nbr.len(), edges, "edge_conv: index length mismatch");
+        assert!(
+            k > 0 && edges.is_multiple_of(k),
+            "edge_conv: {edges} edges not divisible by k={k}"
+        );
+        let co = self.value(w).cols();
+        assert_eq!(self.value(w).rows(), 2 * cols, "edge_conv: weight must be [2C, Co]");
+        assert_eq!(self.value(scale).shape(), (1, co), "edge_conv: scale must be one row");
+        assert_eq!(self.value(shift).shape(), (1, co), "edge_conv: shift must be one row");
+        if let Act::LeakyRelu(alpha) = act {
+            assert!(
+                alpha > 0.0 && alpha.is_finite(),
+                "edge_conv: leaky slope must be positive and finite, got {alpha}"
+            );
+        }
+        let mut argmax = self.take_idx();
+        argmax.resize(edges / k * co, 0);
+        let op = Op::EdgeConv { h, center, nbr, w, scale, shift, act, k, argmax };
+        self.record((edges / k, co), op)
     }
 
     /// Concatenates columns: `[N,C1] ++ [N,C2] -> [N,C1+C2]`.

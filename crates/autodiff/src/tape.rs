@@ -1,7 +1,7 @@
 //! The [`Tape`]: a linear record of primitive operations and its reverse
 //! (backward) pass.
 
-use crate::ops_nn::{edge_dist_sq, smoothness_total};
+use crate::ops_nn::{smoothness_backward, smoothness_forward};
 use colper_tensor::{kernels, Act, BufferPool, GatherIndex, Matrix};
 use std::collections::VecDeque;
 use std::ops::Deref;
@@ -132,13 +132,9 @@ pub(crate) enum Op {
     },
     /// Mean over consecutive groups of `k` rows.
     GroupMean(Var, usize),
-    /// Softmax over each consecutive group of `k` rows, per column; saves
-    /// the softmax output.
-    GroupSoftmax {
-        x: Var,
-        k: usize,
-        softmax: Matrix,
-    },
+    /// Softmax over each consecutive group of `k` rows, per column. The
+    /// backward reads the softmax from the node's own value.
+    GroupSoftmax(Var, usize),
     /// Inverse-distance-weighted interpolation:
     /// `out[i] = sum_j w[i*k+j] * x[idx[i*k+j]]`.
     WeightedGather {
@@ -163,6 +159,21 @@ pub(crate) enum Op {
         x: Var,
         center: Arc<GatherIndex>,
         nbr: Arc<GatherIndex>,
+    },
+    /// ResGCN's eval-mode edge convolution:
+    /// `group_max(act((edge_features(h) · w) * scale + shift), k)` with
+    /// constant `w`, `scale` and `shift`. Keeps only the pooled value (the
+    /// node's own) and, per element, the winning edge.
+    EdgeConv {
+        h: Var,
+        center: Arc<GatherIndex>,
+        nbr: Arc<GatherIndex>,
+        w: Var,
+        scale: Var,
+        shift: Var,
+        act: Act,
+        k: usize,
+        argmax: Vec<usize>,
     },
     /// Fused batch normalization (training mode): saves normalized
     /// activations and the inverse standard deviation. Its constructor
@@ -193,12 +204,14 @@ pub(crate) enum Op {
         active: Vec<(usize, usize, usize)>, // (row, plus_col, minus_col)
     },
     /// The paper's smoothness penalty (Eq. 6) over a fixed neighbor graph,
-    /// differentiable in the color block only.
+    /// differentiable in the color block only. Saves every edge's length
+    /// for the backward.
     Smoothness {
         colors: Var,
         coords: Value,
         neighbors: Ix,
         k: usize,
+        lengths: Vec<f32>,
     },
 }
 
@@ -230,14 +243,20 @@ impl Op {
             | Op::MeanRows(x)
             | Op::SumCols(x)
             | Op::GroupMean(x, _)
+            | Op::GroupSoftmax(x, _)
             | Op::MulConst(x, _)
             | Op::GatherRows(x, _)
             | Op::GroupMax { x, .. }
-            | Op::GroupSoftmax { x, .. }
             | Op::WeightedGather { x, .. }
             | Op::EdgeFeatures { x, .. } => f(*x),
             Op::AffineAct { x, scale, shift, .. } => {
                 f(*x);
+                f(*scale);
+                f(*shift);
+            }
+            Op::EdgeConv { h, w, scale, shift, .. } => {
+                f(*h);
+                f(*w);
                 f(*scale);
                 f(*shift);
             }
@@ -321,8 +340,9 @@ impl Tape {
             match node.op {
                 Op::MulConst(_, Value::Owned(m)) => self.pool.recycle(m),
                 Op::GatherRows(_, Ix::Owned(idx)) => self.idx_pool.push_back(idx),
-                Op::GroupMax { argmax, .. } => self.idx_pool.push_back(argmax),
-                Op::GroupSoftmax { softmax, .. } => self.pool.recycle(softmax),
+                Op::GroupMax { argmax, .. } | Op::EdgeConv { argmax, .. } => {
+                    self.idx_pool.push_back(argmax)
+                }
                 Op::WeightedGather { idx, w, .. } => {
                     if let Ix::Owned(idx) = idx {
                         self.idx_pool.push_back(idx);
@@ -344,13 +364,14 @@ impl Tape {
                     self.mask_pool.push_back(mask);
                     self.tri_pool.push_back(active);
                 }
-                Op::Smoothness { coords, neighbors, .. } => {
+                Op::Smoothness { coords, neighbors, lengths, .. } => {
                     if let Value::Owned(m) = coords {
                         self.pool.recycle(m);
                     }
                     if let Ix::Owned(n) = neighbors {
                         self.idx_pool.push_back(n);
                     }
+                    self.w_pool.push_back(lengths);
                 }
                 _ => {}
             }
@@ -439,11 +460,22 @@ impl Tape {
         &self.nodes[v.0]
     }
 
-    /// A zero-filled matrix from the tape's buffer pool, for op payloads
-    /// (saved softmax rows) and the values training batch norm computes
-    /// in its constructor, so that [`Tape::reset`] can recycle them.
+    /// A zero-filled matrix from the tape's buffer pool, for the values
+    /// training batch norm computes in its constructor, so that
+    /// [`Tape::reset`] can recycle them.
     pub(crate) fn alloc(&mut self, rows: usize, cols: usize) -> Matrix {
         self.pool.zeros(rows, cols)
+    }
+
+    /// A pooled matrix with unspecified contents, for an op payload that
+    /// [`step_forward`] writes whole (the cross-entropy's saved softmax).
+    pub(crate) fn scratch(&mut self, rows: usize, cols: usize) -> Matrix {
+        self.pool.scratch(rows, cols)
+    }
+
+    /// Whether `v` requires a gradient.
+    pub(crate) fn requires_grad(&self, v: Var) -> bool {
+        self.node(v).requires_grad
     }
 
     /// A pooled copy of `src`.
@@ -690,11 +722,7 @@ fn step_forward(nodes: &mut [Node], i: usize) {
             }
             out.map_inplace(|v| v / k as f32);
         }
-        Op::GroupSoftmax { x, k, softmax } => {
-            let out = value.owned_mut();
-            val(*x).group_softmax_into(*k, out);
-            softmax.as_mut_slice().copy_from_slice(out.as_slice());
-        }
+        Op::GroupSoftmax(x, k) => val(*x).group_softmax_into(*k, value.owned_mut()),
         Op::WeightedGather { x, idx, w, k } => {
             let (xv, k, out) = (val(*x), *k, value.owned_mut());
             out.as_mut_slice().fill(0.0);
@@ -715,6 +743,16 @@ fn step_forward(nodes: &mut [Node], i: usize) {
         }
         Op::EdgeFeatures { x, center, nbr } => {
             val(*x).edge_features_into(center, nbr, value.owned_mut());
+        }
+        Op::EdgeConv { h, center, nbr, w, scale, shift, act, k, argmax } => {
+            let conv = colper_tensor::EdgeConv {
+                w: val(*w),
+                scale: val(*scale).row(0),
+                shift: val(*shift).row(0),
+                act: *act,
+                k: *k,
+            };
+            val(*h).edge_conv_into(center, nbr, conv, value.owned_mut(), argmax);
         }
         Op::SoftmaxCrossEntropy { logits, labels, softmax } => {
             let z = val(*logits);
@@ -769,8 +807,9 @@ fn step_forward(nodes: &mut [Node], i: usize) {
             }
             value.owned_mut()[(0, 0)] = loss;
         }
-        Op::Smoothness { colors, coords, neighbors, k } => {
-            value.owned_mut()[(0, 0)] = smoothness_total(val(*colors), coords, neighbors, *k);
+        Op::Smoothness { colors, coords, neighbors, k, lengths } => {
+            value.owned_mut()[(0, 0)] =
+                smoothness_forward(val(*colors), coords, (neighbors, *k), lengths);
         }
     }
 }
@@ -968,11 +1007,11 @@ fn step_backward(
             }
             accumulate(nodes, grads, pool, *x, g);
         }
-        Op::GroupSoftmax { x, k, softmax } => {
+        Op::GroupSoftmax(x, k) => {
             // For each group g and column c:
-            // dx = s * (dy - sum_group(dy * s)).
-            let (r, c) = softmax.shape();
-            let mut g = grad_buf(pool, r, c);
+            // dx = s * (dy - sum_group(dy * s)), s read from the output.
+            let softmax: &Matrix = &nodes[i].value;
+            let mut g = grad_buf(pool, softmax.rows(), softmax.cols());
             softmax.group_softmax_grad_into(gy, *k, &mut g);
             accumulate(nodes, grads, pool, *x, g);
         }
@@ -1056,6 +1095,34 @@ fn step_backward(
                 }
             }
         }
+        Op::EdgeConv { h, center, nbr, w, scale, shift, act, k, argmax } => {
+            // The pre-activation gradient comes from `gy`, the winners, the
+            // pooled value and the scale alone; it meets the weight slab by
+            // slab into one transient `[E, 2C]` edge gradient, which the
+            // edge-feature backward then scatters onto `h`, as the unfused
+            // `edge_features` arm does.
+            if wants(*h) {
+                let conv = colper_tensor::EdgeConv {
+                    w: &nodes[w.0].value,
+                    scale: nodes[scale.0].value.row(0),
+                    shift: nodes[shift.0].value.row(0),
+                    act: *act,
+                    k: *k,
+                };
+                let (r, c) = nodes[h.0].value.shape();
+                let mut ge = grad_buf(pool, center.len(), 2 * c);
+                gy.edge_conv_grad_into(conv, &nodes[i].value, argmax, &mut ge);
+                match &mut grads[h.0] {
+                    Some(acc) => ge.edge_features_grad_into(center, nbr, true, acc),
+                    slot @ None => {
+                        let mut g = grad_buf(pool, r, c);
+                        ge.edge_features_grad_into(center, nbr, false, &mut g);
+                        *slot = Some(g);
+                    }
+                }
+                pool.recycle(ge);
+            }
+        }
         Op::BatchNorm { x, gamma, beta, xhat, inv_std } => {
             let n = xhat.rows() as f32;
             let gammav: &Matrix = &nodes[gamma.0].value;
@@ -1119,25 +1186,10 @@ fn step_backward(
             }
             accumulate(nodes, grads, pool, *logits, g);
         }
-        Op::Smoothness { colors, coords, neighbors, k } => {
-            let k = *k;
+        Op::Smoothness { colors, neighbors, k, lengths, .. } => {
             let cv: &Matrix = &nodes[colors.0].value;
-            let n = cv.rows();
-            let cdim = cv.cols();
-            let s = gy[(0, 0)];
-            let mut g = pool.zeros(n, cdim);
-            let (cs, gs) = (cv.as_slice(), g.as_mut_slice());
-            for i_pt in 0..n {
-                for &nb in &neighbors[i_pt * k..i_pt * k + k] {
-                    let dist = edge_dist_sq(coords, cv, i_pt, nb).sqrt().max(1e-8);
-                    for d in 0..cdim {
-                        let (pi, pn) = (i_pt * cdim + d, nb * cdim + d);
-                        let dd = (cs[pi] - cs[pn]) / dist;
-                        gs[pi] += s * dd;
-                        gs[pn] -= s * dd;
-                    }
-                }
-            }
+            let mut g = pool.zeros(cv.rows(), cv.cols());
+            smoothness_backward(cv, (neighbors, *k), lengths, gy[(0, 0)], &mut g);
             accumulate(nodes, grads, pool, *colors, g);
         }
     }
@@ -1180,7 +1232,8 @@ mod tests {
 
     /// A graph exercising every op class an attack step or a training
     /// step records: matmuls into a bias add and into the eval batch norm
-    /// with its activation, the fused edge-feature op, both
+    /// with its activation, the fused edge-feature and edge-convolution
+    /// ops, both
     /// zero-accumulating ops (`group_mean`, `weighted_gather`), row
     /// gathers, the unfused activations, masks, reductions and all three
     /// losses. Returns the input leaf and the vars a caller reads, loss
@@ -1204,7 +1257,11 @@ mod tests {
         // The fused edge-feature op: [h[c] | h[j] - h[c]].
         let center = Arc::new(GatherIndex::new(vec![0, 1, 2, 3], 4));
         let nbr = Arc::new(GatherIndex::new(vec![3, 2, 1, 1], 4));
-        let cat = t.edge_features(h6, center, nbr);
+        let cat = t.edge_features(h6, center.clone(), nbr.clone());
+        let conv_w = t.constant(Matrix::from_fn(6, 3, |r, c| ((r * 3 + c) as f32 * 0.7).cos()));
+        let conv = t.edge_conv(h6, center, nbr, conv_w, scale_row, bias, Act::Relu, 2);
+        let conv_sq = t.square(conv);
+        let conv_sum = t.sum(conv_sq);
         let sm = t.group_softmax(cat, 2);
         let att = t.mul(cat, sm);
         let pooled = t.group_mean(att, 2);
@@ -1247,7 +1304,8 @@ mod tests {
         let shifted = t.add_scalar(partial, 0.0);
         let with_smooth = t.add(shifted, s2);
         let with_ce = t.add(with_smooth, ce);
-        let loss = t.add(with_ce, root);
+        let with_conv = t.add(with_ce, conv_sum);
+        let loss = t.add(with_conv, root);
         t.backward(loss);
         (w, [loss, logits])
     }

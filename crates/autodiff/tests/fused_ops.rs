@@ -1,13 +1,14 @@
 //! Tape-level contracts of the fused ops: `affine_act` (eval batch norm +
-//! activation) and `edge_features` (DeepGCN's `[x_i | x_j - x_i]` rows)
-//! record the same values and propagate the same gradients, bit for bit,
-//! as the unfused op sequences they replace — on every SIMD leg (scalar,
-//! AVX2, AVX-512) at 1 and 4 threads — and both pass a numeric gradient
-//! check.
+//! activation), `edge_features` (DeepGCN's `[x_i | x_j - x_i]` rows) and
+//! `edge_conv` (DeepGCN's whole eval-mode edge convolution) record the
+//! same values and propagate the same gradients, bit for bit, as the
+//! unfused op sequences they replace — on every SIMD leg (scalar, AVX2,
+//! AVX-512) at 1 and 4 threads — and pass a numeric gradient check.
 //!
-//! The tape asserts finite node values, so these graphs run on finite
-//! inputs; NaN, `±inf` and signed zeros are covered kernel by kernel in
-//! the tensor crate's `structural_equivalence` suite.
+//! The tape asserts finite node values in debug builds, so these graphs
+//! run on finite inputs there; the edge convolution's non-finite cases
+//! run in release builds only. NaN, `±inf` and signed zeros are covered
+//! kernel by kernel in the tensor crate's `structural_equivalence` suite.
 
 use colper_autodiff::{check_gradient, Tape, Var};
 use colper_runtime::Runtime;
@@ -183,6 +184,167 @@ proptest! {
             prop_assert_eq!(&run, &reference, "{}", label);
         }
     }
+}
+
+/// ResGCN's edge convolution on one tape: the fused `edge_conv`, or the
+/// unfused chain `edge_features → matmul → affine_act → group_max`. The
+/// pooled value meets the loss through a constant with `±0` entries (so
+/// the upstream gradient carries signed zeros); with `fill`, `h` also
+/// feeds a later op, so its gradient slot already holds a contribution
+/// when the block's backward adds into it. Returns the pooled value and
+/// `h`'s gradient, NaN mapped to one pattern.
+fn conv_block(
+    h0: &Matrix,
+    (center, nbr): (&Arc<GatherIndex>, &Arc<GatherIndex>),
+    (w0, s0, b0): (&Matrix, &Matrix, &Matrix),
+    (act, k): (Act, usize),
+    fill: bool,
+    fused: bool,
+) -> Vec<Vec<u32>> {
+    let mut t = Tape::new();
+    let h = t.leaf(h0.clone());
+    let (w, s, b) = (t.constant(w0.clone()), t.constant(s0.clone()), t.constant(b0.clone()));
+    let (center, nbr) = (Arc::clone(center), Arc::clone(nbr));
+    let agg = if fused {
+        t.edge_conv(h, center, nbr, w, s, b, act, k)
+    } else {
+        let edge = t.edge_features(h, center, nbr);
+        let prod = t.matmul(edge, w);
+        let y = t.affine_act(prod, s, b, act);
+        t.group_max(y, k)
+    };
+    let (g, co) = t.value(agg).shape();
+    let weights = Matrix::from_fn(g, co, |r, c| [0.5, -0.0, 1.25, 0.0, -0.75][(r * 3 + c) % 5]);
+    let weighted = t.mul_const(agg, weights);
+    let mut loss = t.sum(weighted);
+    if fill {
+        let sq = t.square(h);
+        let extra = t.sum(sq);
+        loss = t.add(loss, extra);
+    }
+    t.backward(loss);
+    let canon = |m: &Matrix| -> Vec<u32> {
+        let nan = f32::NAN.to_bits();
+        m.as_slice().iter().map(|v| if v.is_nan() { nan } else { v.to_bits() }).collect()
+    };
+    vec![canon(t.value(agg)), canon(t.grad(h).unwrap())]
+}
+
+/// `k` edges per point for all `n` points (not capped at `n`: with
+/// `n < k` each list repeats its neighbors, as a padded k-NN list does).
+fn padded_indices(n: usize, k: usize, seed: u64) -> (Arc<GatherIndex>, Arc<GatherIndex>) {
+    let center = (0..n).flat_map(|i| std::iter::repeat_n(i, k)).collect();
+    let nbr = (0..n * k)
+        .map(|e| ((seed ^ (e as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)) >> 17) as usize % n)
+        .collect();
+    (Arc::new(GatherIndex::new(center, n)), Arc::new(GatherIndex::new(nbr, n)))
+}
+
+/// A value from a small grid of quarters with both zeros, so products
+/// and sums are exact and edges tie often.
+fn quarter(seed: u64, i: usize) -> f32 {
+    let h = (seed ^ (i as u64).wrapping_mul(0xbf58_476d_1ce4_e5b9)) >> 29;
+    match h % 9 {
+        0 => -0.0,
+        1 => 0.0,
+        v => (v as f32 - 4.5) * 0.25,
+    }
+}
+
+/// Checks one seeded edge-convolution case on every leg, into an empty
+/// gradient slot and into an existing one; `scale` has negative entries.
+fn check_conv(
+    (n, k, c, co): (usize, usize, usize, usize),
+    act: Act,
+    seed: u64,
+    non_finite: bool,
+) -> Result<(), TestCaseError> {
+    let (center, nbr) = padded_indices(n, k, seed);
+    let mut h0 = Matrix::from_fn(n, c, |r, cc| quarter(seed, r * c + cc));
+    let w0 = Matrix::from_fn(2 * c, co, |r, cc| quarter(seed + 1, r * co + cc));
+    let s0 = Matrix::from_fn(1, co, |_, cc| quarter(seed + 2, cc) * 2.0 + 0.125);
+    let mut b0 = Matrix::from_fn(1, co, |_, cc| quarter(seed + 3, cc));
+    if non_finite {
+        h0[(seed as usize % n, seed as usize % c)] = f32::NAN;
+        b0[(0, 0)] = f32::NAN;
+        b0[(0, co - 1)] = f32::NEG_INFINITY;
+    }
+    for fill in [false, true] {
+        let graph = (&center, &nbr);
+        let reference = conv_block(&h0, graph, (&w0, &s0, &b0), (act, k), fill, false);
+        let fused = || conv_block(&h0, graph, (&w0, &s0, &b0), (act, k), fill, true);
+        for (label, run) in on_all_legs(fused) {
+            prop_assert_eq!(&run, &reference, "{} {:?} fill={}", label, act, fill);
+        }
+    }
+    Ok(())
+}
+
+const CONV_K: [usize; 6] = [1, 2, 6, 7, 8, 16];
+/// Edge widths `C`: none a multiple of 16, and `2C = 260 > 256`.
+const CONV_C: [usize; 5] = [1, 3, 7, 13, 130];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn edge_conv_matches_the_unfused_chain(
+        n in 1usize..20,
+        ki in 0usize..CONV_K.len(),
+        ci in 0usize..CONV_C.len(),
+        co in 1usize..20,
+        ai in 0usize..ACTS.len(),
+        seed in 0u64..1_000_000,
+    ) {
+        check_conv((n, CONV_K[ki], CONV_C[ci], co), ACTS[ai], seed, false)?;
+    }
+}
+
+/// NaN in `h`, an all-NaN pre-activation column and an all-`-inf` one:
+/// the pooled value is `-inf` where no edge beats the initial maximum,
+/// and the gradient stays equal to the unfused chain's. Release builds
+/// only, where the tape does not assert finite node values.
+#[test]
+fn edge_conv_matches_the_unfused_chain_on_non_finite_inputs() {
+    if cfg!(debug_assertions) {
+        return;
+    }
+    for (shape, seed) in [((5, 8, 3, 4), 1), ((40, 7, 13, 17), 2), ((9, 16, 130, 6), 3)] {
+        for act in ACTS {
+            check_conv(shape, act, seed, true).unwrap();
+        }
+    }
+}
+
+/// ResGCN's edge convolution at its attack shape (`k = 8`, 32 channels),
+/// large enough that every kernel splits across the 4-thread runtime.
+#[test]
+fn edge_conv_matches_the_unfused_chain_at_scale() {
+    for act in ACTS {
+        check_conv((600, 8, 32, 32), act, 7, false).unwrap();
+    }
+}
+
+#[test]
+#[should_panic(expected = "must not require a gradient")]
+fn edge_conv_rejects_a_weight_that_requires_a_gradient() {
+    let mut t = Tape::new();
+    let (center, nbr) = padded_indices(3, 2, 1);
+    let h = t.leaf(Matrix::ones(3, 2));
+    let w = t.leaf(Matrix::ones(4, 2));
+    let r = t.constant(Matrix::ones(1, 2));
+    let _ = t.edge_conv(h, center, nbr, w, r, r, Act::Relu, 2);
+}
+
+#[test]
+#[should_panic(expected = "leaky slope must be positive and finite")]
+fn edge_conv_rejects_an_infinite_slope() {
+    let mut t = Tape::new();
+    let (center, nbr) = padded_indices(3, 2, 1);
+    let h = t.leaf(Matrix::ones(3, 2));
+    let w = t.constant(Matrix::ones(4, 2));
+    let r = t.constant(Matrix::ones(1, 2));
+    let _ = t.edge_conv(h, center, nbr, w, r, r, Act::LeakyRelu(f32::INFINITY), 2);
 }
 
 /// The ResGCN block at an attack-like shape, large enough that every

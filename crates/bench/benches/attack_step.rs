@@ -384,8 +384,8 @@ fn steady_allocs_per_step<M: SegmentationModel>(model: &M, t: &CloudTensors) -> 
 ///
 /// 1. **Attack marginal** — the production path, per
 ///    [`steady_allocs_per_step`], for the PointNet++ victim and for a
-///    tiny ResGCN (whose edge convolutions run the gather, concat and
-///    grouped-max kernels).
+///    tiny ResGCN (whose edge convolutions run the fused `edge_conv` op,
+///    with its slab scratch from the thread-local pack pool).
 /// 2. **Session replica** — one forward+backward pass per step through
 ///    the public tape API, once with a fresh session per step (the old
 ///    regime) and once with a single session recycled via `reset` (the

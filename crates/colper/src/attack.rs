@@ -177,7 +177,6 @@ fn optimize<M: SegmentationModel + ?Sized>(
     cfg.validate(classes);
     assert_eq!(mask.len(), n, "mask length must equal point count");
     let attacked_points = mask.iter().filter(|&&m| m).count();
-    assert!(attacked_points > 0, "attack mask selects no points");
     assert_eq!(plan.alpha, cfg.alpha.min(n), "attack plan built under a different alpha");
     assert_eq!(plan.geometry.num_points(), n, "attack plan built for a different cloud");
     assert!(*plan.xyz == tensors.xyz, "attack plan built for a different cloud");
@@ -189,6 +188,30 @@ fn optimize<M: SegmentationModel + ?Sized>(
         _ => (false, tensors.labels.clone()),
     };
     let threshold = cfg.threshold(classes);
+
+    // A mask that selects no point (a boundary mask on a one-label
+    // cloud) leaves nothing to perturb: the unperturbed cloud is the
+    // result, with the victim's clean predictions and no step run.
+    if attacked_points == 0 {
+        let predictions = colper_models::predict_planned(model, tensors, &plan.geometry, rng);
+        let success_metric = if targeted {
+            success_rate(&predictions, &labels_for_loss, mask)
+        } else {
+            masked_accuracy(&predictions, &tensors.labels, mask)
+        };
+        return AttackResult {
+            adversarial_colors: tensors.colors.clone(),
+            l2_sq: 0.0,
+            steps_run: 0,
+            converged: false,
+            gain_history: Vec::new(),
+            metric_history: Vec::new(),
+            predictions,
+            success_metric,
+            attacked_points,
+            restarts: 0,
+        };
+    }
 
     // Transfer penalty: the second network's geometry is planned once
     // per run (its coordinates are constants, exactly like the
@@ -754,14 +777,21 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "selects no points")]
-    fn empty_mask_rejected() {
+    fn empty_mask_leaves_the_cloud_unperturbed() {
         let mut rng = StdRng::seed_from_u64(4);
         let model = PointNet2::new(PointNet2Config::tiny(13), &mut rng);
         let cloud = SceneGenerator::indoor(IndoorSceneConfig::with_points(64)).generate(0);
         let t = CloudTensors::from_cloud(&normalize::pointnet_view(&cloud));
         let none = |t: &CloudTensors| vec![false; t.len()];
         let attack = AttackSession::new(AttackConfig::non_targeted(5)).mask_with(&none);
-        let _ = attack.run_with_rng(&model, &t, &mut rng);
+        let result = attack.run_with_rng(&model, &t, &mut rng);
+        assert_eq!((result.attacked_points, result.steps_run, result.restarts), (0, 0, 0));
+        assert_eq!(result.adversarial_colors, t.colors);
+        assert_eq!(result.l2_sq, 0.0);
+        assert!(result.gain_history.is_empty());
+        let plan = model.plan(&t.coords);
+        let clean =
+            colper_models::predict_planned(&model, &t, &plan, &mut StdRng::seed_from_u64(0));
+        assert_eq!(result.predictions, clean);
     }
 }

@@ -262,9 +262,10 @@ impl<'a> AttackSession<'a> {
     ///
     /// # Panics
     ///
-    /// Panics when the mask selects no points, when an attached plan was
-    /// built for a different cloud, or when the configuration is invalid
-    /// for the model's class count.
+    /// Panics when an attached plan was built for a different cloud, or
+    /// when the configuration is invalid for the model's class count. A
+    /// mask that selects no point returns the cloud unperturbed, with
+    /// `attacked_points == 0` and `steps_run == 0`.
     pub fn run_with_rng<M: SegmentationModel + ?Sized>(
         &self,
         model: &M,
@@ -295,9 +296,8 @@ impl<'a> AttackSession<'a> {
     ///
     /// # Panics
     ///
-    /// Panics on any input [`AttackSession::try_run`] rejects, and when a
-    /// mask selects no points or the configuration is invalid for the
-    /// model's class count.
+    /// Panics on any input [`AttackSession::try_run`] rejects, and when
+    /// the configuration is invalid for the model's class count.
     pub fn run<M: SegmentationModel + ?Sized>(
         &self,
         model: &M,
@@ -543,6 +543,25 @@ mod tests {
         assert_eq!(by_objective, direct);
         assert_eq!(by_objective.steps_run, 1);
         assert!(by_objective.l2_sq > 0.0);
+    }
+
+    /// On a cloud of one label no point has a differently-labelled
+    /// neighbor, so the boundary mask is empty and the cloud comes back
+    /// unperturbed.
+    #[test]
+    fn boundary_objective_on_a_one_label_cloud_returns_it_unperturbed() {
+        let mut rng = StdRng::seed_from_u64(23);
+        let model = PointNet2::new(PointNet2Config::tiny(13), &mut rng);
+        let mut t = clouds(1).remove(0);
+        t.labels = vec![t.labels[0]; t.len()];
+        let result = AttackSession::new(config(Objective::Boundary { k: 6 }, 3)).run_with_rng(
+            &model,
+            &t,
+            &mut StdRng::seed_from_u64(1),
+        );
+        assert_eq!((result.attacked_points, result.steps_run), (0, 0));
+        assert_eq!(result.adversarial_colors, t.colors);
+        assert_eq!(result.predictions.len(), t.len());
     }
 
     #[test]

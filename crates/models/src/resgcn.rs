@@ -153,10 +153,9 @@ impl SegmentationModel for ResGcn {
         for (b, edge_mlp) in self.edge_mlps.iter().enumerate() {
             let _span = colper_obs::span!(FORWARD_RESGCN_BLOCK);
             let nb = plan.graphs[plan.dilations[b]].as_ref().expect("graph precomputed");
-            // [h_i | h_j - h_i] per edge, as one fused op.
-            let edge = session.tape.edge_features(h, plan.center.clone(), nb.clone());
-            let msg = edge_mlp.forward(session, edge);
-            let agg = session.tape.group_max(msg, k);
+            // The edge MLP over [h_i | h_j - h_i], max-pooled over each
+            // point's k edges (one fused op in evaluation mode).
+            let agg = edge_mlp.edge_conv(session, h, plan.center.clone(), nb.clone(), k);
             // Residual connection: the mechanism that makes 28 blocks
             // trainable.
             h = session.tape.add(h, agg);

@@ -84,20 +84,26 @@ impl BatchNorm {
             });
             crate::mlp::activate(f, y, act)
         } else {
-            // Fold running stats with gamma/beta into one affine row op:
-            // y = act(x * scale + shift), scale = gamma/sqrt(var+eps),
-            // shift = beta - mean*scale.
-            let eps = self.eps;
-            let var = f.buffer_shared(self.running_var);
-            let gamma = f.param(self.gamma);
-            let beta = f.param(self.beta);
-            let inv_std_row = f.tape.constant_map(&var, |v| 1.0 / (v + eps).sqrt());
-            let mean_row = f.tape.constant_shared(f.buffer_shared(self.running_mean));
-            let scale = f.tape.mul_row(inv_std_row, gamma); // [1,dim]
-            let ms = f.tape.mul(mean_row, scale);
-            let shift = f.tape.sub(beta, ms);
+            let (scale, shift) = self.eval_affine(f);
             f.tape.affine_act(x, scale, shift, act)
         }
+    }
+
+    /// The evaluation-mode layer as one affine row pair, recorded on the
+    /// tape: `y = x * scale + shift` with `scale = gamma / sqrt(var + eps)`
+    /// and `shift = beta - mean * scale`, both `[1, dim]`, from the
+    /// running statistics.
+    pub(crate) fn eval_affine(&self, f: &mut Forward<'_>) -> (Var, Var) {
+        let eps = self.eps;
+        let var = f.buffer_shared(self.running_var);
+        let gamma = f.param(self.gamma);
+        let beta = f.param(self.beta);
+        let inv_std_row = f.tape.constant_map(&var, |v| 1.0 / (v + eps).sqrt());
+        let mean_row = f.tape.constant_shared(f.buffer_shared(self.running_mean));
+        let scale = f.tape.mul_row(inv_std_row, gamma);
+        let ms = f.tape.mul(mean_row, scale);
+        let shift = f.tape.sub(beta, ms);
+        (scale, shift)
     }
 }
 

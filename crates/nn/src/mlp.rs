@@ -4,8 +4,9 @@
 
 use crate::{BatchNorm, Forward, Linear, ParamSet};
 use colper_autodiff::Var;
-use colper_tensor::Act;
+use colper_tensor::{Act, GatherIndex};
 use rand::Rng;
+use std::sync::Arc;
 
 /// Point-wise nonlinearities available to [`SharedMlp`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -100,6 +101,34 @@ impl SharedMlp {
             };
         }
         h
+    }
+
+    /// A graph edge convolution with this MLP as its edge function:
+    /// `group_max(self(edge_features(h, center, nbr)), k)`, DeepGCN's
+    /// block before the residual add.
+    ///
+    /// In evaluation mode a one-block batch-normed MLP (whose linear layer
+    /// has no bias) records the whole block as one fused op,
+    /// [`colper_autodiff::Tape::edge_conv`], with the same value and
+    /// input gradient bit for bit. Training keeps the unfused chain,
+    /// because training batch norm needs whole-batch statistics, and so
+    /// does a deeper MLP.
+    pub fn edge_conv(
+        &self,
+        f: &mut Forward<'_>,
+        h: Var,
+        center: Arc<GatherIndex>,
+        nbr: Arc<GatherIndex>,
+        k: usize,
+    ) -> Var {
+        if let ([(lin, Some(bn), act)], false) = (self.blocks.as_slice(), f.training()) {
+            let w = f.param(lin.weight());
+            let (scale, shift) = bn.eval_affine(f);
+            return f.tape.edge_conv(h, center, nbr, w, scale, shift, act.act(), k);
+        }
+        let edge = f.tape.edge_features(h, center, nbr);
+        let msg = self.forward(f, edge);
+        f.tape.group_max(msg, k)
     }
 }
 

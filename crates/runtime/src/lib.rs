@@ -55,7 +55,9 @@
 //!   is leaked rather than dropped (values produced before the panic are not
 //!   destructed); the panic itself still propagates.
 //! * [`Runtime::par_chunks_mut`] re-slices one exclusive borrow into
-//!   provably disjoint sub-slices, one per chunk index.
+//!   provably disjoint sub-slices, one per chunk index;
+//!   [`Runtime::par_chunks_mut_pair`] does the same for two equally long
+//!   borrows over one chunk split.
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
@@ -621,6 +623,39 @@ impl Runtime {
             f(c, sub);
         });
     }
+
+    /// [`Runtime::par_chunks_mut`] over two equally long slices at once:
+    /// chunk `c` of `a` and chunk `c` of `b` (the same index range) go to
+    /// one call `f(c, a_chunk, b_chunk)`. For kernels that write two
+    /// outputs per element, such as a pooled value and the row it came
+    /// from.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `chunk == 0` or the slices differ in length.
+    pub fn par_chunks_mut_pair<A: Send, B: Send>(
+        &self,
+        a: &mut [A],
+        b: &mut [B],
+        chunk: usize,
+        f: impl Fn(usize, &mut [A], &mut [B]) + Sync,
+    ) {
+        assert!(chunk >= 1, "par_chunks_mut_pair: chunk must be at least 1");
+        assert_eq!(a.len(), b.len(), "par_chunks_mut_pair: slice length mismatch");
+        let (pa, pb) = (SendPtr(a.as_mut_ptr()), SendPtr(b.as_mut_ptr()));
+        self.par_for_chunks(a.len(), chunk, |range| {
+            // SAFETY: ranges produced by par_for_chunks partition 0..n and
+            // both slices are n long, so each pair of sub-slices is a
+            // disjoint view of its slice's exclusive borrow.
+            let (sa, sb) = unsafe {
+                (
+                    std::slice::from_raw_parts_mut(pa.get().add(range.start), range.len()),
+                    std::slice::from_raw_parts_mut(pb.get().add(range.start), range.len()),
+                )
+            };
+            f(range.start / chunk, sa, sb);
+        });
+    }
 }
 
 /// The ambient runtime for the current thread: whatever [`Runtime::install`]
@@ -717,6 +752,21 @@ mod tests {
             }
         });
         assert!(data.iter().enumerate().all(|(i, &v)| v == i as u32));
+    }
+
+    #[test]
+    fn par_chunks_mut_pair_hands_out_matching_regions() {
+        let rt = Runtime::new(4);
+        let (mut vals, mut rows) = (vec![0.0f32; 1003], vec![0usize; 1003]);
+        rt.par_chunks_mut_pair(&mut vals, &mut rows, 64, |c, va, ro| {
+            assert_eq!(va.len(), ro.len());
+            for (off, (v, r)) in va.iter_mut().zip(ro.iter_mut()).enumerate() {
+                *r = c * 64 + off;
+                *v = *r as f32;
+            }
+        });
+        assert!(rows.iter().enumerate().all(|(i, &r)| r == i));
+        assert!(vals.iter().zip(&rows).all(|(&v, &r)| v == r as f32));
     }
 
     #[test]

@@ -41,12 +41,15 @@ pub struct TileId {
     pub y: u32,
 }
 
-/// Tiled-world failures: shard IO/structure errors plus residency
-/// budget violations.
+/// Tiled-world failures: shard IO/structure errors, residency budget
+/// violations and unusable world configurations.
 #[derive(Debug)]
 pub enum TiledError {
     /// A shard could not be read, parsed, or written.
     Shard(ShardError),
+    /// A tile side length that is not a positive finite number of meters
+    /// (from a configuration or a `world.meta`).
+    BadExtent(f32),
     /// A tile load would push resident bytes past the hard budget.
     BudgetExceeded {
         /// Bytes that would have been resident.
@@ -60,6 +63,9 @@ impl fmt::Display for TiledError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TiledError::Shard(e) => write!(f, "{e}"),
+            TiledError::BadExtent(e) => {
+                write!(f, "tile extent must be a positive finite number of meters, got {e}")
+            }
             TiledError::BudgetExceeded { needed, budget } => {
                 write!(f, "tile residency budget exceeded: {needed} bytes needed, budget {budget}")
             }
@@ -135,6 +141,16 @@ impl TiledWorldConfig {
         self.points_per_tile * per_point + Column::ALL.len() * HEADER_LEN
     }
 
+    /// Checks what tile generation assumes of the configuration: a
+    /// positive finite tile extent.
+    fn validate(&self) -> Result<(), TiledError> {
+        if self.tile_extent.is_finite() && self.tile_extent > 0.0 {
+            Ok(())
+        } else {
+            Err(TiledError::BadExtent(self.tile_extent))
+        }
+    }
+
     /// The per-tile scene configuration.
     fn scene_config(&self) -> OutdoorSceneConfig {
         OutdoorSceneConfig {
@@ -165,7 +181,13 @@ impl TiledWorld {
     /// ambient [`colper_runtime`] runtime; because each tile's stream
     /// derives only from `mix_seed(world_seed, x, y)`, the shard bytes
     /// are identical for any thread count.
+    ///
+    /// # Errors
+    ///
+    /// [`TiledError::BadExtent`] for a tile extent that is not a positive
+    /// finite number (before anything is written), or a shard error.
     pub fn create(dir: &Path, cfg: &TiledWorldConfig) -> Result<TiledWorld, TiledError> {
+        cfg.validate()?;
         std::fs::create_dir_all(dir)?;
         let world = TiledWorld { dir: dir.to_path_buf(), cfg: cfg.clone() };
         world.write_meta()?;
@@ -183,6 +205,12 @@ impl TiledWorld {
     }
 
     /// Opens an existing world from its `world.meta`.
+    ///
+    /// # Errors
+    ///
+    /// A shard error for a missing or malformed `world.meta`, and
+    /// [`TiledError::BadExtent`] for one whose tile extent is not a
+    /// positive finite number.
     pub fn open(dir: &Path) -> Result<TiledWorld, TiledError> {
         let path = dir.join(META_FILE);
         let mut bytes = Vec::new();
@@ -354,7 +382,7 @@ fn decode_meta(path: &Path, bytes: &[u8]) -> Result<TiledWorldConfig, TiledError
     let u32_at = |o: usize| u32::from_le_bytes(bytes[o..o + 4].try_into().expect("4 bytes"));
     let f32_at = |o: usize| f32::from_le_bytes(bytes[o..o + 4].try_into().expect("4 bytes"));
     let u64_at = |o: usize| u64::from_le_bytes(bytes[o..o + 8].try_into().expect("8 bytes"));
-    Ok(TiledWorldConfig {
+    let cfg = TiledWorldConfig {
         tiles_x: u32_at(6),
         tiles_y: u32_at(10),
         points_per_tile: u64_at(14) as usize,
@@ -363,7 +391,9 @@ fn decode_meta(path: &Path, bytes: &[u8]) -> Result<TiledWorldConfig, TiledError
         density: f32_at(36),
         lighting_jitter: f32_at(40),
         ensure_car: bytes[44] != 0,
-    })
+    };
+    cfg.validate()?;
+    Ok(cfg)
 }
 
 /// Zero-copy accessors over one tile's five mapped column shards.

@@ -24,10 +24,12 @@
 //!   is *the same ascending-`k` chain from `+0.0`* the row kernel
 //!   computes. That single invariant makes every route bit-identical to
 //!   the row kernel, the scalar reference, and every micro-tile geometry.
-//! * **Slab epilogue** — each slab of up to [`MC`] finished rows goes to
-//!   the caller's epilogue (bias add, or eval batch norm and its
-//!   activation) while it is still in cache, never as a second pass over
-//!   the output.
+//! * **Slabs** — a slab of up to [`MC`] output rows runs all its
+//!   `k`-blocks before the next slab starts ([`gemm_slab`]). A matmul
+//!   writes its slabs straight into the output; ResGCN's fused edge
+//!   convolution (`Matrix::edge_conv_into`) runs the same slab body over
+//!   edge rows it gathered into scratch, then activates and max-pools
+//!   each slab while it is still in cache.
 //!
 //! Parallelism splits the output into bands of whole slabs across the
 //! shared work-stealing runtime; each band owns its rows exclusively,
@@ -44,14 +46,10 @@ use std::sync::atomic::{AtomicU8, Ordering};
 /// stays in L1 while they sweep it.
 pub const KC: usize = 256;
 
-/// Rows of one slab: the unit a band runs its `k`-blocks and its
-/// epilogue over, and the unit bands split on. Divisible by every
-/// micro-tile `MR` (6 and 12), so tile boundaries line up on all
-/// instruction-set legs.
+/// Rows of one slab: the unit a band runs its `k`-blocks over, and the
+/// unit bands split on. Divisible by every micro-tile `MR` (6 and 12),
+/// so tile boundaries line up on all instruction-set legs.
 pub const MC: usize = 96;
-
-/// A matmul epilogue: runs over slabs of whole finished output rows.
-pub(crate) type RowEpilogue<'a> = dyn Fn(&mut [f32]) + Sync + 'a;
 
 const GM_UNINIT: u8 = 0;
 const GM_ROW: u8 = 1;
@@ -168,9 +166,9 @@ pub(crate) fn pack_transposed(b: &[f32], n: usize, k: usize, ldb: usize, panel: 
     }
 }
 
-/// Credits the deterministic micro-tile invocation count of one product
-/// to `gemm.tile.tasks` (computed arithmetically, so the total is
-/// independent of thread count and chunking).
+/// Credits the deterministic micro-tile invocation count of one slab to
+/// `gemm.tile.tasks` (computed arithmetically; slab boundaries depend on
+/// the shape only, so the total is independent of thread count).
 fn count_tile_tasks(m: usize, k: usize, n: usize, mr: usize, nr: usize) {
     let tiles = m.div_ceil(mr) * n.div_ceil(nr) * k.div_ceil(KC);
     colper_obs::counters::GEMM_TILE_TASKS.add(tiles as u64);
@@ -181,59 +179,67 @@ fn count_tile_tasks(m: usize, k: usize, n: usize, mr: usize, nr: usize) {
 /// (row-major A, or its transpose read in place); B is row-major.
 ///
 /// Output rows split into bands of whole [`MC`]-row slabs across the
-/// ambient runtime. A slab runs its `k`-blocks of [`KC`] in order,
-/// continuing every chain through the output between blocks, then hands
-/// the finished slab to `epilogue` while it is still in cache. Every
-/// element is one ascending-`k` chain from `+0.0`, so the result is
-/// bit-identical to the row kernel for every input, leg and thread count.
+/// ambient runtime, and each slab runs [`gemm_slab`]. Every element is
+/// one ascending-`k` chain from `+0.0`, so the result is bit-identical
+/// to the row kernel for every input, leg and thread count.
 pub(crate) fn gemm_into(
     (a, a_row, a_k): (&[f32], usize, usize),
     b: &[f32],
     (m, k, n): (usize, usize, usize),
     out: &mut [f32],
-    epilogue: Option<&RowEpilogue<'_>>,
 ) {
     debug_assert!(b.len() >= k * n && out.len() == m * n);
     if m == 0 || n == 0 {
         return;
     }
     let isa = kernels::gemm_isa();
-    let (mr, nr) = isa.micro_tile();
-    count_tile_tasks(m, k, n, mr, nr);
-    let slab_job = |row0: usize, slab: &mut [f32]| {
-        let rows = slab.len() / n;
-        if k == 0 {
-            slab.fill(0.0);
-        }
-        let mut pc = 0;
-        while pc < k {
-            let kc = KC.min(k - pc);
-            for j0 in (0..n).step_by(nr) {
-                for r0 in (0..rows).step_by(mr) {
-                    kernels::gemm_tile(
-                        isa,
-                        &a[(row0 + r0) * a_row + pc * a_k..],
-                        &b[pc * n + j0..],
-                        TileStrides { a_row, a_k, ldb: n, ldc: n },
-                        kc,
-                        mr.min(rows - r0),
-                        nr.min(n - j0),
-                        pc == 0,
-                        &mut slab[r0 * n + j0..],
-                    );
-                }
-            }
-            pc += kc;
-        }
-        if let Some(epi) = epilogue {
-            epi(slab);
-        }
-    };
     for_each_row_band(out, n, MC, (m * k * n, MIN_PAR_MACS), |row0, band| {
         for (s, slab) in band.chunks_mut(MC * n).enumerate() {
-            slab_job(row0 + s * MC, slab);
+            gemm_slab(isa, (&a[(row0 + s * MC) * a_row..], a_row, a_k), b, (k, n), slab);
         }
     });
+}
+
+/// One slab of a product on `isa`'s micro-tiles: `slab` (whole rows of
+/// width `n`, fully overwritten) receives `A_slab x B`, where element
+/// `(r, kk)` of the slab's A rows sits at `a[r * a_row + kk * a_k]` and
+/// B is row-major `[k, n]`. The slab runs its `k`-blocks of [`KC`] in
+/// order, continuing every chain through `slab` between blocks, so each
+/// element is the ascending-`k` chain of fused multiply-adds from `+0.0`
+/// that the row kernel computes.
+pub(crate) fn gemm_slab(
+    isa: kernels::GemmIsa,
+    (a, a_row, a_k): (&[f32], usize, usize),
+    b: &[f32],
+    (k, n): (usize, usize),
+    slab: &mut [f32],
+) {
+    let (mr, nr) = isa.micro_tile();
+    let rows = slab.len() / n;
+    count_tile_tasks(rows, k, n, mr, nr);
+    if k == 0 {
+        slab.fill(0.0);
+    }
+    let mut pc = 0;
+    while pc < k {
+        let kc = KC.min(k - pc);
+        for j0 in (0..n).step_by(nr) {
+            for r0 in (0..rows).step_by(mr) {
+                kernels::gemm_tile(
+                    isa,
+                    &a[r0 * a_row + pc * a_k..],
+                    &b[pc * n + j0..],
+                    TileStrides { a_row, a_k, ldb: n, ldc: n },
+                    kc,
+                    mr.min(rows - r0),
+                    nr.min(n - j0),
+                    pc == 0,
+                    &mut slab[r0 * n + j0..],
+                );
+            }
+        }
+        pc += kc;
+    }
 }
 
 #[cfg(test)]

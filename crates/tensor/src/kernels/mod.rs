@@ -489,8 +489,8 @@ isa_dispatched! {
     affine_act(x: &[f32], scale: &[f32], shift: &[f32], act: Act, out: &mut [f32])
 }
 isa_dispatched! {
-    /// In-place [`affine_act`] — the epilogue a fused matmul runs over
-    /// each slab of finished output rows. See [`scalar::affine_act_assign`].
+    /// In-place [`affine_act`] — what the fused edge convolution runs over
+    /// each slab of edge products. See [`scalar::affine_act_assign`].
     affine_act_assign(v: &mut [f32], scale: &[f32], shift: &[f32], act: Act)
 }
 isa_dispatched! {

@@ -45,4 +45,4 @@ pub use init::Initializer;
 pub use kernels::Act;
 pub use matrix::Matrix;
 pub use pool::BufferPool;
-pub use structural::GatherIndex;
+pub use structural::{EdgeConv, GatherIndex};

@@ -10,15 +10,10 @@
 //! AVX2 paths are bit-identical — so neither thread count nor SIMD
 //! dispatch ever changes a result.
 
-use crate::gemm::{self, GemmMode, RowEpilogue};
+use crate::gemm::{self, GemmMode};
 use crate::kernels;
 use crate::par::{chunk_len, for_each_row_band, runtime_for, MIN_PAR_ELEMS, MIN_PAR_MACS};
 use crate::{Matrix, ShapeError, TensorError};
-
-/// Rows a matmul epilogue receives per call on the row kernel: small
-/// enough that the slab just written is still in L1, large enough to
-/// amortize the epilogue's kernel dispatch.
-const EPILOGUE_ROWS: usize = 64;
 
 impl Matrix {
     /// Elementwise sum with another matrix of the same shape.
@@ -332,40 +327,6 @@ impl Matrix {
     ///
     /// Panics when `out` is not `[m, n]`.
     pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) -> Result<(), TensorError> {
-        self.matmul_rows_into(other, out, None)
-    }
-
-    /// [`Matrix::matmul_into`] followed by `epilogue` over every output row
-    /// once its product is final. The epilogue receives slabs of whole
-    /// rows (row width `other.cols()`) just written and still in cache:
-    /// blocks of 64 rows on the row kernel, slabs of up to
-    /// [`gemm::MC`] rows on the micro-tiles. Either way every element
-    /// first receives exactly the product [`Matrix::matmul_into`] writes,
-    /// so an elementwise epilogue gives the same bits as running it
-    /// afterwards.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ShapeError`] when `self.cols() != other.rows()`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `out` is not `[m, n]`.
-    pub fn matmul_epilogue_into(
-        &self,
-        other: &Matrix,
-        out: &mut Matrix,
-        epilogue: impl Fn(&mut [f32]) + Sync,
-    ) -> Result<(), TensorError> {
-        self.matmul_rows_into(other, out, Some(&epilogue))
-    }
-
-    fn matmul_rows_into(
-        &self,
-        other: &Matrix,
-        out: &mut Matrix,
-        epilogue: Option<&RowEpilogue<'_>>,
-    ) -> Result<(), TensorError> {
         if self.cols() != other.rows() {
             return Err(ShapeError::new("matmul", self.shape(), other.shape()).into());
         }
@@ -375,20 +336,14 @@ impl Matrix {
         kernels::count_dispatch(m);
         if gemm::gemm_mode() != GemmMode::Row {
             let (a, b) = (self.as_slice(), other.as_slice());
-            gemm::gemm_into((a, k, 1), b, (m, k, n), out.as_mut_slice(), epilogue);
+            gemm::gemm_into((a, k, 1), b, (m, k, n), out.as_mut_slice());
             return Ok(());
         }
         let b = other.as_slice();
         for_each_row_band(out.as_mut_slice(), n, 1, (m * k * n, MIN_PAR_MACS), |r0, band| {
-            for (s, slab) in band.chunks_mut(EPILOGUE_ROWS * n.max(1)).enumerate() {
-                let s0 = r0 + s * EPILOGUE_ROWS;
-                for (j, out_row) in slab.chunks_mut(n).enumerate() {
-                    out_row.fill(0.0);
-                    kernels::matmul_row(self.row(s0 + j), b, n, out_row);
-                }
-                if let Some(epi) = epilogue {
-                    epi(slab);
-                }
+            for (j, out_row) in band.chunks_mut(n).enumerate() {
+                out_row.fill(0.0);
+                kernels::matmul_row(self.row(r0 + j), b, n, out_row);
             }
         });
         Ok(())
@@ -439,7 +394,7 @@ impl Matrix {
         if gemm::gemm_mode() != GemmMode::Row {
             // The tiles read self^T in place: element (i, kk) is self[kk][i].
             let (a, b) = (self.as_slice(), other.as_slice());
-            gemm::gemm_into((a, 1, m), b, (m, k, n), out.as_mut_slice(), None);
+            gemm::gemm_into((a, 1, m), b, (m, k, n), out.as_mut_slice());
             return Ok(());
         }
         // Pack self^T into a pooled panel so the row kernel reads

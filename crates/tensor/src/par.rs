@@ -66,3 +66,27 @@ pub(crate) fn for_each_row_band<T: Send>(
         }
     }
 }
+
+/// [`for_each_row_band`] over two outputs of one shape that a kernel
+/// writes together (a pooled value and the row it came from): each
+/// `job(first_row, a_band, b_band)` gets the same rows of both.
+pub(crate) fn for_each_row_band_pair<A: Send, B: Send>(
+    (a, b): (&mut [A], &mut [B]),
+    cols: usize,
+    align: usize,
+    (work, threshold): (usize, usize),
+    job: impl Fn(usize, &mut [A], &mut [B]) + Sync,
+) {
+    if cols == 0 || a.is_empty() {
+        return;
+    }
+    debug_assert!(align > 0 && a.len().is_multiple_of(cols) && a.len() == b.len());
+    match runtime_for(work, threshold) {
+        None => job(0, a, b),
+        Some(rt) => {
+            let units = (a.len() / cols).div_ceil(align);
+            let rows_per = chunk_len(units, &rt) * align;
+            rt.par_chunks_mut_pair(a, b, rows_per * cols, |c, ba, bb| job(c * rows_per, ba, bb));
+        }
+    }
+}

@@ -1,7 +1,8 @@
 //! Row-wise, runtime-parallel structural kernels: grouped max pooling and
 //! softmax (forward and backward), row broadcasts, the gather's backward
-//! scatter, and the fused eval-batch-norm + activation and graph
-//! edge-feature ops (forward and backward).
+//! scatter, the fused eval-batch-norm + activation and graph
+//! edge-feature ops, and ResGCN's whole eval-mode edge convolution
+//! (forward and backward).
 //!
 //! These carry the neighbourhood structure of the point-cloud networks
 //! (`k` consecutive rows per point's neighbour group) and used to run as
@@ -13,8 +14,11 @@
 //! [`crate::kernels::scalar`]. Results are therefore bit-identical at any
 //! thread count and on either SIMD leg.
 
+use crate::gemm::{self, MC};
 use crate::kernels::{self, Act};
-use crate::par::{for_each_row_band, runtime_for, MIN_PAR_ELEMS};
+use crate::par::{
+    for_each_row_band, for_each_row_band_pair, runtime_for, MIN_PAR_ELEMS, MIN_PAR_MACS,
+};
 use crate::Matrix;
 
 /// Columns processed per pass of the grouped kernels: per-column running
@@ -44,47 +48,20 @@ impl Matrix {
         assert_eq!(out.shape(), (rows / k, cols), "group_max_into: output shape mismatch");
         assert_eq!(argmax.len(), out.len(), "group_max_into: argmax length mismatch");
         let x = self.as_slice();
-        // Pass 1 scans each group row-wise and records the winning rows
-        // with the serial loop's strict `>` test, written as a mask so the
-        // column loop vectorizes. The running maximum only feeds that
-        // test, so it may advance with `f32::max`: it differs from the
-        // serial loop's value only on a tie between `-0.0` and `+0.0`,
-        // which compare equal, and it ignores NaN exactly as `>` does.
+        // Pass 1 records each group's winning rows.
         for_each_row_band(argmax, cols, 1, (self.len(), MIN_PAR_ELEMS), |g0, band| {
-            let mut best = [0.0f32; COL_BLOCK];
-            let mut win = [0u32; COL_BLOCK];
             for (gi, arg) in band.chunks_mut(cols).enumerate() {
                 let r0 = (g0 + gi) * k;
-                for (cb, arg) in arg.chunks_mut(COL_BLOCK).enumerate() {
-                    let c0 = cb * COL_BLOCK;
-                    let (best, win) = (&mut best[..arg.len()], &mut win[..arg.len()]);
-                    best.fill(f32::NEG_INFINITY);
-                    win.fill(0);
-                    for j in 0..k {
-                        let r = r0 + j;
-                        let row = &x[r * cols + c0..r * cols + c0 + arg.len()];
-                        for ((b, w), &v) in best.iter_mut().zip(win.iter_mut()).zip(row) {
-                            let take = u32::from(v > *b).wrapping_neg();
-                            *w ^= (*w ^ j as u32) & take;
-                            *b = b.max(v);
-                        }
-                    }
-                    for (a, &w) in arg.iter_mut().zip(win.iter()) {
-                        *a = r0 + w as usize;
-                    }
-                }
+                group_winners(&x[r0 * cols..(r0 + k) * cols], r0, arg);
             }
         });
-        // Pass 2 reads the winners back. The serial loop's maximum is the
-        // winning element whenever it beat the initial `-inf`, and `-inf`
-        // otherwise (the group's first row is then NaN or `-inf`).
+        // Pass 2 reads the winners back.
         let argmax = &*argmax;
         for_each_row_band(out.as_mut_slice(), cols, 1, (self.len(), MIN_PAR_ELEMS), |g0, band| {
             for (gi, orow) in band.chunks_exact_mut(cols).enumerate() {
                 let arg = &argmax[(g0 + gi) * cols..(g0 + gi + 1) * cols];
                 for (c, (o, &r)) in orow.iter_mut().zip(arg).enumerate() {
-                    let v = x[r * cols + c];
-                    *o = if v > f32::NEG_INFINITY { v } else { f32::NEG_INFINITY };
+                    *o = pooled_max(x[r * cols + c]);
                 }
             }
         });
@@ -407,6 +384,170 @@ impl Matrix {
             }
         });
     }
+
+    /// ResGCN's eval-mode edge convolution in one pass: for every group
+    /// `g` of `k` consecutive edges, `out[g][c]` is the maximum over the
+    /// group's edges `e` of `act((f_e · w)[c] * scale[c] + shift[c])`,
+    /// where `f_e = [self[center[e]] | self[nbr[e]] - self[center[e]]]`,
+    /// and `argmax[g * cols + c]` is the winning edge.
+    ///
+    /// Element for element this is [`Matrix::edge_features_into`],
+    /// [`Matrix::matmul_into`], [`Matrix::affine_act_into`] and
+    /// [`Matrix::group_max_into`] run one after another, but no `[E, ·]`
+    /// matrix is ever written. Output rows split into bands of whole
+    /// slabs of up to [`MC`] edges (whole groups), across the ambient
+    /// runtime. A slab gathers its edge rows into thread-local scratch,
+    /// runs the GEMM slab body over them (each product element one
+    /// ascending chain from `+0.0`, as every matmul route computes it),
+    /// activates the slab in place and max-pools each group through the
+    /// winner scan `group_max_into` uses. The bits do not depend on the
+    /// thread count, the SIMD leg or `GemmMode`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when either index list was built for another row count, the
+    /// lists differ in length or are not a multiple of `conv.k` edges
+    /// long, `conv` does not fit `self`'s width, `out` is not
+    /// `[edges / k, w.cols()]` or `argmax` is not `out.len()` long.
+    pub fn edge_conv_into(
+        &self,
+        center: &GatherIndex,
+        nbr: &GatherIndex,
+        conv: EdgeConv<'_>,
+        out: &mut Matrix,
+        argmax: &mut [usize],
+    ) {
+        let (rows, cols) = self.shape();
+        let EdgeConv { w, scale, shift, act, k } = conv;
+        let (width, co, edges) = (2 * cols, w.cols(), center.len());
+        assert!(
+            center.source_rows() == rows && nbr.source_rows() == rows,
+            "edge_conv_into: index built for another row count"
+        );
+        assert_eq!(nbr.len(), edges, "edge_conv_into: index length mismatch");
+        assert!(k > 0 && edges.is_multiple_of(k), "edge_conv_into: {edges} edges, k={k}");
+        assert!(u32::try_from(k).is_ok(), "edge_conv_into: k={k} exceeds the group index range");
+        assert_eq!(w.rows(), width, "edge_conv_into: weight rows must be twice the width");
+        assert!(scale.len() == co && shift.len() == co, "edge_conv_into: row width mismatch");
+        assert_eq!(out.shape(), (edges / k, co), "edge_conv_into: output shape mismatch");
+        assert_eq!(argmax.len(), out.len(), "edge_conv_into: argmax length mismatch");
+        kernels::count_dispatch(edges);
+        let isa = kernels::gemm_isa();
+        let slab_groups = (MC / k).max(1);
+        let slab_rows = slab_groups * k;
+        let (ci, ni, wv) = (center.indices(), nbr.indices(), w.as_slice());
+        let pair = (out.as_mut_slice(), argmax);
+        let work = (edges * width * co, MIN_PAR_MACS);
+        for_each_row_band_pair(pair, co, slab_groups, work, |g0, pooled, arg| {
+            let mut feats = gemm::pack_scratch(slab_rows, width);
+            let mut y = gemm::pack_scratch(slab_rows, co);
+            let slabs = pooled.chunks_mut(slab_groups * co).zip(arg.chunks_mut(slab_groups * co));
+            for (s, (pooled, arg)) in slabs.enumerate() {
+                let e0 = (g0 + s * slab_groups) * k;
+                let n_edges = pooled.len() / co * k;
+                let feats = &mut feats.as_mut_slice()[..n_edges * width];
+                for (e, f) in (e0..).zip(feats.chunks_exact_mut(width.max(1))) {
+                    let c = self.row(ci[e]);
+                    let (left, right) = f.split_at_mut(cols);
+                    left.copy_from_slice(c);
+                    kernels::sub(self.row(ni[e]), c, right);
+                }
+                let y = &mut y.as_mut_slice()[..n_edges * co];
+                gemm::gemm_slab(isa, (feats, width, 1), wv, (width, co), y);
+                kernels::affine_act_assign(y, scale, shift, act);
+                let groups = y.chunks_exact(k * co).zip(pooled.chunks_exact_mut(co));
+                for ((gi, (group, prow)), arow) in groups.enumerate().zip(arg.chunks_exact_mut(co))
+                {
+                    let r0 = e0 + gi * k;
+                    group_winners(group, r0, arow);
+                    for (c, (p, &r)) in prow.iter_mut().zip(arow.iter()).enumerate() {
+                        *p = pooled_max(group[(r - r0) * co + c]);
+                    }
+                }
+            }
+            gemm::pack_recycle(y);
+            gemm::pack_recycle(feats);
+        });
+    }
+
+    /// Backward of [`Matrix::edge_conv_into`] up to its edge rows: `self`
+    /// is the upstream gradient `[groups, co]`, `pooled` and `argmax` the
+    /// forward's outputs, and `out` (`[groups * k, 2 * cols]`, fully
+    /// overwritten) receives the gradient of the edge-feature rows, which
+    /// [`Matrix::edge_features_grad_into`] then scatters onto the source
+    /// rows.
+    ///
+    /// The unfused chain's pre-activation gradient is
+    /// `affine_act_grad_lane(0.0 + gy, y, s, act)` at each group's winning
+    /// edge (the group max scatters `gy` into zeros) and
+    /// `affine_act_grad_lane(0.0, y, s, act)` elsewhere. The derivative
+    /// only tests `y > 0`, and the pooled value fails that test exactly
+    /// when the winning `y` does (they differ only when that `y` is NaN
+    /// or `-inf`), so the winner reads `pooled` instead of `y`; elsewhere
+    /// the product with `+0.0` is the same for every `y` (the leaky slope
+    /// is finite). So no `[E, co]` activation is kept: each slab of whole
+    /// groups builds its pre-activation gradient in thread-local scratch
+    /// from `gy`, `argmax`, `pooled` and `scale`, then runs
+    /// [`kernels::matmul_nt_rows`] against `wᵀ` (packed once, on the
+    /// calling thread) into its rows of `out` — element for element
+    /// [`Matrix::matmul_nt_into`]. Bands split across the ambient runtime.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the shapes disagree with `conv`, `pooled` or `argmax`.
+    pub fn edge_conv_grad_into(
+        &self,
+        conv: EdgeConv<'_>,
+        pooled: &Matrix,
+        argmax: &[usize],
+        out: &mut Matrix,
+    ) {
+        let EdgeConv { w, scale, act, k, .. } = conv;
+        let (groups, co) = self.shape();
+        let width = w.rows();
+        assert_eq!(w.cols(), co, "edge_conv_grad_into: weight columns mismatch");
+        assert_eq!(scale.len(), co, "edge_conv_grad_into: row width mismatch");
+        assert_eq!(pooled.shape(), (groups, co), "edge_conv_grad_into: pooled shape mismatch");
+        assert_eq!(argmax.len(), self.len(), "edge_conv_grad_into: argmax length mismatch");
+        assert_eq!(out.shape(), (groups * k, width), "edge_conv_grad_into: output shape mismatch");
+        if out.is_empty() {
+            return;
+        }
+        kernels::count_dispatch(groups * k);
+        let ldb = width.div_ceil(kernels::NT_PANEL_ALIGN) * kernels::NT_PANEL_ALIGN;
+        let mut packed = gemm::pack_scratch(co, ldb);
+        gemm::pack_transposed(w.as_slice(), width, co, ldb, packed.as_mut_slice());
+        let bt = packed.as_slice();
+        let (gy, pv) = (self.as_slice(), pooled.as_slice());
+        let slab_rows = (MC / k).max(1) * k;
+        let work = (out.len() * co, MIN_PAR_MACS);
+        for_each_row_band(out.as_mut_slice(), width, slab_rows, work, |e0, band| {
+            let mut gx = gemm::pack_scratch(slab_rows, co);
+            for (s, slab) in band.chunks_mut(slab_rows * width).enumerate() {
+                let s0 = e0 + s * slab_rows;
+                let n_edges = slab.len() / width;
+                let gx = &mut gx.as_mut_slice()[..n_edges * co];
+                let (first, rest) = gx.split_at_mut(co);
+                for (o, &sc) in first.iter_mut().zip(scale) {
+                    *o = kernels::scalar::affine_act_grad_lane(0.0, 0.0, sc, act);
+                }
+                for row in rest.chunks_exact_mut(co.max(1)) {
+                    row.copy_from_slice(first);
+                }
+                for g in s0 / k..(s0 + n_edges) / k {
+                    let span = g * co..(g + 1) * co;
+                    let terms = argmax[span.clone()].iter().zip(&gy[span.clone()]).zip(&pv[span]);
+                    for (c, (((&e, &g), &p), &sc)) in terms.zip(scale).enumerate() {
+                        let lane = kernels::scalar::affine_act_grad_lane(0.0 + g, p, sc, act);
+                        gx[(e - s0) * co + c] = lane;
+                    }
+                }
+                kernels::matmul_nt_rows(gx, co, bt, ldb, slab, width);
+            }
+            gemm::pack_recycle(gx);
+        });
+        gemm::pack_recycle(packed);
+    }
 }
 
 /// A row-gather index list — position `d` reads source row `indices()[d]`
@@ -476,5 +617,74 @@ impl GatherIndex {
     /// Panics when `row >= self.source_rows()`.
     pub fn readers(&self, row: usize) -> &[usize] {
         &self.readers[self.starts[row]..self.starts[row + 1]]
+    }
+}
+
+/// The weights of ResGCN's eval-mode edge convolution
+/// ([`Matrix::edge_conv_into`]): a `[2C, Co]` matrix applied to every
+/// edge row `[h_i | h_j - h_i]`, eval batch norm folded into the `[Co]`
+/// rows `scale` and `shift`, the activation, and the `k` consecutive
+/// edges max-pooled into each output row.
+#[derive(Debug, Clone, Copy)]
+pub struct EdgeConv<'a> {
+    /// The edge MLP's `[2C, Co]` weight.
+    pub w: &'a Matrix,
+    /// The `Co` batch-norm scales.
+    pub scale: &'a [f32],
+    /// The `Co` batch-norm shifts.
+    pub shift: &'a [f32],
+    /// The activation after the batch norm.
+    pub act: Act,
+    /// Edges per output row.
+    pub k: usize,
+}
+
+/// Scans one group of rows (`group`, whose row width is `arg.len()`) the
+/// way [`kernels::scalar::group_max`] does and writes, per column, the
+/// winning row as `r0 + j` for the group's row `j`. The running maximum
+/// starts at `-inf` and only a strictly greater element replaces it, so
+/// ties keep the earliest row and NaN never wins; an all-NaN or all
+/// `-inf` column names the group's first row.
+///
+/// The strict `>` test is written as a mask so the column loop
+/// vectorizes. The running maximum only feeds that test, so it may
+/// advance with `f32::max`: it differs from the serial loop's value only
+/// on a tie between `-0.0` and `+0.0`, which compare equal, and it
+/// ignores NaN exactly as `>` does.
+fn group_winners(group: &[f32], r0: usize, arg: &mut [usize]) {
+    let cols = arg.len();
+    if cols == 0 {
+        return;
+    }
+    let mut best = [0.0f32; COL_BLOCK];
+    let mut win = [0u32; COL_BLOCK];
+    for (cb, arg) in arg.chunks_mut(COL_BLOCK).enumerate() {
+        let c0 = cb * COL_BLOCK;
+        let (best, win) = (&mut best[..arg.len()], &mut win[..arg.len()]);
+        best.fill(f32::NEG_INFINITY);
+        win.fill(0);
+        for (j, row) in group.chunks_exact(cols).enumerate() {
+            let row = &row[c0..c0 + arg.len()];
+            for ((b, w), &v) in best.iter_mut().zip(win.iter_mut()).zip(row) {
+                let take = u32::from(v > *b).wrapping_neg();
+                *w ^= (*w ^ j as u32) & take;
+                *b = b.max(v);
+            }
+        }
+        for (a, &w) in arg.iter_mut().zip(win.iter()) {
+            *a = r0 + w as usize;
+        }
+    }
+}
+
+/// The serial group max's value at its winning element `v`: `v` itself
+/// whenever it beat the initial `-inf`, and `-inf` otherwise (the
+/// group's first row is then NaN or `-inf`).
+#[inline]
+fn pooled_max(v: f32) -> f32 {
+    if v > f32::NEG_INFINITY {
+        v
+    } else {
+        f32::NEG_INFINITY
     }
 }

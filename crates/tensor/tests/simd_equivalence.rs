@@ -380,9 +380,9 @@ proptest! {
 
     /// Every matmul entry point at the victims' shapes, on every leg,
     /// route and thread count, against the pinned-order scalar primitives
-    /// computed element by element: the forward product and its two fused
-    /// epilogues (bias add; eval batch norm with an activation) are one
-    /// ascending-`k` chain from `+0.0` per element, `matmul_tn` the same
+    /// computed element by element: the forward product, then a bias add
+    /// and eval batch norm with an activation after it, where the product
+    /// is one ascending-`k` chain from `+0.0` per element, `matmul_tn` the same
     /// chain through the transposed operand, and `matmul_nt` [`scalar::dot`].
     #[test]
     fn matmuls_bit_identical_at_model_shapes(
@@ -423,16 +423,12 @@ proptest! {
             let mut bits = Vec::new();
             a.matmul_into(&b, &mut out).unwrap();
             bits.extend(out.as_slice().iter().map(|v| v.to_bits()));
-            a.matmul_epilogue_into(&b, &mut out, |slab| {
-                slab.chunks_exact_mut(n).for_each(|r| kernels::add_assign(r, bias))
-            })
-            .unwrap();
+            out.as_mut_slice().chunks_exact_mut(n).for_each(|r| kernels::add_assign(r, bias));
             bits.extend(out.as_slice().iter().map(|v| v.to_bits()));
-            a.matmul_epilogue_into(&b, &mut out, |slab| {
-                kernels::affine_act_assign(slab, scale, shift, act)
-            })
-            .unwrap();
-            bits.extend(out.as_slice().iter().map(|v| v.to_bits()));
+            a.matmul_into(&b, &mut out).unwrap();
+            let mut activated = Matrix::from_vec(m, n, vec![f32::NAN; m * n]).unwrap();
+            out.affine_act_into(scale, shift, act, &mut activated);
+            bits.extend(activated.as_slice().iter().map(|v| v.to_bits()));
             at.matmul_tn_into(&b, &mut out).unwrap();
             bits.extend(out.as_slice().iter().map(|v| v.to_bits()));
             a.matmul_nt_into(&bt, &mut out).unwrap();

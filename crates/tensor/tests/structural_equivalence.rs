@@ -3,8 +3,9 @@
 //! max and softmax, forward and backward; row broadcasts; the gather's
 //! backward scatter; concatenation and block copies; the one-pass
 //! activation backward) and the fused ops that replace unfused tape
-//! sequences (eval batch norm + activation, forward, backward and as a
-//! matmul epilogue; graph edge features, forward and backward).
+//! sequences (eval batch norm + activation, forward and backward; graph
+//! edge features, forward and backward; ResGCN's whole eval-mode edge
+//! convolution, forward and backward into its edge rows).
 //!
 //! Each kernel is compared with the serial loop it replaced — kept as the
 //! pinned reference in [`kernels::scalar`] (or, for the per-row copies,
@@ -21,7 +22,7 @@
 
 use colper_runtime::Runtime;
 use colper_tensor::kernels::{self, scalar};
-use colper_tensor::{Act, GatherIndex, Matrix};
+use colper_tensor::{Act, EdgeConv, GatherIndex, Matrix};
 use proptest::prelude::*;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
@@ -515,8 +516,8 @@ proptest! {
 }
 
 /// The fused ops at the attack's shapes, large enough to split across the
-/// 4-thread runtime, and the matmul epilogue on both GEMM routes (the
-/// row kernel at `k * n < 32768`, the tiled kernel above it).
+/// 4-thread runtime, and eval batch norm + activation after a matmul at
+/// ResGCN's edge shape and at a shape with two `k`-blocks.
 #[test]
 fn fused_ops_match_unfused_sequence_at_scale() {
     let (n, k, cols) = (700, 8, 32);
@@ -541,11 +542,10 @@ fn fused_ops_match_unfused_sequence_at_scale() {
             let x = a.matmul(&w).unwrap();
             let reference = affine_act_reference(&x, scale.row(0), shift.row(0), act, &gy);
             let runs = on_all_legs(|| {
+                let mut prod = Matrix::filled(m, nn, f32::NAN);
+                a.matmul_into(&w, &mut prod).unwrap();
                 let mut y = Matrix::filled(m, nn, f32::NAN);
-                a.matmul_epilogue_into(&w, &mut y, |slab| {
-                    kernels::affine_act_assign(slab, scale.row(0), shift.row(0), act);
-                })
-                .unwrap();
+                prod.affine_act_into(scale.row(0), shift.row(0), act, &mut y);
                 let mut gx = Matrix::filled(m, nn, f32::NAN);
                 gy.affine_act_grad_into(&y, scale.row(0), act, &mut gx);
                 let mut dump = bits(y.as_slice());
@@ -555,6 +555,127 @@ fn fused_ops_match_unfused_sequence_at_scale() {
             for (label, run) in &runs {
                 assert_eq!(run, &reference, "[{m}x{kk}]x[{kk}x{nn}] {act:?} {label}");
             }
+        }
+    }
+}
+
+/// Edge widths `C` for the edge convolution: one, ragged against every
+/// vector width, and `2C = 260 > 256`, so each product element runs two
+/// `k`-blocks before the activation.
+const CONV_C: [usize; 4] = [1, 3, 13, 130];
+const CONV_CO: [usize; 4] = [1, 5, 17, 32];
+const CONV_K: [usize; 6] = [1, 2, 6, 7, 8, 16];
+
+/// `k` edges per point for all `n` points, neighbors drawn from a hash
+/// over `0..n` — so with `n < k` every list repeats its neighbors, as the
+/// padded k-NN lists of a cloud smaller than `k` do.
+fn padded_graph(n: usize, k: usize, seed: u64) -> (GatherIndex, GatherIndex) {
+    let center = (0..n).flat_map(|i| std::iter::repeat_n(i, k)).collect();
+    let nbr = (0..n * k)
+        .map(|e| ((seed ^ (e as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)) >> 17) as usize % n)
+        .collect();
+    (GatherIndex::new(center, n), GatherIndex::new(nbr, n))
+}
+
+/// ResGCN's edge convolution as the unfused ops compute it: edge
+/// features, the matmul, eval batch norm + activation and the group max;
+/// backward, the group max's scatter, the activation's backward and the
+/// NT matmul into the edge rows. Dumps the pooled value, the winning
+/// edges and the edge-row gradient.
+fn edge_conv_reference(
+    h: &Matrix,
+    (center, nbr): (&GatherIndex, &GatherIndex),
+    conv: EdgeConv<'_>,
+    gy: &Matrix,
+) -> Vec<u32> {
+    let (e, co) = (center.len(), conv.w.cols());
+    let mut edge = Matrix::zeros(e, 2 * h.cols());
+    h.edge_features_into(center, nbr, &mut edge);
+    let prod = edge.matmul(conv.w).unwrap();
+    let mut y = Matrix::zeros(e, co);
+    prod.affine_act_into(conv.scale, conv.shift, conv.act, &mut y);
+    let mut pooled = Matrix::zeros(e / conv.k, co);
+    let mut argmax = vec![0; pooled.len()];
+    y.group_max_into(conv.k, &mut pooled, &mut argmax);
+    let mut g_pool = Matrix::zeros(e, co);
+    gy.group_max_grad_into(&argmax, &mut g_pool);
+    let mut g_pre = Matrix::zeros(e, co);
+    g_pool.affine_act_grad_into(&y, conv.scale, conv.act, &mut g_pre);
+    let g_edge = g_pre.matmul_nt(conv.w).unwrap();
+    let mut dump = bits(pooled.as_slice());
+    dump.extend(argmax.iter().map(|&r| r as u32));
+    dump.extend(bits(g_edge.as_slice()));
+    dump
+}
+
+/// [`Matrix::edge_conv_into`] and [`Matrix::edge_conv_grad_into`] into
+/// NaN-filled outputs, dumped like [`edge_conv_reference`].
+fn edge_conv_fused(
+    h: &Matrix,
+    (center, nbr): (&GatherIndex, &GatherIndex),
+    conv: EdgeConv<'_>,
+    gy: &Matrix,
+) -> Vec<u32> {
+    let (e, co) = (center.len(), conv.w.cols());
+    let mut pooled = Matrix::filled(e / conv.k, co, f32::NAN);
+    let mut argmax = vec![usize::MAX; pooled.len()];
+    h.edge_conv_into(center, nbr, conv, &mut pooled, &mut argmax);
+    let mut g_edge = Matrix::filled(e, 2 * h.cols(), f32::NAN);
+    gy.edge_conv_grad_into(conv, &pooled, &argmax, &mut g_edge);
+    let mut dump = bits(pooled.as_slice());
+    dump.extend(argmax.iter().map(|&r| r as u32));
+    dump.extend(bits(g_edge.as_slice()));
+    dump
+}
+
+/// One seeded edge-convolution case: awkward `h`, `scale`, `shift` and
+/// upstream gradient (ties, `±0`, NaN, `±inf`; `scale` has negative
+/// entries), finite weights, and one output column forced to an all-NaN
+/// or all-`-inf` pre-activation through its shift.
+fn check_edge_conv(
+    (n, k, cols, co): (usize, usize, usize, usize),
+    act: Act,
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    let (center, nbr) = padded_graph(n, k, seed);
+    let h = matrix(n, cols, seed + 1, awkward);
+    let w = matrix(2 * cols, co, seed + 2, finite);
+    let scale = matrix(1, co, seed + 3, awkward);
+    let mut shift = matrix(1, co, seed + 4, awkward);
+    shift[(0, seed as usize % co)] =
+        if seed.is_multiple_of(2) { f32::NAN } else { f32::NEG_INFINITY };
+    let gy = matrix(n, co, seed + 5, awkward);
+    let conv = EdgeConv { w: &w, scale: scale.row(0), shift: shift.row(0), act, k };
+    let reference = edge_conv_reference(&h, (&center, &nbr), conv, &gy);
+    let runs = on_all_legs(|| edge_conv_fused(&h, (&center, &nbr), conv, &gy));
+    assert_legs(&reference, &runs)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn edge_conv_matches_unfused_sequence(
+        n in 1usize..24,
+        ki in 0usize..CONV_K.len(),
+        ci in 0usize..CONV_C.len(),
+        oi in 0usize..CONV_CO.len(),
+        ai in 0usize..ACTS.len(),
+        seed in 0u64..1_000_000,
+    ) {
+        let shape = (n, CONV_K[ki], CONV_C[ci], CONV_CO[oi]);
+        check_edge_conv(shape, ACTS[ai], seed)?;
+    }
+}
+
+/// The edge convolution at ResGCN's shape (`k = 8`, 32 channels), large
+/// enough that both passes split across the 4-thread runtime, and at
+/// `k = 7`, whose slabs do not divide the 96-row GEMM slab height.
+#[test]
+fn edge_conv_matches_unfused_sequence_at_scale() {
+    for (shape, seed) in [((700, 8, 32, 32), 12), ((300, 7, 13, 17), 13)] {
+        for act in ACTS {
+            check_edge_conv(shape, act, seed).unwrap();
         }
     }
 }

@@ -1,6 +1,7 @@
 //! A zero count on the command line is a usage error: `colper` prints an
 //! `error:` line and exits 1 before it builds a scene or trains a
-//! victim, never a panic.
+//! victim, never a panic. So is a tile extent a world cannot be built
+//! with.
 
 use std::process::Command;
 
@@ -33,4 +34,21 @@ fn zero_step_counts_are_usage_errors() {
 fn zero_room_and_epoch_counts_are_usage_errors() {
     assert_rejected(&["train", "--rooms", "0"]);
     assert_rejected(&["train", "--epochs", "0"]);
+}
+
+#[test]
+fn unusable_tile_extents_are_errors() {
+    for extent in ["0", "-3", "nan", "inf"] {
+        assert_rejected(&[
+            "stream",
+            "--tiles",
+            "1",
+            "--points-per-tile",
+            "64",
+            "--steps",
+            "1",
+            "--extent",
+            extent,
+        ]);
+    }
 }

@@ -2,7 +2,8 @@
 //! `Objective::parse`, `DefensePipeline::parse`, the service intake (the
 //! HTTP head through `read_request`, then `Json::parse` and
 //! `JobSpec::from_json` or `StreamSpec::from_json`), the tiled-world shard
-//! header (`ShardHeader::decode`) and model checkpoints (`load_params`).
+//! header (`ShardHeader::decode`) and `world.meta` (`TiledWorld::open`),
+//! and model checkpoints (`load_params`).
 //!
 //! Each case takes a valid input, applies a few seeded byte edits
 //! (overwrite, insert, delete; half of them splice in a token from the
@@ -11,8 +12,8 @@
 //! never a panic, and every `Ok` must describe itself faithfully: a spec
 //! re-parses from its own id to an equal value, a stream spec stays
 //! within the service's caps, a header re-encodes to itself, and a
-//! checkpoint re-saves to the bytes it was read from, and a request
-//! re-reads from its own rendering. The suite also runs in release
+//! checkpoint re-saves to the bytes it was read from, a request re-reads
+//! from its own rendering, and an opened world has a usable tile extent. The suite also runs in release
 //! builds, where integer overflow wraps instead of panicking, so the
 //! shard header also gets record counts chosen to overflow: random edits
 //! never craft one whose byte length wraps onto the file size.
@@ -21,14 +22,15 @@ use colper_repro::attack::Objective;
 use colper_repro::defense::{Defense, DefensePipeline};
 use colper_repro::nn::{load_params, save_params, ParamSet};
 use colper_repro::scene::tiled::shard::HEADER_LEN;
-use colper_repro::scene::tiled::{Column, ShardHeader};
+use colper_repro::scene::tiled::{Column, ShardHeader, TiledError, TiledWorld, TiledWorldConfig};
 use colper_repro::serve::http::{read_request, Request, MAX_BODY};
 use colper_repro::serve::json::Json;
 use colper_repro::serve::stream_job::{MAX_STREAM_POINTS, MAX_TILES};
 use colper_repro::serve::{JobSpec, StreamSpec};
 use colper_repro::tensor::Matrix;
 use proptest::prelude::*;
-use std::path::Path;
+use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 
 /// Tokens the grammars give meaning to, plus numbers at and past the
 /// edges of `u32`, `u64`, `f32` and the integers an `f64` holds exactly
@@ -180,6 +182,33 @@ fn shard_seeds() -> Vec<(ShardHeader, u64)> {
         .collect()
 }
 
+/// The `world.meta` a one-tile world of 8 points writes.
+fn world_meta_seed() -> &'static [u8] {
+    static META: OnceLock<Vec<u8>> = OnceLock::new();
+    META.get_or_init(|| {
+        let dir = meta_dir("seed");
+        TiledWorld::create(&dir, &TiledWorldConfig::grid(1, 8)).unwrap();
+        let bytes = std::fs::read(dir.join("world.meta")).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        bytes
+    })
+}
+
+fn meta_dir(tag: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("colper-meta-{}-{tag}", std::process::id()))
+}
+
+/// Opens a world whose `world.meta` holds `bytes`, in a directory of its
+/// own that is removed again.
+fn open_world_meta(tag: &str, bytes: &[u8]) -> Result<TiledWorld, TiledError> {
+    let dir = meta_dir(tag);
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("world.meta"), bytes).unwrap();
+    let opened = TiledWorld::open(&dir);
+    std::fs::remove_dir_all(&dir).unwrap();
+    opened
+}
+
 /// Valid checkpoints: empty, parameters only, and parameters plus buffers.
 fn checkpoint_seeds() -> Vec<Vec<u8>> {
     let mut small = ParamSet::new();
@@ -318,6 +347,15 @@ proptest! {
     }
 
     #[test]
+    fn mutated_world_metas_open_or_fail_cleanly(edits in edits()) {
+        let bytes = mutate_bytes(world_meta_seed(), &edits);
+        if let Ok(world) = open_world_meta("mutant", &bytes) {
+            let extent = world.config().tile_extent;
+            prop_assert!(extent.is_finite() && extent > 0.0, "{:?}", bytes);
+        }
+    }
+
+    #[test]
     fn mutated_checkpoints_load_or_fail_cleanly(seed in 0usize..3, edits in edits()) {
         let bytes = mutate_bytes(&checkpoint_seeds()[seed], &edits);
         if let Ok(params) = load_params(bytes.as_slice()) {
@@ -354,5 +392,19 @@ fn the_seed_specs_are_valid() {
     for s in REQUESTS {
         let request = read_request(&mut s.as_bytes()).expect(s);
         assert!(s.ends_with(std::str::from_utf8(&request.body).unwrap()), "{s}");
+    }
+}
+
+/// A `world.meta` whose tile extent is zero, negative or not finite
+/// (bytes 22..26) is a typed error: generating such a tile would panic.
+#[test]
+fn world_metas_with_unusable_extents_are_rejected() {
+    let seed = world_meta_seed();
+    assert!(open_world_meta("valid", seed).is_ok());
+    for extent in [0.0f32, -0.0, -3.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+        let mut bytes = seed.to_vec();
+        bytes[22..26].copy_from_slice(&extent.to_le_bytes());
+        let opened = open_world_meta("extent", &bytes);
+        assert!(matches!(opened, Err(TiledError::BadExtent(_))), "extent {extent}");
     }
 }
